@@ -39,8 +39,6 @@ from .realize import (
     verify,
 )
 from .schemes import (
-    AccessStructure,
-    FieldElement,
     Scheme,
     SchemeAudit,
     dnf_scheme,

@@ -25,7 +25,7 @@ from .jsonio import (
     verification_report_to_json,
 )
 from .lattice import enumerate_upsets, mask_label, permutation_classes, subsets_in_order
-from .realize import RealizationError, synthesize, verify
+from .realize import RealizationError, describe_deviation, synthesize, verify
 from .states import re_vector
 
 
@@ -109,7 +109,13 @@ def _cmd_verify(args) -> int:
     pair = pair_from_json(_load_json(args.pair))
     report = verify(vector, pair, tol=args.tol)
     _emit(verification_report_to_json(report))
-    return 0 if report.passed else 1
+    if report.passed:
+        return 0
+    if report.failing_subsets():
+        _fail(describe_deviation(report))
+    else:
+        _fail("achieved vector fails the monotonicity recheck")
+    return 1
 
 
 def _cmd_demo(args) -> int:

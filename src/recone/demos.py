@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .cone import REVector
 from .lattice import mask_label, parties, subsets_in_order, upward_closure
 from .schemes import (
-    AccessStructure,
     Scheme,
     party_digits,
     scheme_state_pair,
@@ -51,8 +50,7 @@ def example5() -> Demo:
 
 
 def example6() -> Demo:
-    structure = AccessStructure(upward_closure({0b0011, 0b1100}, 4))
-    scheme = threshold_clause_scheme(structure)
+    scheme = threshold_clause_scheme(upward_closure({0b0011, 0b1100}, 4))
     pair = scheme_state_pair(scheme)
     return Demo(
         name="example6",

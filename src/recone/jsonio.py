@@ -63,8 +63,11 @@ def vector_from_json(doc) -> REVector:
         if raw == "inf":
             value = math.inf
         else:
-            _require(isinstance(raw, (int, float)) and not isinstance(raw, bool),
-                     f"'value' must be a number or 'inf', got {raw!r}")
+            try:
+                finite = not isinstance(raw, bool) and math.isfinite(raw)
+            except (TypeError, OverflowError):
+                finite = False
+            _require(finite, f"'value' for parties {plist} must be a finite number or 'inf'")
             value = raw
         mapping[mask] = value
     _require(set(mapping) == set(subsets_in_order(n)),

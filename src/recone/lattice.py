@@ -182,10 +182,6 @@ def apply_permutation(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def permute_upset(u: UpSet, perm: tuple[int, ...]) -> UpSet:
-    return UpSet(u.n, frozenset(apply_permutation(m, perm) for m in u.members))
-
-
 def canonical_representative(u: UpSet) -> UpSet:
     """Orbit representative under party relabeling: minimal membership bitset."""
     best = None

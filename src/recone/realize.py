@@ -9,9 +9,13 @@ form might suggest) and unauthorized subsets at exactly 0.  General
 members decompose into nested rays whose realizations combine by tensor
 product.
 
-The weight is snapped to p = round(2**(-lam) * 2**53) / 2**53 once and
-kept exact afterwards, so achieved values match targets to well below
-1e-6; integer lam gives dyadic p and machine-exact entries.
+The weight is exact from the start: p = 1 / 2**lam for integer lam, so
+entries come out machine-exact, and otherwise p is the double nearest
+2**(-lam), taken as an exact Fraction.  That double carries 53
+significant bits down to 2**-1022, so achieved values match targets to
+well below 1e-6 for lam from 1e-9 up to 1000 bits.  Past 1022 bits the
+double is subnormal and coarser, and synthesis reports any miss;
+MAX_RAY_BITS bounds lam for both kinds of weight.
 """
 
 from __future__ import annotations
@@ -28,12 +32,14 @@ from .cone import (
     layer_cake_decompose,
 )
 from .lattice import UpSet, mask_label, subsets_in_order
-from .schemes import AccessStructure, dnf_scheme, scheme_state_pair
+from .schemes import dnf_scheme, scheme_state_pair
 from .states import StatePair, point_pair, re_vector, tensor
 
 DYADIC_TOL = 1e-9
 GENERAL_TOL = 1e-6
 MONOTONICITY_RECHECK_TOL = 1e-12
+#: largest ray coefficient in bits: 2**-1074 is the smallest positive double
+MAX_RAY_BITS = 1074
 
 
 class RealizationError(ValueError):
@@ -41,9 +47,12 @@ class RealizationError(ValueError):
 
 
 def _dyadic_weight(lam) -> Fraction:
-    if not lam > 0 or lam == math.inf:
-        raise ValueError(f"ray coefficient must be a positive finite number of bits, got {lam}")
-    p = Fraction(round(2.0 ** (-float(lam)) * (1 << 53)), 1 << 53)
+    if not 0 < lam <= MAX_RAY_BITS:
+        raise ValueError(
+            f"ray coefficient must be a number of bits in (0, {MAX_RAY_BITS}], got {lam}")
+    if lam == int(lam):
+        return Fraction(1, 1 << int(lam))
+    p = Fraction(2.0 ** -float(lam))
     if not 0 < p < 1:
         raise ValueError(f"ray coefficient {lam} leaves no representable mixing weight")
     return p
@@ -51,8 +60,8 @@ def _dyadic_weight(lam) -> Fraction:
 
 def realize_ray(u: UpSet, lam) -> StatePair:
     """State pair whose relative-entropy vector is lam times the indicator
-    of u, up to the dyadic rounding of the mixing weight."""
-    scheme = dnf_scheme(AccessStructure(u))
+    of u, up to the rounding of the mixing weight 2**(-lam) to a double."""
+    scheme = dnf_scheme(u)
     return scheme_state_pair(scheme, _dyadic_weight(lam))
 
 

@@ -2,8 +2,9 @@
 
 A scheme fixes a register layout (each party holds an ordered list of
 share slots) and, for each secret value b in {0, 1}, an exact uniform
-probability table over share assignments.  Three constructions are
-provided:
+JointDistribution over share assignments.  In those distributions a
+party's symbol is its slot values in mixed radix, first slot most
+significant.  Three constructions are provided:
 
 * Shamir threshold tables over a prime field, with a weighted variant
   that hands several consecutive shares to one party;
@@ -13,19 +14,21 @@ provided:
 * a per-minimal-set threshold variant where every clause of size m runs
   an (m, m) Shamir scheme over the smallest prime above m.
 
-An exhaustive auditor checks the defining property subset by subset:
-authorized groups see disjoint supports for b = 0 and b = 1, while
-unauthorized groups see identical marginal distributions.
+An exhaustive auditor checks the defining property subset by subset
+against an up-set of authorized groups: authorized groups see disjoint
+supports for b = 0 and b = 1, while unauthorized groups see identical
+marginal distributions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .lattice import UpSet, mask_label, parties
-from .states import JointDistribution, StatePair, mix
+from .states import JointDistribution, StatePair, marginal, mix
 
 
 def is_prime(m: int) -> bool:
@@ -44,58 +47,6 @@ def smallest_prime_above(m: int) -> int:
     while not is_prime(p):
         p += 1
     return p
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of the prime field GF(p); arithmetic is closed and exact."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"field modulus must be at least 2, got {self.p}")
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.p != other.p:
-            raise ValueError(f"mixed moduli {self.p} and {other.p}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.value * other.value, self.p)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.p)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return FieldElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-
-def interpolate_at_zero(points, p: int) -> int:
-    """Lagrange interpolation at x = 0 over GF(p) from (x, y) pairs."""
-    total = FieldElement(0, p)
-    for i, (xi, yi) in enumerate(points):
-        term = FieldElement(yi, p)
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                term = term * FieldElement(xj, p) / (FieldElement(xj, p) - FieldElement(xi, p))
-        total = total + term
-    return total.value
 
 
 def shamir_table(p: int, k: int, m: int, b: int) -> list[tuple[int, ...]]:
@@ -141,58 +92,34 @@ def xor_share_table(m: int, b: int) -> list[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class AccessStructure:
-    """The up-set of party groups allowed to reconstruct the secret."""
-
-    upset: UpSet
-
-    @property
-    def n(self) -> int:
-        return self.upset.n
-
-    def authorized(self, mask: int) -> bool:
-        return mask in self.upset.members
-
-
-@dataclass(frozen=True)
 class Scheme:
-    """Register layout plus one exact uniform share table per secret bit.
+    """Register layout plus one uniform share distribution per secret bit.
 
-    registers[i] lists the alphabet sizes of party i+1's slots; a table
-    atom pairs a per-party tuple of slot values with its probability.
+    registers[i] lists the alphabet sizes of party i+1's slots; in
+    distributions[b], party i+1's symbol packs its slot values in mixed
+    radix over that layout, first slot most significant.
     """
 
-    n: int
     registers: tuple[tuple[int, ...], ...]
-    tables: tuple[tuple, tuple]  # index by secret bit
+    distributions: tuple[JointDistribution, JointDistribution]  # index by secret bit
 
     def __post_init__(self):
         regs = tuple(tuple(r) for r in self.registers)
         object.__setattr__(self, "registers", regs)
-        if len(regs) != self.n or any(len(r) < 1 for r in regs):
-            raise ValueError("every party needs at least one register")
-        tables = tuple(tuple((tuple(tuple(part) for part in sym), Fraction(pr))
-                             for sym, pr in t) for t in self.tables)
-        object.__setattr__(self, "tables", tables)
-        for t in tables:
-            seen = set()
-            for sym, pr in t:
-                if len(sym) != self.n:
-                    raise ValueError("share tuple does not cover every party")
-                for part, layout in zip(sym, regs):
-                    if len(part) != len(layout) or \
-                            any(not 0 <= v < s for v, s in zip(part, layout)):
-                        raise ValueError(f"share tuple {sym} violates the register layout")
-                if sym in seen:
-                    raise ValueError(f"duplicate share tuple {sym}")
-                seen.add(sym)
-            if sum(pr for _, pr in t) != 1:
-                raise ValueError("table probabilities must sum to 1")
-            if any(pr != Fraction(1, len(t)) for _, pr in t):
-                raise ValueError("tables must be uniform over their support")
+        sizes = tuple(math.prod(r) for r in regs)
+        for d in self.distributions:
+            if d.alphabet_sizes != sizes:
+                raise ValueError(
+                    f"alphabets {d.alphabet_sizes} do not match the register layout {regs}")
+            if any(p != Fraction(1, len(d.atoms)) for _, p in d.atoms):
+                raise ValueError("share tables must be uniform over their support")
+
+    @property
+    def n(self) -> int:
+        return len(self.registers)
 
     def table(self, b: int):
-        return self.tables[b]
+        return self.distributions[b].atoms
 
 
 def weighted_threshold_scheme(n: int, allocation, k: int, p: int) -> Scheme:
@@ -202,73 +129,71 @@ def weighted_threshold_scheme(n: int, allocation, k: int, p: int) -> Scheme:
     allocation = tuple(allocation)
     if len(allocation) != n or any(a < 0 for a in allocation):
         raise ValueError(f"need one nonnegative share count per party, got {allocation}")
-    m = sum(allocation)
-    tables = []
-    for b in (0, 1):
-        atoms = []
-        raw = shamir_table(p, k, m, b)
-        weight = Fraction(1, len(raw))
-        for shares in raw:
-            sym = []
-            offset = 0
-            for a in allocation:
-                sym.append(tuple(shares[offset:offset + a]) if a else (0,))
-                offset += a
-            atoms.append((tuple(sym), weight))
-        tables.append(tuple(atoms))
     registers = tuple((p,) * a if a else (1,) for a in allocation)
-    return Scheme(n, registers, (tables[0], tables[1]))
+    sizes = tuple(p ** a for a in allocation)
+    distributions = []
+    for b in (0, 1):
+        raw = shamir_table(p, k, sum(allocation), b)
+        weight = Fraction(1, len(raw))
+        atoms = []
+        for shares in raw:
+            rest = iter(shares)
+            sym = []
+            for a in allocation:
+                flat = 0
+                for _ in range(a):
+                    flat = flat * p + next(rest)
+                sym.append(flat)
+            atoms.append((tuple(sym), weight))
+        distributions.append(JointDistribution(n, sizes, tuple(atoms)))
+    return Scheme(registers, tuple(distributions))
 
 
-def _clause_scheme(a: AccessStructure, clause_table, clause_alphabet) -> Scheme:
+def _clause_scheme(u: UpSet, clause_table, clause_alphabet) -> Scheme:
     """Product of independent per-clause sharings, one clause per minimal
     authorized set.  Within a clause, shares go to its members in
     ascending party order; parties outside every clause keep a single
     degenerate register so each party always holds something.
     """
-    clauses = a.upset.minimal_sets()
-    members = [parties(c) for c in clauses]
-    registers: list[list[int]] = [[] for _ in range(a.n)]
-    for clause, mem in zip(clauses, members):
-        alphabet = clause_alphabet(len(mem))
+    members = [parties(c) for c in u.minimal_sets()]
+    alphabets = [clause_alphabet(len(mem)) for mem in members]
+    registers: list[list[int]] = [[] for _ in range(u.n)]
+    for mem, alphabet in zip(members, alphabets):
         for party in mem:
             registers[party - 1].append(alphabet)
-    for r in registers:
-        if not r:
-            r.append(1)
-    tables = []
+    registers = tuple(tuple(r) or (1,) for r in registers)
+    sizes = tuple(math.prod(r) for r in registers)
+    distributions = []
     for b in (0, 1):
         per_clause = [clause_table(len(mem), b) for mem in members]
         symbols = []
         for combo in product(*per_clause):
-            sym: list[list[int]] = [[] for _ in range(a.n)]
-            for mem, shares in zip(members, combo):
+            sym = [0] * u.n
+            for mem, alphabet, shares in zip(members, alphabets, combo):
                 for party, share in zip(mem, shares):
-                    sym[party - 1].append(share)
-            for slot in sym:
-                if not slot:
-                    slot.append(0)
-            symbols.append(tuple(tuple(s) for s in sym))
+                    sym[party - 1] = sym[party - 1] * alphabet + share
+            symbols.append(tuple(sym))
         weight = Fraction(1, len(symbols))
-        tables.append(tuple((sym, weight) for sym in symbols))
-    return Scheme(a.n, tuple(tuple(r) for r in registers), (tables[0], tables[1]))
+        atoms = tuple((sym, weight) for sym in symbols)
+        distributions.append(JointDistribution(u.n, sizes, atoms))
+    return Scheme(registers, tuple(distributions))
 
 
-def dnf_scheme(a: AccessStructure) -> Scheme:
+def dnf_scheme(u: UpSet) -> Scheme:
     """XOR construction: an independent all-or-nothing GF(2) sharing per
-    minimal authorized set.  Realizes exactly the given access structure.
+    minimal authorized set.  Realizes exactly the given up-set.
     """
-    return _clause_scheme(a, xor_share_table, lambda m: 2)
+    return _clause_scheme(u, xor_share_table, lambda m: 2)
 
 
-def threshold_clause_scheme(a: AccessStructure) -> Scheme:
+def threshold_clause_scheme(u: UpSet) -> Scheme:
     """Threshold construction: every minimal set of size m runs its own
     (m, m) Shamir scheme over GF(smallest prime above m)."""
 
     def table(m, b):
         return shamir_table(smallest_prime_above(m), m, m, b)
 
-    return _clause_scheme(a, table, smallest_prime_above)
+    return _clause_scheme(u, table, smallest_prime_above)
 
 
 @dataclass(frozen=True)
@@ -284,64 +209,35 @@ class SchemeAudit:
     failures: tuple[SubsetFinding, ...]
 
 
-def _table_marginal(table, positions):
-    totals: dict[tuple, Fraction] = {}
-    for sym, pr in table:
-        key = tuple(sym[i] for i in positions)
-        totals[key] = totals.get(key, Fraction(0)) + pr
-    return totals
-
-
-def verify_scheme(s: Scheme, a: AccessStructure) -> SchemeAudit:
-    """Exhaustive audit of the secret-sharing property.
+def verify_scheme(s: Scheme, u: UpSet) -> SchemeAudit:
+    """Exhaustive audit of the secret-sharing property for the up-set u
+    of authorized groups.
 
     For every nonempty group: authorized groups must see disjoint
     supports for the two secret values, unauthorized groups identical
     marginal distributions.  Exact rational arithmetic throughout.
     """
-    if s.n != a.n:
-        raise ValueError(f"scheme has {s.n} parties but access structure has {a.n}")
+    if s.n != u.n:
+        raise ValueError(f"scheme has {s.n} parties but the up-set has {u.n}")
     failures = []
     for mask in range(1, 1 << s.n):
-        positions = [i for i in range(s.n) if mask >> i & 1]
-        m0 = _table_marginal(s.table(0), positions)
-        m1 = _table_marginal(s.table(1), positions)
-        if a.authorized(mask):
-            overlap = set(m0) & set(m1)
+        m0, m1 = (marginal(d, mask) for d in s.distributions)
+        if mask in u:
+            overlap = m0.support() & m1.support()
             if overlap:
                 failures.append(SubsetFinding(
                     mask, True,
                     f"authorized group {mask_label(mask)} sees {len(overlap)} shared share tuples"))
-        else:
-            if m0 != m1:
-                failures.append(SubsetFinding(
-                    mask, False,
-                    f"unauthorized group {mask_label(mask)} can distinguish the secret"))
+        elif m0 != m1:
+            failures.append(SubsetFinding(
+                mask, False,
+                f"unauthorized group {mask_label(mask)} can distinguish the secret"))
     return SchemeAudit(passed=not failures, failures=tuple(failures))
 
 
-def flat_alphabets(s: Scheme) -> tuple[int, ...]:
-    """Alphabet size per party once its registers are flattened."""
-    out = []
-    for layout in s.registers:
-        size = 1
-        for r in layout:
-            size *= r
-        out.append(size)
-    return tuple(out)
-
-
-def flatten_party_symbol(layout, values) -> int:
-    """Mixed-radix encoding of one party's register values, first slot
-    most significant."""
-    flat = 0
-    for v, size in zip(values, layout):
-        flat = flat * size + v
-    return flat
-
-
 def party_digits(layout, flat: int) -> tuple[int, ...]:
-    """Inverse of flatten_party_symbol."""
+    """Slot values of a party's mixed-radix symbol, first slot most
+    significant."""
     digits = []
     for size in reversed(layout):
         digits.append(flat % size)
@@ -349,19 +245,7 @@ def party_digits(layout, flat: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def scheme_distribution(s: Scheme, b: int) -> JointDistribution:
-    """The share table for secret b as a joint distribution with one
-    flattened register per party."""
-    atoms = []
-    for sym, pr in s.table(b):
-        flat = tuple(flatten_party_symbol(layout, part)
-                     for layout, part in zip(s.registers, sym))
-        atoms.append((flat, pr))
-    return JointDistribution(s.n, flat_alphabets(s), tuple(atoms))
-
-
 def scheme_state_pair(s: Scheme, weight=Fraction(1, 2)) -> StatePair:
     """State pair (table for 0, weight-mix of the two tables)."""
-    rho0 = scheme_distribution(s, 0)
-    rho1 = scheme_distribution(s, 1)
+    rho0, rho1 = s.distributions
     return StatePair(rho0, mix(rho0, rho1, weight))

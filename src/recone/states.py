@@ -76,12 +76,6 @@ class JointDistribution:
     def support(self) -> frozenset[tuple[int, ...]]:
         return frozenset(sym for sym, _ in self.atoms)
 
-    def prob(self, sym) -> Fraction:
-        for s, p in self.atoms:
-            if s == tuple(sym):
-                return p
-        return Fraction(0)
-
 
 def marginal(d: JointDistribution, mask: int) -> JointDistribution:
     """Restrict to the parties of mask, summing probabilities exactly."""

@@ -18,7 +18,6 @@ from recone.cone import REVector, check_membership
 from recone.lattice import enumerate_upsets, proper_submasks, subsets_in_order, upward_closure
 from recone.realize import realize_ray, synthesize, verify
 from recone.schemes import (
-    AccessStructure,
     dnf_scheme,
     scheme_state_pair,
     threshold_clause_scheme,
@@ -57,7 +56,7 @@ def test_criterion_1_weighted_gf5_regression():
 
 def test_criterion_2_two_clause_gf3_regression():
     t0 = time.perf_counter()
-    structure = AccessStructure(upward_closure({0b0011, 0b1100}, 4))
+    structure = upward_closure({0b0011, 0b1100}, 4)
     pair = scheme_state_pair(threshold_clause_scheme(structure))
     vec = re_vector(pair)
     target = (0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
@@ -106,8 +105,7 @@ def test_criterion_4_exhaustive_realization_n_up_to_4():
     for n in (1, 2, 3, 4):
         t0 = time.perf_counter()
         for u in enumerate_upsets(n):
-            structure = AccessStructure(u)
-            audit = verify_scheme(dnf_scheme(structure), structure)
+            audit = verify_scheme(dnf_scheme(u), u)
             assert audit.passed, (n, u.minimal_sets(), audit.failures)
             vec = re_vector(realize_ray(u, 1))
             dev = max(abs(a - t) for a, t in zip(vec.values, u.indicator_values()))

@@ -7,7 +7,7 @@ import pytest
 from recone.cli import main
 from recone.cone import REVector
 from recone.jsonio import pair_to_json, vector_to_json
-from recone.realize import synthesize
+from recone.realize import VerificationReport, synthesize
 
 RAY6_DOC = vector_to_json(REVector(3, (1, 0, 0, 1, 1, 1, 1)))
 BAD_DOC = vector_to_json(REVector(2, (1, 0, 0.5)))
@@ -113,8 +113,21 @@ def test_verify_fails_on_wrong_target(tmp_path, capsys):
     pair_path = write(tmp_path, "pair.json", pair_to_json(result.pair))
     wrong = write(tmp_path, "w.json", vector_to_json(REVector(2, (0, 0, 2))))
     assert main(["verify", wrong, pair_path]) == 1
-    report = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
     assert report["failing_subsets"] == ["AB"]
+    assert "at subset AB" in json.loads(captured.err)["error"]
+
+
+def test_verify_names_failed_monotonicity_recheck(tmp_path, capsys, monkeypatch):
+    result = synthesize(REVector(2, (0, 0, 1)))
+    pair_path = write(tmp_path, "pair.json", pair_to_json(result.pair))
+    vec_path = write(tmp_path, "v.json", vector_to_json(REVector(2, (0, 0, 1))))
+    report = VerificationReport(n=2, tol=1e-9, deviations=(), max_abs_error=0.0,
+                                monotone_ok=False, passed=False)
+    monkeypatch.setattr("recone.cli.verify", lambda *args, **kwargs: report)
+    assert main(["verify", vec_path, pair_path]) == 1
+    assert "monotonicity" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_synthesize_refuses_nonmember(tmp_path, capsys):
@@ -133,6 +146,14 @@ def test_malformed_json_exits_two(tmp_path, capsys):
 def test_missing_file_exits_two(capsys):
     assert main(["check", "/nonexistent/v.json"]) == 2
     assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["decompose", "synthesize"])
+def test_huge_level_exits_two(command, tmp_path, capsys):
+    path = write(tmp_path, "v.json", {"n": 1, "entries": [{"parties": [1], "value": 10 ** 400}]})
+    extra = ["-o", str(tmp_path / "pair.json")] if command == "synthesize" else []
+    assert main([command, path] + extra) == 2
+    assert "parties [1]" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_dimension_mismatch_exits_two(tmp_path, capsys):

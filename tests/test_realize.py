@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from recone.cone import NotInConeError, REVector
 from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure
@@ -47,9 +48,28 @@ def test_realize_ray_unauthorized_entries_exactly_zero():
 
 
 def test_realize_ray_rejects_bad_coefficient():
-    for lam in (0, -1, math.inf):
+    for lam in (0, -1, math.inf, math.nan, 1075, 10 ** 400):
         with pytest.raises(ValueError):
             realize_ray(RAY6, lam)
+
+
+def test_integer_ray_beyond_53_bits_is_exact():
+    result = synthesize(REVector(1, (60,)))
+    assert result.achieved.values == (60.0,)
+    assert result.max_abs_error == 0.0
+    assert re_vector(realize_ray(RAY6, 60)).values == (60.0, 0.0, 0.0, 60.0, 60.0, 60.0, 60.0)
+
+
+@pytest.mark.parametrize("lam", [40.5, 52.7])
+def test_fractional_ray_near_double_precision(lam):
+    assert abs(synthesize(REVector(1, (lam,))).achieved.values[0] - lam) <= 1e-6
+
+
+@given(st.one_of(st.floats(min_value=1e-9, max_value=1000), st.integers(1, 1000)))
+def test_single_ray_lands_within_auto_tolerance(lam):
+    # synthesize raises RealizationError if the miss exceeds the auto tolerance
+    result = synthesize(REVector(1, (lam,)))
+    assert result.max_abs_error <= (1e-9 if float(lam).is_integer() else 1e-6)
 
 
 def test_synthesize_ray6_vector():

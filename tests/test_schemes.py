@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -5,16 +6,10 @@ import pytest
 
 from recone.lattice import UpSet, enumerate_upsets, upward_closure
 from recone.schemes import (
-    AccessStructure,
-    FieldElement,
     Scheme,
     dnf_scheme,
-    flat_alphabets,
-    flatten_party_symbol,
-    interpolate_at_zero,
     is_prime,
     party_digits,
-    scheme_distribution,
     scheme_state_pair,
     shamir_table,
     smallest_prime_above,
@@ -23,13 +18,65 @@ from recone.schemes import (
     weighted_threshold_scheme,
     xor_share_table,
 )
-from recone.states import marginal, re_vector
+from recone.states import JointDistribution, marginal, re_vector
 
 A, B, C = 0b001, 0b010, 0b100
 AB, BC = 0b011, 0b110
 
-RAY6_STRUCTURE = AccessStructure(upward_closure({A, BC}, 3))
-TWO_PAIRS_STRUCTURE = AccessStructure(upward_closure({0b0011, 0b1100}, 4))
+RAY6_STRUCTURE = upward_closure({A, BC}, 3)
+TWO_PAIRS_STRUCTURE = upward_closure({0b0011, 0b1100}, 4)
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    """Element of the prime field GF(p); the oracle for Shamir correctness."""
+
+    value: int
+    p: int
+
+    def __post_init__(self):
+        if self.p < 2:
+            raise ValueError(f"field modulus must be at least 2, got {self.p}")
+        object.__setattr__(self, "value", self.value % self.p)
+
+    def _check(self, other: "FieldElement") -> None:
+        if self.p != other.p:
+            raise ValueError(f"mixed moduli {self.p} and {other.p}")
+
+    def __add__(self, other):
+        self._check(other)
+        return FieldElement(self.value + other.value, self.p)
+
+    def __sub__(self, other):
+        self._check(other)
+        return FieldElement(self.value - other.value, self.p)
+
+    def __mul__(self, other):
+        self._check(other)
+        return FieldElement(self.value * other.value, self.p)
+
+    def __neg__(self):
+        return FieldElement(-self.value, self.p)
+
+    def inverse(self) -> "FieldElement":
+        if self.value == 0:
+            raise ZeroDivisionError("zero has no inverse")
+        return FieldElement(pow(self.value, self.p - 2, self.p), self.p)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+
+def interpolate_at_zero(points, p: int) -> int:
+    """Lagrange interpolation at x = 0 over GF(p) from (x, y) pairs."""
+    total = FieldElement(0, p)
+    for i, (xi, yi) in enumerate(points):
+        term = FieldElement(yi, p)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term = term * FieldElement(xj, p) / (FieldElement(xj, p) - FieldElement(xi, p))
+        total = total + term
+    return total.value
 
 
 def test_prime_helpers():
@@ -119,21 +166,21 @@ def test_weighted_scheme_matches_ray6_structure():
 
 def test_two_of_two_scheme_realizes_pair_only():
     scheme = weighted_threshold_scheme(2, (1, 1), 2, 3)
-    audit = verify_scheme(scheme, AccessStructure(UpSet(2, frozenset({0b11}))))
+    audit = verify_scheme(scheme, UpSet(2, frozenset({0b11})))
     assert audit.passed
 
 
 def test_single_party_scheme():
     scheme = weighted_threshold_scheme(1, (1,), 1, 2)
-    assert scheme.table(0) == ((((0,),), Fraction(1)),)
-    assert scheme.table(1) == ((((1,),), Fraction(1)),)
-    audit = verify_scheme(scheme, AccessStructure(UpSet(1, frozenset({1}))))
+    assert scheme.table(0) == (((0,), Fraction(1)),)
+    assert scheme.table(1) == (((1,), Fraction(1)),)
+    audit = verify_scheme(scheme, UpSet(1, frozenset({1})))
     assert audit.passed
 
 
 def test_verify_scheme_reports_failure():
     scheme = weighted_threshold_scheme(2, (1, 1), 2, 3)
-    wrong = AccessStructure(upward_closure({0b01}, 2))  # claims A alone suffices
+    wrong = upward_closure({0b01}, 2)  # claims A alone suffices
     audit = verify_scheme(scheme, wrong)
     assert not audit.passed
     assert [f.mask for f in audit.failures] == [0b01]
@@ -144,16 +191,14 @@ def test_dnf_scheme_two_pair_clauses():
     scheme = dnf_scheme(TWO_PAIRS_STRUCTURE)
     assert scheme.registers == ((2,), (2,), (2,), (2,))
     atoms0 = {sym for sym, _ in scheme.table(0)}
-    assert atoms0 == {
-        ((0,), (0,), (0,), (0,)), ((0,), (0,), (1,), (1,)),
-        ((1,), (1,), (0,), (0,)), ((1,), (1,), (1,), (1,))}
+    assert atoms0 == {(0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)}
     assert verify_scheme(scheme, TWO_PAIRS_STRUCTURE).passed
 
 
 def test_dnf_scheme_single_party():
-    scheme = dnf_scheme(AccessStructure(UpSet(1, frozenset({1}))))
-    assert scheme.table(0) == ((((0,),), Fraction(1)),)
-    assert scheme.table(1) == ((((1,),), Fraction(1)),)
+    scheme = dnf_scheme(UpSet(1, frozenset({1})))
+    assert scheme.table(0) == (((0,), Fraction(1)),)
+    assert scheme.table(1) == (((1,), Fraction(1)),)
 
 
 def test_dnf_scheme_ray6_clause_layout():
@@ -161,13 +206,13 @@ def test_dnf_scheme_ray6_clause_layout():
     # clause one: A alone holds the bit; clause two: B free share, C parity
     assert scheme.registers == ((2,), (2,), (2,))
     atoms1 = {sym for sym, _ in scheme.table(1)}
-    assert atoms1 == {((1,), (0,), (1,)), ((1,), (1,), (0,))}
+    assert atoms1 == {(1, 0, 1), (1, 1, 0)}
     assert verify_scheme(scheme, RAY6_STRUCTURE).passed
 
 
 def test_dnf_scheme_party_outside_all_clauses():
     # only AB is ever authorized at n=3, so C gets a degenerate register
-    structure = AccessStructure(upward_closure({AB}, 3))
+    structure = upward_closure({AB}, 3)
     scheme = dnf_scheme(structure)
     assert scheme.registers[2] == (1,)
     assert verify_scheme(scheme, structure).passed
@@ -176,20 +221,19 @@ def test_dnf_scheme_party_outside_all_clauses():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dnf_scheme_exhaustive_small(n):
     for u in enumerate_upsets(n):
-        structure = AccessStructure(u)
-        audit = verify_scheme(dnf_scheme(structure), structure)
+        audit = verify_scheme(dnf_scheme(u), u)
         assert audit.passed, (u, audit.failures)
 
 
 def test_threshold_clause_scheme_matches_printed_tables():
     scheme = threshold_clause_scheme(TWO_PAIRS_STRUCTURE)
     assert scheme.registers == ((3,), (3,), (3,), (3,))
-    atoms0 = sorted(tuple(part[0] for part in sym) for sym, _ in scheme.table(0))
+    atoms0 = sorted(sym for sym, _ in scheme.table(0))
     assert atoms0 == [
         (0, 0, 0, 0), (0, 0, 1, 2), (0, 0, 2, 1),
         (1, 2, 0, 0), (1, 2, 1, 2), (1, 2, 2, 1),
         (2, 1, 0, 0), (2, 1, 1, 2), (2, 1, 2, 1)]
-    atoms1 = sorted(tuple(part[0] for part in sym) for sym, _ in scheme.table(1))
+    atoms1 = sorted(sym for sym, _ in scheme.table(1))
     assert atoms1 == [
         (0, 2, 0, 2), (0, 2, 1, 1), (0, 2, 2, 0),
         (1, 1, 0, 2), (1, 1, 1, 1), (1, 1, 2, 0),
@@ -214,10 +258,9 @@ def test_threshold_clause_pair_marginals():
 
 def test_scheme_distribution_flattening():
     scheme = weighted_threshold_scheme(3, (2, 1, 1), 2, 5)
-    assert flat_alphabets(scheme) == (25, 5, 5)
-    dist = scheme_distribution(scheme, 0)
+    dist = scheme.distributions[0]
+    assert dist.alphabet_sizes == (25, 5, 5)
     assert dist.support() == {(0, 0, 0), (7, 3, 4), (14, 1, 3), (16, 4, 2), (23, 2, 1)}
-    assert flatten_party_symbol((5, 5), (1, 2)) == 7
     assert party_digits((5, 5), 7) == (1, 2)
     assert party_digits((1,), 0) == (0,)
 
@@ -228,11 +271,13 @@ def test_weighted_scheme_vector_is_ray6():
 
 
 def test_scheme_validation():
-    with pytest.raises(ValueError):
-        Scheme(1, ((2,),), ((
-            (((0,),), Fraction(1, 2)),), ((((1,),), Fraction(1)),)))  # table 0 sums to 1/2
-    with pytest.raises(ValueError):
-        Scheme(1, ((2,),), ((
-            (((0,),), Fraction(3, 4)), (((1,),), Fraction(1, 4))), ((((1,),), Fraction(1)),)))
+    one = JointDistribution(1, (2,), (((1,), Fraction(1)),))
+    with pytest.raises(ValueError):  # table 0 sums to 1/2
+        Scheme(((2,),), (JointDistribution(1, (2,), (((0,), Fraction(1, 2)),)), one))
+    with pytest.raises(ValueError):  # table 0 is not uniform
+        Scheme(((2,),), (JointDistribution(
+            1, (2,), (((0,), Fraction(3, 4)), ((1,), Fraction(1, 4)))), one))
+    with pytest.raises(ValueError):  # alphabet 2 does not match the layout (3,)
+        Scheme(((3,),), (one, one))
     with pytest.raises(ValueError):
         verify_scheme(weighted_threshold_scheme(2, (1, 1), 2, 3), RAY6_STRUCTURE)

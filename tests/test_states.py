@@ -55,8 +55,8 @@ def test_distribution_validation():
 def test_atoms_sorted_and_exact():
     d = JointDistribution(1, (3,), (((2,), Fraction(1, 3)), ((0,), Fraction(2, 3))))
     assert d.atoms == (((0,), Fraction(2, 3)), ((2,), Fraction(1, 3)))
-    assert d.prob((0,)) == Fraction(2, 3)
-    assert d.prob((1,)) == 0
+    assert dict(d.atoms)[(0,)] == Fraction(2, 3)
+    assert (1,) not in dict(d.atoms)
 
 
 def test_marginal_weighted_scheme_party_a():
