@@ -54,7 +54,6 @@ from .states import (
     binary_entropy,
     marginal,
     mix,
-    mutual_information,
     re_vector,
     relative_entropy,
     shannon_entropy,

@@ -12,6 +12,7 @@ authorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cone import REVector
 from .lattice import mask_label, parties, subsets_in_order, upward_closure
@@ -89,7 +90,8 @@ def render_demo(demo: Demo) -> str:
         for label, dist in (("rho", demo.pair.rho), ("sigma", demo.pair.sigma)):
             lines.append(f"{label} marginal on {mask_label(mask)}:")
             part = marginal(dist, mask)
-            rows = sorted((_atom_string(demo.scheme, mask, sym), p) for sym, p in part.atoms)
+            rows = sorted((_atom_string(demo.scheme, mask, sym), Fraction(w, part.denominator))
+                          for sym, w in part.atoms)
             for text, p in rows:
                 lines.append(f"  {text}  {p}")
     return "\n".join(lines) + "\n"

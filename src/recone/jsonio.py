@@ -16,9 +16,8 @@ State-pair files carry exact rationals as decimal strings:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .cone import MembershipReport, RayDecomposition, REVector
+from .cone import MembershipReport, RayDecomposition, REVector, Violation
 from .lattice import mask_label, mask_of, parties, subsets_in_order
 from .realize import RealizationResult, VerificationReport
 from .states import JointDistribution, StatePair
@@ -75,37 +74,46 @@ def vector_from_json(doc) -> REVector:
     return REVector.from_mapping(n, mapping)
 
 
-def _fraction_to_json(p: Fraction) -> dict:
-    return {"num": str(p.numerator), "den": str(p.denominator)}
-
-
-def _fraction_from_json(doc) -> Fraction:
-    _require(isinstance(doc, dict) and set(doc) == {"num", "den"},
-             f"a probability needs exactly 'num' and 'den', got {doc!r}")
+def _probability_from_json(doc) -> tuple[int, int]:
+    # per atom: messages are formatted only on failure
+    if not (isinstance(doc, dict) and doc.keys() == {"num", "den"}):
+        raise ValueError(f"a probability needs exactly 'num' and 'den', got {doc!r}")
     try:
         num, den = int(doc["num"]), int(doc["den"])
     except (TypeError, ValueError):
         raise ValueError(f"'num' and 'den' must be decimal integer strings, got {doc!r}")
-    _require(den > 0, "denominator must be positive")
-    return Fraction(num, den)
+    if den <= 0:
+        raise ValueError("denominator must be positive")
+    return num, den
 
 
 def _distribution_to_json(d: JointDistribution) -> list:
-    return [{"symbols": list(sym), "p": _fraction_to_json(p)} for sym, p in d.atoms]
+    reduced = {}  # weight -> its probability in lowest terms; tables repeat few weights
+    out = []
+    for sym, w in d.atoms:
+        if w not in reduced:
+            g = math.gcd(w, d.denominator)
+            reduced[w] = str(w // g), str(d.denominator // g)
+        num, den = reduced[w]
+        out.append({"symbols": list(sym), "p": {"num": num, "den": den}})
+    return out
 
 
 def _distribution_from_json(doc, n: int, sizes) -> JointDistribution:
+    """Atoms scaled to the lcm of their denominators; the constructor then
+    validates symbols, signs, duplicates and the sum."""
     _require(isinstance(doc, list) and doc, "a distribution must be a nonempty list of atoms")
     atoms = []
     for item in doc:
-        _require(isinstance(item, dict) and set(item) == {"symbols", "p"},
-                 f"each atom needs exactly 'symbols' and 'p', got {item!r}")
+        if not (isinstance(item, dict) and item.keys() == {"symbols", "p"}):
+            raise ValueError(f"each atom needs exactly 'symbols' and 'p', got {item!r}")
         sym = item["symbols"]
-        _require(isinstance(sym, list) and all(isinstance(x, int) and not isinstance(x, bool)
-                                               for x in sym),
-                 f"'symbols' must be a list of integers, got {sym!r}")
-        atoms.append((tuple(sym), _fraction_from_json(item["p"])))
-    return JointDistribution(n, sizes, tuple(atoms))
+        if not (isinstance(sym, list) and set(map(type, sym)) <= {int}):  # bools excluded
+            raise ValueError(f"'symbols' must be a list of integers, got {sym!r}")
+        atoms.append((tuple(sym), *_probability_from_json(item["p"])))
+    common = math.lcm(*(den for _, _, den in atoms))
+    return JointDistribution(n, sizes, tuple((sym, num * (common // den))
+                                             for sym, num, den in atoms), common)
 
 
 def pair_to_json(pair: StatePair) -> dict:
@@ -127,14 +135,17 @@ def pair_from_json(doc) -> StatePair:
                      _distribution_from_json(doc["sigma"], n, sizes))
 
 
+def _violation_to_json(v: Violation) -> dict:
+    return {"superset": list(parties(v.superset)),
+            "subset": list(parties(v.subset)),
+            "v_superset": float(v.v_superset),
+            "v_subset": float(v.v_subset)}
+
+
 def membership_report_to_json(report: MembershipReport) -> dict:
     return {"member": report.member,
             "infinite_part_ok": report.infinite_part_ok,
-            "violations": [{"superset": list(parties(v.superset)),
-                            "subset": list(parties(v.subset)),
-                            "v_superset": float(v.v_superset),
-                            "v_subset": float(v.v_subset)}
-                           for v in report.violations]}
+            "violations": [_violation_to_json(v) for v in report.violations]}
 
 
 def decomposition_to_json(d: RayDecomposition) -> dict:
@@ -149,17 +160,21 @@ def verification_report_to_json(report: VerificationReport) -> dict:
     def number(x):
         return "inf" if x == math.inf else float(x)
 
-    return {"n": report.n,
-            "tol": report.tol,
-            "passed": report.passed,
-            "monotone_ok": report.monotone_ok,
-            "max_abs_error": number(report.max_abs_error),
-            "failing_subsets": [mask_label(m) for m in report.failing_subsets()],
-            "deviations": [{"parties": list(parties(d.mask)),
-                            "target": number(d.target),
-                            "achieved": number(d.achieved),
-                            "deviation": number(d.deviation)}
-                           for d in report.deviations]}
+    doc = {"n": report.n,
+           "tol": report.tol,
+           "passed": report.passed,
+           "monotone_ok": report.monotone_ok,
+           "max_abs_error": number(report.max_abs_error),
+           "failing_subsets": [mask_label(m) for m in report.failing_subsets()],
+           "deviations": [{"parties": list(parties(d.mask)),
+                           "target": number(d.target),
+                           "achieved": number(d.achieved),
+                           "deviation": number(d.deviation)}
+                          for d in report.deviations]}
+    worst = report.worst_violation()
+    if worst is not None:
+        doc["worst_violation"] = _violation_to_json(worst)
+    return doc
 
 
 def realization_to_json(result: RealizationResult) -> dict:

@@ -28,6 +28,7 @@ from .cone import (
     NotInConeError,
     RayDecomposition,
     REVector,
+    Violation,
     check_membership,
     layer_cake_decompose,
 )
@@ -122,10 +123,15 @@ class VerificationReport:
     deviations: tuple[SubsetDeviation, ...]
     max_abs_error: float
     monotone_ok: bool
+    violations: tuple[Violation, ...]  # of the monotonicity recheck
     passed: bool
 
     def failing_subsets(self) -> tuple[int, ...]:
         return tuple(d.mask for d in self.deviations if not d.deviation <= self.tol)
+
+    def worst_violation(self) -> Violation | None:
+        """The recheck's (superset, subset) pair that drops the most."""
+        return max(self.violations, key=lambda x: x.v_subset - x.v_superset, default=None)
 
 
 def verify(v: REVector, pair: StatePair, tol: float = DYADIC_TOL) -> VerificationReport:
@@ -147,14 +153,23 @@ def verify(v: REVector, pair: StatePair, tol: float = DYADIC_TOL) -> Verificatio
             dev = abs(float(a) - float(t))
         deviations.append(SubsetDeviation(mask, t, a, dev))
     max_err = max(d.deviation for d in deviations)
-    monotone_ok = check_membership(achieved, tol=MONOTONICITY_RECHECK_TOL).member
+    recheck = check_membership(achieved, tol=MONOTONICITY_RECHECK_TOL)
     return VerificationReport(n=v.n, tol=tol, deviations=tuple(deviations),
-                              max_abs_error=max_err, monotone_ok=monotone_ok,
-                              passed=bool(max_err <= tol and monotone_ok))
+                              max_abs_error=max_err, monotone_ok=recheck.member,
+                              violations=recheck.violations,
+                              passed=bool(max_err <= tol and recheck.member))
 
 
 def describe_deviation(report: VerificationReport) -> str:
-    """One-line summary naming the worst subset."""
-    worst = max(report.deviations, key=lambda d: d.deviation)
-    return (f"max |achieved - target| = {worst.deviation:.3e} "
-            f"at subset {mask_label(worst.mask)}")
+    """One-line summary naming the worst subset, or, when every subset is
+    within tolerance but the recheck failed, the worst monotonicity pair."""
+    if report.monotone_ok or report.failing_subsets():
+        worst = max(report.deviations, key=lambda d: d.deviation)
+        return (f"max |achieved - target| = {worst.deviation:.3e} "
+                f"at subset {mask_label(worst.mask)}")
+    pair = report.worst_violation()
+    if pair is None:  # only the +inf entries fail to form an up-set
+        return "achieved vector fails the monotonicity recheck"
+    return (f"achieved vector fails the monotonicity recheck: "
+            f"{mask_label(pair.superset)} = {float(pair.v_superset):.6g} < "
+            f"{mask_label(pair.subset)} = {float(pair.v_subset):.6g}")

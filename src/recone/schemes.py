@@ -2,9 +2,10 @@
 
 A scheme fixes a register layout (each party holds an ordered list of
 share slots) and, for each secret value b in {0, 1}, an exact uniform
-JointDistribution over share assignments.  In those distributions a
-party's symbol is its slot values in mixed radix, first slot most
-significant.  Three constructions are provided:
+JointDistribution over share assignments: every share tuple has weight 1
+over the table size.  In those distributions a party's symbol is its
+slot values in mixed radix, first slot most significant.  Three
+constructions are provided:
 
 * Shamir threshold tables over a prime field, with a weighted variant
   that hands several consecutive shares to one party;
@@ -111,7 +112,7 @@ class Scheme:
             if d.alphabet_sizes != sizes:
                 raise ValueError(
                     f"alphabets {d.alphabet_sizes} do not match the register layout {regs}")
-            if any(p != Fraction(1, len(d.atoms)) for _, p in d.atoms):
+            if d.denominator != len(d.atoms):  # positive integer weights: all 1
                 raise ValueError("share tables must be uniform over their support")
 
     @property
@@ -134,7 +135,6 @@ def weighted_threshold_scheme(n: int, allocation, k: int, p: int) -> Scheme:
     distributions = []
     for b in (0, 1):
         raw = shamir_table(p, k, sum(allocation), b)
-        weight = Fraction(1, len(raw))
         atoms = []
         for shares in raw:
             rest = iter(shares)
@@ -144,8 +144,8 @@ def weighted_threshold_scheme(n: int, allocation, k: int, p: int) -> Scheme:
                 for _ in range(a):
                     flat = flat * p + next(rest)
                 sym.append(flat)
-            atoms.append((tuple(sym), weight))
-        distributions.append(JointDistribution(n, sizes, tuple(atoms)))
+            atoms.append((tuple(sym), 1))
+        distributions.append(JointDistribution(n, sizes, tuple(atoms), len(atoms)))
     return Scheme(registers, tuple(distributions))
 
 
@@ -173,9 +173,8 @@ def _clause_scheme(u: UpSet, clause_table, clause_alphabet) -> Scheme:
                 for party, share in zip(mem, shares):
                     sym[party - 1] = sym[party - 1] * alphabet + share
             symbols.append(tuple(sym))
-        weight = Fraction(1, len(symbols))
-        atoms = tuple((sym, weight) for sym in symbols)
-        distributions.append(JointDistribution(u.n, sizes, atoms))
+        atoms = tuple((sym, 1) for sym in symbols)
+        distributions.append(JointDistribution(u.n, sizes, atoms, len(atoms)))
     return Scheme(registers, tuple(distributions))
 
 

@@ -2,25 +2,28 @@
 
 A distribution stands in for a diagonal density matrix on a product
 basis: each party holds one register with a finite alphabet, and the atom
-list assigns an exact rational probability to each occupied symbol tuple.
-Probabilities stay exact through marginalization, mixing and tensor
-products; base-2 logs are taken in double precision only at the very end,
-after atoms with identical likelihood ratio have been pooled exactly.
+list assigns a positive integer weight to each occupied symbol tuple, all
+over one common denominator.  Probabilities stay exact through
+marginalization, mixing and tensor products, which add and multiply
+integers only; base-2 logs are taken in double precision only at the very
+end, after atoms with identical likelihood ratio have been pooled exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, contains, itemgetter
 
 from .cone import REVector
 from .lattice import subsets_in_order, validate_mask
 
 
-def _log2_fraction(r: Fraction) -> float:
-    """log2 of a positive rational; exact when both sides are powers of 2."""
-    num, den = r.numerator, r.denominator
+def _log2_ratio(num: int, den: int) -> float:
+    """log2(num / den) for a ratio in lowest terms; exact when both sides
+    are powers of 2."""
     if num == den:
         return 0.0
     if num & (num - 1) == 0 and den & (den - 1) == 0:
@@ -34,17 +37,35 @@ def _log2_fraction(r: Fraction) -> float:
     return math.log2(as_float)
 
 
+def _set_lowest_terms(d: "JointDistribution", atoms, denominator: int) -> None:
+    """Store atoms sorted by symbol and divided, with the denominator, by
+    the gcd of the weights, so equal distributions compare equal."""
+    atoms = sorted(atoms)
+    g = math.gcd(*(w for _, w in atoms))
+    if g > 1:
+        atoms = [(sym, w // g) for sym, w in atoms]
+        denominator //= g
+    object.__setattr__(d, "atoms", tuple(atoms))
+    object.__setattr__(d, "denominator", denominator)
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Exact probability table over a product alphabet.
 
-    atoms holds (symbol tuple, probability) pairs, sorted by symbols;
-    zero-probability atoms are never stored.
+    atoms holds (symbol tuple, weight) pairs sorted by symbols; the
+    probability of an atom is weight / denominator.  Weights are positive
+    integers summing to the denominator, zero-probability atoms are never
+    stored, and the table is kept in lowest terms (the weights share no
+    common factor), so dataclass equality is equality of distributions.
+    The constructor validates everything; use from_mapping to start from
+    exact probabilities.
     """
 
     n: int
     alphabet_sizes: tuple[int, ...]
-    atoms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    atoms: tuple[tuple[tuple[int, ...], int], ...]
+    denominator: int
 
     def __post_init__(self):
         sizes = tuple(self.alphabet_sizes)
@@ -53,40 +74,63 @@ class JointDistribution:
             raise ValueError(f"need one alphabet size per party, got {sizes} for n={self.n}")
         if any(s < 1 for s in sizes):
             raise ValueError("alphabet sizes must be positive")
-        atoms = tuple(sorted((tuple(sym), Fraction(p)) for sym, p in self.atoms))
-        object.__setattr__(self, "atoms", atoms)
-        total = Fraction(0)
+        den = self.denominator
+        if not isinstance(den, int) or isinstance(den, bool) or den < 1:
+            raise ValueError(f"denominator must be a positive integer, got {den!r}")
+        atoms = [(tuple(sym), w) for sym, w in self.atoms]
+        ranges = [range(s) for s in sizes]
+        total = 0
         seen = set()
-        for sym, p in atoms:
-            if len(sym) != self.n or any(not 0 <= x < s for x, s in zip(sym, sizes)):
+        for sym, w in atoms:
+            if len(sym) != self.n or not all(map(contains, ranges, sym)):
                 raise ValueError(f"symbol tuple {sym} outside the alphabets {sizes}")
-            if p <= 0:
-                raise ValueError(f"atom probability must be positive, got {p}")
+            if not isinstance(w, int) or isinstance(w, bool) or w <= 0:
+                raise ValueError(f"atom weight must be a positive integer, got {w!r}")
             if sym in seen:
                 raise ValueError(f"duplicate symbol tuple {sym}")
             seen.add(sym)
-            total += p
-        if total != 1:
-            raise ValueError(f"probabilities must sum to 1, got {total}")
+            total += w
+        if total != den:
+            raise ValueError(f"probabilities must sum to 1, got {Fraction(total, den)}")
+        _set_lowest_terms(self, atoms, den)
+
+    @classmethod
+    def _trusted(cls, n: int, alphabet_sizes: tuple[int, ...], atoms,
+                 denominator: int) -> "JointDistribution":
+        """Build from atoms the caller derived from valid tables: brought
+        to lowest terms, not re-validated."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "alphabet_sizes", alphabet_sizes)
+        _set_lowest_terms(d, atoms, denominator)
+        return d
 
     @classmethod
     def from_mapping(cls, n: int, alphabet_sizes, mapping) -> "JointDistribution":
-        return cls(n, tuple(alphabet_sizes), tuple(mapping.items()))
+        """Distribution from a {symbol tuple: exact probability} mapping;
+        the probabilities are scaled to integers over their common
+        denominator."""
+        probs = [(sym, Fraction(p)) for sym, p in mapping.items()]
+        den = math.lcm(*(p.denominator for _, p in probs))
+        return cls(n, tuple(alphabet_sizes),
+                   tuple((sym, p.numerator * (den // p.denominator)) for sym, p in probs), den)
 
     def support(self) -> frozenset[tuple[int, ...]]:
         return frozenset(sym for sym, _ in self.atoms)
 
 
 def marginal(d: JointDistribution, mask: int) -> JointDistribution:
-    """Restrict to the parties of mask, summing probabilities exactly."""
+    """Restrict to the parties of mask, summing weights exactly."""
     validate_mask(mask, d.n)
     keep = [i for i in range(d.n) if mask >> i & 1]
-    totals: dict[tuple[int, ...], Fraction] = {}
-    for sym, p in d.atoms:
-        key = tuple(sym[i] for i in keep)
-        totals[key] = totals.get(key, Fraction(0)) + p
-    return JointDistribution(len(keep), tuple(d.alphabet_sizes[i] for i in keep),
-                             tuple(totals.items()))
+    key = itemgetter(*keep)
+    totals: defaultdict[object, int] = defaultdict(int)
+    for sym, w in d.atoms:
+        totals[key(sym)] += w
+    # itemgetter of one index returns the bare value, not a 1-tuple
+    atoms = totals.items() if len(keep) > 1 else (((x,), w) for x, w in totals.items())
+    return JointDistribution._trusted(len(keep), tuple(d.alphabet_sizes[i] for i in keep),
+                                      atoms, d.denominator)
 
 
 def _same_shape(a: JointDistribution, b: JointDistribution) -> None:
@@ -101,12 +145,16 @@ def mix(d0: JointDistribution, d1: JointDistribution, p) -> JointDistribution:
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError(f"mixing weight must satisfy 0 < p < 1, got {p}")
-    totals: dict[tuple[int, ...], Fraction] = {}
-    for sym, q in d0.atoms:
-        totals[sym] = totals.get(sym, Fraction(0)) + p * q
-    for sym, q in d1.atoms:
-        totals[sym] = totals.get(sym, Fraction(0)) + (1 - p) * q
-    return JointDistribution(d0.n, d0.alphabet_sizes, tuple(totals.items()))
+    common = math.lcm(d0.denominator, d1.denominator)
+    scale0 = p.numerator * (common // d0.denominator)
+    scale1 = (p.denominator - p.numerator) * (common // d1.denominator)
+    totals: defaultdict[tuple[int, ...], int] = defaultdict(int)
+    for sym, w in d0.atoms:
+        totals[sym] += scale0 * w
+    for sym, w in d1.atoms:
+        totals[sym] += scale1 * w
+    return JointDistribution._trusted(d0.n, d0.alphabet_sizes, totals.items(),
+                                      p.denominator * common)
 
 
 def _product(a: JointDistribution, b: JointDistribution) -> JointDistribution:
@@ -117,63 +165,49 @@ def _product(a: JointDistribution, b: JointDistribution) -> JointDistribution:
         raise ValueError(f"party counts differ: {a.n} vs {b.n}")
     sizes = tuple(sa * sb for sa, sb in zip(a.alphabet_sizes, b.alphabet_sizes))
     atoms = []
-    for sym_a, pa in a.atoms:
-        for sym_b, pb in b.atoms:
-            sym = tuple(x * sb + y for x, y, sb in zip(sym_a, sym_b, b.alphabet_sizes))
-            atoms.append((sym, pa * pb))
-    return JointDistribution(a.n, sizes, tuple(atoms))
+    for sym_a, wa in a.atoms:
+        high = tuple(x * sb for x, sb in zip(sym_a, b.alphabet_sizes))
+        atoms.extend((tuple(map(add, high, sym_b)), wa * wb) for sym_b, wb in b.atoms)
+    return JointDistribution._trusted(a.n, sizes, atoms, a.denominator * b.denominator)
 
 
 def relative_entropy(P: JointDistribution, Q: JointDistribution) -> float:
     """D(P||Q) in bits; +inf when the support of P escapes that of Q.
 
-    Atoms are pooled by their exact ratio P(x)/Q(x) before any float is
-    produced, so D(P, P) is exactly 0 and orthogonal-support mixtures come
-    out exact.
+    Atoms are pooled by their exact ratio P(x)/Q(x), which over fixed
+    denominators is the ratio of weights in lowest terms, before any float
+    is produced, so D(P, P) is exactly 0 and orthogonal-support mixtures
+    come out exact.
     """
     _same_shape(P, Q)
     q_of = dict(Q.atoms)
-    weight_by_ratio: dict[Fraction, Fraction] = {}
-    for sym, p in P.atoms:
-        q = q_of.get(sym)
-        if q is None:
+    weight_by_ratio: defaultdict[tuple[int, int], int] = defaultdict(int)
+    for sym, wp in P.atoms:
+        wq = q_of.get(sym)
+        if wq is None:
             return math.inf
-        ratio = p / q
-        weight_by_ratio[ratio] = weight_by_ratio.get(ratio, Fraction(0)) + p
-    return math.fsum(float(w) * _log2_fraction(r)
-                     for r, w in weight_by_ratio.items() if r != 1)
+        g = math.gcd(wp, wq)
+        weight_by_ratio[wp // g, wq // g] += wp
+    terms = []
+    for (a, b), w in weight_by_ratio.items():
+        num, den = a * Q.denominator, b * P.denominator
+        if num != den:
+            g = math.gcd(num, den)
+            terms.append(w / P.denominator * _log2_ratio(num // g, den // g))
+    return math.fsum(terms)
 
 
 def shannon_entropy(P: JointDistribution) -> float:
     """H(P) = -sum p log2 p in bits."""
-    weight_by_value: dict[Fraction, Fraction] = {}
-    for _, p in P.atoms:
-        weight_by_value[p] = weight_by_value.get(p, Fraction(0)) + p
-    return math.fsum(-float(w) * _log2_fraction(v)
-                     for v, w in weight_by_value.items() if v != 1)
-
-
-def mutual_information(P: JointDistribution, split_mask: int) -> float:
-    """I(S : complement) = D(P || P_S x P_Sbar) for a proper split."""
-    full = (1 << P.n) - 1
-    validate_mask(split_mask, P.n)
-    if split_mask == full:
-        raise ValueError("split must leave a nonempty complement")
-    comp = full & ~split_mask
-    keep_s = [i for i in range(P.n) if split_mask >> i & 1]
-    keep_c = [i for i in range(P.n) if comp >> i & 1]
-    ms, mc = marginal(P, split_mask), marginal(P, comp)
-    atoms = []
-    for sym_s, ps in ms.atoms:
-        for sym_c, pc in mc.atoms:
-            sym = [0] * P.n
-            for pos, x in zip(keep_s, sym_s):
-                sym[pos] = x
-            for pos, x in zip(keep_c, sym_c):
-                sym[pos] = x
-            atoms.append((tuple(sym), ps * pc))
-    product = JointDistribution(P.n, P.alphabet_sizes, tuple(atoms))
-    return relative_entropy(P, product)
+    weight_by_value: defaultdict[int, int] = defaultdict(int)
+    for _, w in P.atoms:
+        weight_by_value[w] += w
+    terms = []
+    for v, w in weight_by_value.items():
+        if v != P.denominator:
+            g = math.gcd(v, P.denominator)
+            terms.append(-(w / P.denominator) * _log2_ratio(v // g, P.denominator // g))
+    return math.fsum(terms)
 
 
 def binary_entropy(p: float) -> float:
@@ -208,12 +242,28 @@ def tensor(a: StatePair, b: StatePair) -> StatePair:
 
 def point_pair(n: int) -> StatePair:
     """Deterministic rho = sigma pair; its relative-entropy vector is zero."""
-    d = JointDistribution(n, (1,) * n, (((0,) * n, Fraction(1)),))
+    d = JointDistribution(n, (1,) * n, (((0,) * n, 1),), 1)
     return StatePair(d, d)
 
 
 def re_vector(pair: StatePair) -> REVector:
-    """All 2^n - 1 relative entropies of the marginal pairs, in bits."""
-    values = tuple(relative_entropy(marginal(pair.rho, m), marginal(pair.sigma, m))
-                   for m in subsets_in_order(pair.n))
-    return REVector(pair.n, values)
+    """All 2^n - 1 relative entropies of the marginal pairs, in bits.
+
+    Each proper subset's marginals are summed from those of its parent,
+    the subset plus its lowest missing party, so every subset is reached
+    once and the full tables are reduced only n times per side.  The walk
+    is depth first, so only one chain of marginals is alive at a time.
+    """
+    values = {}
+
+    def walk(mask: int, rho: JointDistribution, sigma: JointDistribution) -> None:
+        values[mask] = relative_entropy(rho, sigma)
+        own = (1 << rho.n) - 1
+        # parties below the lowest missing one sit at their own index in rho
+        for i in range(((mask + 1) & ~mask).bit_length() - 1):
+            if mask != 1 << i:
+                rest = own ^ 1 << i
+                walk(mask ^ 1 << i, marginal(rho, rest), marginal(sigma, rest))
+
+    walk((1 << pair.n) - 1, pair.rho, pair.sigma)
+    return REVector(pair.n, tuple(values[m] for m in subsets_in_order(pair.n)))

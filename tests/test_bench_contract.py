@@ -4,6 +4,7 @@ would otherwise silently zero the benchmark's per-layer metrics."""
 
 import importlib
 import importlib.util
+import random
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import recone.jsonio  # noqa: F401  (the tracer patches loaded modules only)
-from recone import realize
+from conftest import random_pair
+from recone import realize, states
 from recone.lattice import upward_closure
 from recone.schemes import dnf_scheme
 
@@ -55,3 +57,19 @@ def test_tracer_wraps_and_restores(tracing, capsys):
     assert tracer.counters["schemes.table_atoms.max"] == 2
     assert {s.name for s in tracer.spans} >= {"realize.realize_ray", "schemes.dnf_scheme",
                                              "schemes.scheme_state_pair"}
+
+
+def test_re_vector_marginals_come_from_reduced_parents(tracing):
+    pair = random_pair(random.Random(7), 3, (3, 2, 5))
+    with tracing.Tracer() as tracer:
+        states.re_vector(pair)
+    names = [s.name for s in tracer.spans]
+    # 2 * (2^3 - 2): one marginal per side for each proper subset, none for ABC
+    assert names.count("states.marginal") == 12
+    # A, B and C are no longer summed from the full tables: BC, AC and AB
+    # read them, then C from AC, and B and A from AB
+    ab, ac = (states.marginal(pair.rho, m) for m in (0b011, 0b101))
+    ab_s, ac_s = (states.marginal(pair.sigma, m) for m in (0b011, 0b101))
+    full = len(pair.rho.atoms) + len(pair.sigma.atoms)
+    assert tracer.counters["states.marginal.atoms_in"] == (
+        3 * full + len(ac.atoms) + len(ac_s.atoms) + 2 * (len(ab.atoms) + len(ab_s.atoms)))

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from recone.cli import main
-from recone.cone import REVector
+from recone.cone import REVector, Violation
 from recone.jsonio import pair_to_json, vector_to_json
 from recone.realize import VerificationReport, synthesize
 
@@ -123,11 +123,17 @@ def test_verify_names_failed_monotonicity_recheck(tmp_path, capsys, monkeypatch)
     result = synthesize(REVector(2, (0, 0, 1)))
     pair_path = write(tmp_path, "pair.json", pair_to_json(result.pair))
     vec_path = write(tmp_path, "v.json", vector_to_json(REVector(2, (0, 0, 1))))
+    violations = (Violation(0b11, 0b01, 0.5, 0.75), Violation(0b11, 0b10, 0.5, 1.0))
     report = VerificationReport(n=2, tol=1e-9, deviations=(), max_abs_error=0.0,
-                                monotone_ok=False, passed=False)
+                                monotone_ok=False, violations=violations, passed=False)
     monkeypatch.setattr("recone.cli.verify", lambda *args, **kwargs: report)
     assert main(["verify", vec_path, pair_path]) == 1
-    assert "monotonicity" in json.loads(capsys.readouterr().err)["error"]
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)["error"]
+    assert "monotonicity" in error
+    assert "AB = 0.5 < B = 1" in error  # the pair that drops the most
+    assert json.loads(captured.out)["worst_violation"] == {
+        "superset": [1, 2], "subset": [2], "v_superset": 0.5, "v_subset": 1.0}
 
 
 def test_synthesize_refuses_nonmember(tmp_path, capsys):

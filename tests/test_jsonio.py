@@ -1,5 +1,6 @@
+import hashlib
+import json
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,8 @@ from recone.jsonio import (
     vector_to_json,
     verification_report_to_json,
 )
-from recone.realize import synthesize, verify
+from recone.lattice import enumerate_upsets
+from recone.realize import realize_ray, synthesize, verify
 from recone.states import JointDistribution, StatePair
 
 
@@ -52,15 +54,26 @@ def test_vector_from_json_rejects_malformed(mutate):
 
 def test_pair_round_trip_exact_big_integers():
     huge = 10**40
-    rho = JointDistribution(2, (2, 2), (((0, 0), Fraction(1, huge)),
-                                        ((1, 1), Fraction(huge - 1, huge))))
-    sigma = JointDistribution(2, (2, 2), (((0, 0), Fraction(1, 2)),
-                                          ((1, 1), Fraction(1, 2))))
+    rho = JointDistribution(2, (2, 2), (((0, 0), 1), ((1, 1), huge - 1)), huge)
+    sigma = JointDistribution(2, (2, 2), (((0, 0), 1), ((1, 1), 1)), 2)
     doc = pair_to_json(StatePair(rho, sigma))
     assert doc["rho"][0]["p"] == {"num": "1", "den": str(huge)}
     back = pair_from_json(doc)
     assert back.rho == rho
     assert back.sigma == sigma
+
+
+def test_pair_json_golden_digest():
+    # all 23 up-sets with n <= 3, each at lambda 1 and 1.7; the digest pins
+    # the pair JSON byte for byte, including the exact mixing weights
+    digest = hashlib.sha256()
+    for n in (1, 2, 3):
+        for u in enumerate_upsets(n):
+            for lam in (1, 1.7):
+                doc = pair_to_json(realize_ray(u, lam))
+                digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+    assert digest.hexdigest() == \
+        "3f2ccf7ef0628a61c1ce12468e9f21d9b0bdf38bb7fa26df5851dba804b64949"
 
 
 @pytest.mark.parametrize("mutate", [
@@ -70,9 +83,12 @@ def test_pair_round_trip_exact_big_integers():
     lambda d: d["rho"][0].update(p={"num": "1", "den": "0"}),
     lambda d: d["rho"][0].update(p={"num": "x", "den": "2"}),
     lambda d: d["rho"].pop(),  # probabilities no longer sum to 1
+    lambda d: d["rho"][0].update(symbols=[True, 0]),
+    lambda d: d["rho"][0].update(symbols=[0.0, 0]),
+    lambda d: d["rho"][0].update(p={"num": "0", "den": "2"}),
 ])
 def test_pair_from_json_rejects_malformed(mutate):
-    rho = JointDistribution(2, (2, 2), (((0, 0), Fraction(1, 2)), ((1, 1), Fraction(1, 2))))
+    rho = JointDistribution(2, (2, 2), (((0, 0), 1), ((1, 1), 1)), 2)
     doc = pair_to_json(StatePair(rho, rho))
     mutate(doc)
     with pytest.raises(ValueError):

@@ -122,13 +122,13 @@ def test_verify_flags_corrupted_sigma():
     result = synthesize(target)
     rho = result.pair.rho
     # tilt sigma off the half mix: move weight onto rho's first atom
-    atoms = dict(result.pair.sigma.atoms)
+    sigma = result.pair.sigma
     first = rho.atoms[0][0]
     bump = Fraction(1, 10)
     scale = 1 - bump
-    atoms = {sym: p * scale for sym, p in atoms.items()}
+    atoms = {sym: Fraction(w, sigma.denominator) * scale for sym, w in sigma.atoms}
     atoms[first] = atoms.get(first, Fraction(0)) + bump
-    corrupted = StatePair(rho, JointDistribution(3, rho.alphabet_sizes, tuple(atoms.items())))
+    corrupted = StatePair(rho, JointDistribution.from_mapping(3, rho.alphabet_sizes, atoms))
     report = verify(target, corrupted, tol=1e-9)
     assert not report.passed
     assert report.failing_subsets()

@@ -1,5 +1,4 @@
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -158,8 +157,8 @@ def test_xor_share_table():
 def test_weighted_scheme_matches_ray6_structure():
     scheme = weighted_threshold_scheme(3, (2, 1, 1), 2, 5)
     assert scheme.registers == ((5, 5), (5,), (5,))
-    assert len(scheme.table(0)) == 5
-    assert all(p == Fraction(1, 5) for _, p in scheme.table(0))
+    assert len(scheme.table(0)) == scheme.distributions[0].denominator == 5
+    assert all(w == 1 for _, w in scheme.table(0))
     audit = verify_scheme(scheme, RAY6_STRUCTURE)
     assert audit.passed, audit.failures
 
@@ -172,8 +171,9 @@ def test_two_of_two_scheme_realizes_pair_only():
 
 def test_single_party_scheme():
     scheme = weighted_threshold_scheme(1, (1,), 1, 2)
-    assert scheme.table(0) == (((0,), Fraction(1)),)
-    assert scheme.table(1) == (((1,), Fraction(1)),)
+    assert scheme.table(0) == (((0,), 1),)
+    assert scheme.table(1) == (((1,), 1),)
+    assert [d.denominator for d in scheme.distributions] == [1, 1]
     audit = verify_scheme(scheme, UpSet(1, frozenset({1})))
     assert audit.passed
 
@@ -197,8 +197,9 @@ def test_dnf_scheme_two_pair_clauses():
 
 def test_dnf_scheme_single_party():
     scheme = dnf_scheme(UpSet(1, frozenset({1})))
-    assert scheme.table(0) == (((0,), Fraction(1)),)
-    assert scheme.table(1) == (((1,), Fraction(1)),)
+    assert scheme.table(0) == (((0,), 1),)
+    assert scheme.table(1) == (((1,), 1),)
+    assert [d.denominator for d in scheme.distributions] == [1, 1]
 
 
 def test_dnf_scheme_ray6_clause_layout():
@@ -238,7 +239,8 @@ def test_threshold_clause_scheme_matches_printed_tables():
         (0, 2, 0, 2), (0, 2, 1, 1), (0, 2, 2, 0),
         (1, 1, 0, 2), (1, 1, 1, 1), (1, 1, 2, 0),
         (2, 0, 0, 2), (2, 0, 1, 1), (2, 0, 2, 0)]
-    assert all(p == Fraction(1, 9) for _, p in scheme.table(0))
+    assert scheme.distributions[0].denominator == 9
+    assert all(w == 1 for _, w in scheme.table(0))
     assert verify_scheme(scheme, TWO_PAIRS_STRUCTURE).passed
 
 
@@ -251,8 +253,8 @@ def test_threshold_clause_scheme_vector():
 def test_threshold_clause_pair_marginals():
     pair = scheme_state_pair(threshold_clause_scheme(TWO_PAIRS_STRUCTURE))
     rho_ab = marginal(pair.rho, 0b0011)
-    assert rho_ab.atoms == (((0, 0), Fraction(1, 3)), ((1, 2), Fraction(1, 3)),
-                            ((2, 1), Fraction(1, 3)))
+    assert rho_ab.atoms == (((0, 0), 1), ((1, 2), 1), ((2, 1), 1))
+    assert rho_ab.denominator == 3
     assert marginal(pair.rho, 0b0110) == marginal(pair.sigma, 0b0110)
 
 
@@ -271,12 +273,11 @@ def test_weighted_scheme_vector_is_ray6():
 
 
 def test_scheme_validation():
-    one = JointDistribution(1, (2,), (((1,), Fraction(1)),))
+    one = JointDistribution(1, (2,), (((1,), 1),), 1)
     with pytest.raises(ValueError):  # table 0 sums to 1/2
-        Scheme(((2,),), (JointDistribution(1, (2,), (((0,), Fraction(1, 2)),)), one))
+        Scheme(((2,),), (JointDistribution(1, (2,), (((0,), 1),), 2), one))
     with pytest.raises(ValueError):  # table 0 is not uniform
-        Scheme(((2,),), (JointDistribution(
-            1, (2,), (((0,), Fraction(3, 4)), ((1,), Fraction(1, 4)))), one))
+        Scheme(((2,),), (JointDistribution(1, (2,), (((0,), 3), ((1,), 1)), 4), one))
     with pytest.raises(ValueError):  # alphabet 2 does not match the layout (3,)
         Scheme(((3,),), (one, one))
     with pytest.raises(ValueError):

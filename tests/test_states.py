@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_distribution, random_pair
 from recone.cone import check_membership
-from recone.lattice import proper_submasks, subsets_in_order
+from recone.lattice import proper_submasks, subsets_in_order, validate_mask
 from recone.states import (
     JointDistribution,
     StatePair,
     binary_entropy,
     marginal,
     mix,
-    mutual_information,
     point_pair,
     re_vector,
     relative_entropy,
@@ -22,58 +21,127 @@ from recone.states import (
     tensor,
 )
 
-FIFTH = Fraction(1, 5)
+
+def mutual_information(P: JointDistribution, split_mask: int) -> float:
+    """I(S : complement) = D(P || P_S x P_Sbar) for a proper split."""
+    full = (1 << P.n) - 1
+    validate_mask(split_mask, P.n)
+    if split_mask == full:
+        raise ValueError("split must leave a nonempty complement")
+    comp = full & ~split_mask
+    keep_s = [i for i in range(P.n) if split_mask >> i & 1]
+    keep_c = [i for i in range(P.n) if comp >> i & 1]
+    ms, mc = marginal(P, split_mask), marginal(P, comp)
+    atoms = []
+    for sym_s, ws in ms.atoms:
+        for sym_c, wc in mc.atoms:
+            sym = [0] * P.n
+            for pos, x in zip(keep_s, sym_s):
+                sym[pos] = x
+            for pos, x in zip(keep_c, sym_c):
+                sym[pos] = x
+            atoms.append((tuple(sym), ws * wc))
+    product = JointDistribution(P.n, P.alphabet_sizes, tuple(atoms),
+                                ms.denominator * mc.denominator)
+    return relative_entropy(P, product)
 
 
 def gf5_table(b):
     """Share tuples (y(1),...,y(4)) of y(x) = b + a*x mod 5, grouped as
-    (A two slots, B, C) and flattened to (25, 5, 5) alphabets."""
+    (A two slots, B, C) and flattened to (25, 5, 5) alphabets; weight 1
+    each over 5."""
     atoms = []
     for a in range(5):
         y = [(b + a * x) % 5 for x in (1, 2, 3, 4)]
-        atoms.append(((y[0] * 5 + y[1], y[2], y[3]), FIFTH))
+        atoms.append(((y[0] * 5 + y[1], y[2], y[3]), 1))
     return atoms
 
 
 def example5_pair():
-    rho0 = JointDistribution(3, (25, 5, 5), tuple(gf5_table(0)))
-    rho1 = JointDistribution(3, (25, 5, 5), tuple(gf5_table(1)))
+    rho0 = JointDistribution(3, (25, 5, 5), tuple(gf5_table(0)), 5)
+    rho1 = JointDistribution(3, (25, 5, 5), tuple(gf5_table(1)), 5)
     return StatePair(rho0, mix(rho0, rho1, Fraction(1, 2)))
 
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        JointDistribution(2, (2, 2), (((0, 0), Fraction(1, 2)),))  # sums to 1/2
+        JointDistribution(2, (2, 2), (((0, 0), 1),), 2)  # sums to 1/2
     with pytest.raises(ValueError):
-        JointDistribution(2, (2, 2), (((0, 2), Fraction(1)),))  # symbol out of range
+        JointDistribution(2, (2, 2), (((0, 2), 1),), 1)  # symbol out of range
     with pytest.raises(ValueError):
-        JointDistribution(2, (2, 2), (((0, 0), Fraction(1, 2)), ((0, 0), Fraction(1, 2))))
+        JointDistribution(2, (2, 2), (((0, 0), 1), ((0, 0), 1)), 2)
     with pytest.raises(ValueError):
-        JointDistribution(2, (2, 2), (((0, 0), Fraction(3, 2)), ((0, 1), Fraction(-1, 2))))
+        JointDistribution(2, (2, 2), (((0, 0), 3), ((0, 1), -1)), 2)
+    with pytest.raises(ValueError):  # weights are integers, not probabilities
+        JointDistribution(2, (2, 2), (((0, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 2))), 1)
+    with pytest.raises(ValueError):
+        JointDistribution(2, (2, 2), (((0, 0), 0),), 0)
+    with pytest.raises(ValueError):  # from_mapping scales to lcm 6, then validates the sum
+        JointDistribution.from_mapping(1, (2,), {(0,): Fraction(1, 2), (1,): Fraction(1, 3)})
 
 
 def test_atoms_sorted_and_exact():
-    d = JointDistribution(1, (3,), (((2,), Fraction(1, 3)), ((0,), Fraction(2, 3))))
-    assert d.atoms == (((0,), Fraction(2, 3)), ((2,), Fraction(1, 3)))
-    assert dict(d.atoms)[(0,)] == Fraction(2, 3)
+    d = JointDistribution(1, (3,), (((2,), 1), ((0,), 2)), 3)
+    assert d.atoms == (((0,), 2), ((2,), 1)) and d.denominator == 3
+    assert dict(d.atoms)[(0,)] == 2
     assert (1,) not in dict(d.atoms)
+    assert JointDistribution.from_mapping(1, (3,), {(2,): Fraction(1, 3),
+                                                    (0,): Fraction(2, 3)}) == d
+
+
+def test_tables_kept_in_lowest_terms():
+    d = JointDistribution(1, (3,), (((0,), 4), ((2,), 2)), 6)
+    assert d.atoms == (((0,), 2), ((2,), 1)) and d.denominator == 3
+    e = JointDistribution(2, (2, 2), (((0, 0), 1), ((0, 1), 1)), 2)
+    assert marginal(e, 0b01) == JointDistribution(1, (2,), (((0,), 1),), 1)
+    assert marginal(e, 0b01).denominator == 1
 
 
 def test_marginal_weighted_scheme_party_a():
     pair = example5_pair()
     rho_a = marginal(pair.rho, 0b001)
     # A-register pairs 00, 12, 24, 31, 43 flattened in base 5
-    assert rho_a.atoms == tuple(((s,), FIFTH) for s in (0, 7, 14, 16, 23))
+    assert rho_a.atoms == tuple(((s,), 1) for s in (0, 7, 14, 16, 23))
+    assert rho_a.denominator == 5
     sigma_a = marginal(pair.sigma, 0b001)
-    assert len(sigma_a.atoms) == 10
-    assert all(p == Fraction(1, 10) for _, p in sigma_a.atoms)
+    assert len(sigma_a.atoms) == sigma_a.denominator == 10
+    assert all(w == 1 for _, w in sigma_a.atoms)
 
 
 def test_marginal_weighted_scheme_party_b():
     pair = example5_pair()
     rho_b = marginal(pair.rho, 0b010)
-    assert rho_b.atoms == tuple(((s,), FIFTH) for s in range(5))
+    assert rho_b.atoms == tuple(((s,), 1) for s in range(5)) and rho_b.denominator == 5
     assert rho_b == marginal(pair.sigma, 0b010)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_marginal_is_the_exact_fraction_sum(n):
+    rng = random.Random(100 + n)
+    sizes = (3, 5, 3, 5, 3)[:n]
+    for _ in range(4):
+        d = random_distribution(rng, n, sizes)
+        for mask in subsets_in_order(n):
+            keep = [i for i in range(n) if mask >> i & 1]
+            expected = {}
+            for sym, w in d.atoms:
+                key = tuple(sym[i] for i in keep)
+                expected[key] = expected.get(key, Fraction(0)) + Fraction(w, d.denominator)
+            part = marginal(d, mask)
+            assert {sym: Fraction(w, part.denominator) for sym, w in part.atoms} == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_re_vector_matches_marginals_of_the_full_tables(n):
+    # re_vector sums each subset from a reduced parent; the oracle sums
+    # every subset from the full tables, and the floats must agree bit for bit
+    rng = random.Random(200 + n)
+    sizes = (5, 3, 5, 3, 5)[:n]
+    for _ in range(6):
+        pair = random_pair(rng, n, sizes, sigma_full_support=rng.random() < 0.5)
+        expected = tuple(relative_entropy(marginal(pair.rho, m), marginal(pair.sigma, m))
+                         for m in subsets_in_order(n))
+        assert re_vector(pair).values == expected
 
 
 def test_marginal_full_mask_is_identity():
@@ -83,14 +151,14 @@ def test_marginal_full_mask_is_identity():
 
 def test_mix_examples():
     pair = example5_pair()
-    assert len(pair.sigma.atoms) == 10
-    assert all(p == Fraction(1, 10) for _, p in pair.sigma.atoms)
+    assert len(pair.sigma.atoms) == pair.sigma.denominator == 10
+    assert all(w == 1 for _, w in pair.sigma.atoms)
     d = random_distribution(random.Random(5), 2, (2, 2))
     assert mix(d, d, Fraction(1, 3)) == d
-    rho0 = JointDistribution(3, (25, 5, 5), tuple(gf5_table(0)))
-    rho1 = JointDistribution(3, (25, 5, 5), tuple(gf5_table(1)))
+    rho0 = JointDistribution(3, (25, 5, 5), tuple(gf5_table(0)), 5)
+    rho1 = JointDistribution(3, (25, 5, 5), tuple(gf5_table(1)), 5)
     quarter = mix(rho0, rho1, Fraction(1, 4))
-    probs = sorted(set(p for _, p in quarter.atoms))
+    probs = sorted(set(Fraction(w, quarter.denominator) for _, w in quarter.atoms))
     assert probs == [Fraction(1, 20), Fraction(3, 20)]
 
 
@@ -114,8 +182,8 @@ def test_relative_entropy_weighted_scheme():
 
 
 def test_relative_entropy_support_escape():
-    p = JointDistribution(1, (2,), (((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))))
-    q = JointDistribution(1, (2,), (((0,), Fraction(1)),))
+    p = JointDistribution(1, (2,), (((0,), 1), ((1,), 1)), 2)
+    q = JointDistribution(1, (2,), (((0,), 1),), 1)
     assert relative_entropy(p, q) == math.inf
     assert relative_entropy(q, p) == 1.0  # log2(1 / (1/2)) weighted by 1
 
@@ -151,21 +219,20 @@ def test_tensor_rejects_party_mismatch():
 
 
 def test_shannon_entropy_uniform():
-    d = JointDistribution(1, (5,), tuple(((i,), FIFTH) for i in range(5)))
+    d = JointDistribution(1, (5,), tuple(((i,), 1) for i in range(5)), 5)
     assert shannon_entropy(d) == pytest.approx(math.log2(5), abs=1e-14)
 
 
 def test_mutual_information_product_is_zero():
-    da = JointDistribution(1, (2,), (((0,), Fraction(1, 3)), ((1,), Fraction(2, 3))))
-    db = JointDistribution(1, (3,), (((0,), Fraction(1, 2)), ((2,), Fraction(1, 2))))
+    da = JointDistribution(1, (2,), (((0,), 1), ((1,), 2)), 3)
+    db = JointDistribution(1, (3,), (((0,), 1), ((2,), 1)), 2)
     joint = JointDistribution(2, (2, 3), tuple(
-        ((xa[0], xb[0]), pa * pb) for xa, pa in da.atoms for xb, pb in db.atoms))
+        ((xa[0], xb[0]), wa * wb) for xa, wa in da.atoms for xb, wb in db.atoms), 6)
     assert mutual_information(joint, 0b01) == 0.0
 
 
 def test_mutual_information_correlated_pair():
-    joint = JointDistribution(2, (2, 2),
-                              (((0, 0), Fraction(1, 2)), ((1, 1), Fraction(1, 2))))
+    joint = JointDistribution(2, (2, 2), (((0, 0), 1), ((1, 1), 1)), 2)
     assert mutual_information(joint, 0b01) == 1.0
 
 
@@ -239,9 +306,9 @@ def test_orthogonal_support_half_mix_is_one_bit():
         w0 = [rng.randint(1, 9) for _ in range(half)]
         w1 = [rng.randint(1, 9) for _ in range(size - half)] or [1]
         d0 = JointDistribution(1, (size + 1,), tuple(
-            ((s,), Fraction(w, sum(w0))) for s, w in zip(syms[:half], w0)))
+            ((s,), w) for s, w in zip(syms[:half], w0)), sum(w0))
         d1 = JointDistribution(1, (size + 1,), tuple(
-            ((s,), Fraction(w, sum(w1))) for s, w in zip(syms[half:] + [size], w1)))
+            ((s,), w) for s, w in zip(syms[half:] + [size], w1)), sum(w1))
         sigma = mix(d0, d1, Fraction(1, 2))
         assert relative_entropy(d0, sigma) == 1.0
 
@@ -261,9 +328,8 @@ def exact_distributions(draw, n=2, sizes=(2, 2)):
                             min_size=len(symbols), max_size=len(symbols)))
     if not any(weights):
         weights[draw(st.integers(min_value=0, max_value=len(symbols) - 1))] = 1
-    total = sum(weights)
-    atoms = tuple((sym, Fraction(w, total)) for sym, w in zip(symbols, weights) if w)
-    return JointDistribution(n, sizes, atoms)
+    atoms = tuple((sym, w) for sym, w in zip(symbols, weights) if w)
+    return JointDistribution(n, sizes, atoms, sum(weights))
 
 
 @given(exact_distributions(), exact_distributions())
