@@ -16,7 +16,6 @@ from .cone import (
     REVector,
     check_membership,
     layer_cake_decompose,
-    recompose,
 )
 from .lattice import (
     OrbitClass,
@@ -51,7 +50,6 @@ from .schemes import (
 from .states import (
     JointDistribution,
     StatePair,
-    binary_entropy,
     marginal,
     mix,
     re_vector,

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .cone import NotInConeError, check_membership, layer_cake_decompose
+from .cone import TOL, NotInConeError, check_membership, layer_cake_decompose
 from .demos import DEMOS, render_demo
 from .jsonio import (
     decomposition_to_json,
@@ -31,7 +31,10 @@ from .states import re_vector
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(doc) -> None:
@@ -90,7 +93,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     vector = vector_from_json(_load_json(args.file))
-    result = synthesize(vector, tol=args.tol)
+    result = synthesize(vector)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(pair_to_json(result.pair), handle, indent=2)
         handle.write("\n")
@@ -144,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="realize a vector file as a state pair")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True, help="where to write the pair JSON")
-    p.add_argument("--tol", type=float, default=None,
-                   help="max allowed |achieved - target| (default: auto)")
     p.set_defaults(handler=_cmd_synthesize)
 
     p = sub.add_parser("relent", help="relative-entropy vector of a state-pair file")
@@ -155,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a state pair against a target vector")
     p.add_argument("vector")
     p.add_argument("pair")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=TOL,
+                   help=f"max allowed |achieved - target| in bits (default: {TOL})")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("demo", help="print a built-in construction")

@@ -8,6 +8,10 @@ nested up-set indicators: the layer cake over its level sets.
 
 Values are in bits.  Entries may be ints, Fractions or floats; +inf (as
 math.inf) is allowed for membership checks but not for decomposition.
+
+One tolerance policy holds throughout the package: a vector whose entries
+are all ints or Fractions compares exactly, and a vector holding any float
+treats entries within TOL of each other as equal.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from typing import NamedTuple
 
 from .lattice import UpSet, is_upset, proper_submasks, subsets_in_order
 
-#: relative gap under which two float levels are considered one level
-LEVEL_MERGE_RTOL = 1e-12
+#: bits by which float entries may differ and still count as equal
+TOL = 1e-9
 
 
 class NotInConeError(ValueError):
@@ -85,11 +89,6 @@ class REVector:
             return NotImplemented
         return REVector(self.n, tuple(a + b for a, b in zip(self.values, other.values)))
 
-    def scaled(self, coefficient) -> "REVector":
-        if coefficient < 0:
-            raise ValueError("coefficient must be nonnegative")
-        return REVector(self.n, tuple(coefficient * v for v in self.values))
-
 
 class Violation(NamedTuple):
     superset: int
@@ -105,27 +104,35 @@ class MembershipReport:
     infinite_part_ok: bool
 
 
-def check_membership(v: REVector, tol: float = 0.0) -> MembershipReport:
+def _is_exact(value) -> bool:
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def _slack(values):
+    """0 when every entry is exact, so Fractions never round through
+    float; TOL when any entry is a float."""
+    return 0 if all(map(_is_exact, values)) else TOL
+
+
+def check_membership(v: REVector) -> MembershipReport:
     """Test cone membership, listing every failed comparable pair.
 
     A pair (S, S') with S' a proper subset of S violates monotonicity when
-    v_S < v_S' - tol; only finite entries are compared.  The subsets
-    carrying +inf must themselves form an up-set (vacuously fine when
-    there are none).
+    v_S < v_S' - slack, with the slack of the tolerance policy; only
+    finite entries are compared.  The subsets carrying +inf must
+    themselves form an up-set (vacuously fine when there are none).
     """
-    infinite = {m for m, val in v.entries() if val == math.inf}
+    slack = _slack(v.values)
+    value = dict(v.entries())
+    infinite = {m for m, val in value.items() if val == math.inf}
     infinite_ok = not infinite or is_upset(infinite, v.n)
     violations = []
-    for mask in subsets_in_order(v.n):
-        vs = v.value(mask)
+    for mask, vs in value.items():
         if vs == math.inf:
             continue
         for sub in proper_submasks(mask):
-            vsub = v.value(sub)
-            if vsub == math.inf:
-                continue
-            # exact comparison when tol == 0 so Fractions never round through float
-            if vs < vsub if tol == 0 else vs < vsub - tol:
+            vsub = value[sub]
+            if vsub != math.inf and vs < vsub - slack:
                 violations.append(Violation(mask, sub, vs, vsub))
     violations.sort(key=lambda x: (x.superset, x.subset))
     return MembershipReport(member=not violations and infinite_ok,
@@ -153,59 +160,38 @@ class RayDecomposition:
             prev = upset
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-
-
-def _merged_levels(values, exact: bool):
-    """Map each distinct value to a level representative.
-
-    Exact values keep their identity; floats within LEVEL_MERGE_RTOL
-    (relative) collapse onto the largest value of their group so rounding
-    noise cannot split one level into several spurious rays.
-    """
-    distinct = sorted(set(values), reverse=True)
-    rep_of = {}
-    group_rep = None
-    for val in distinct:
-        if exact or group_rep is None or \
-                group_rep - val > LEVEL_MERGE_RTOL * max(abs(group_rep), abs(val)):
-            group_rep = val
-        rep_of[val] = group_rep
-    return rep_of
-
-
 def layer_cake_decompose(v: REVector) -> RayDecomposition:
-    """Split a finite cone member over its level sets.
+    """Split a finite cone member over the level sets of its monotone hull.
 
-    With t_1 > ... > t_k the distinct positive levels, the i-th term is
-    (t_i - t_{i+1}) times the indicator of {S : v_S >= t_i}; monotonicity
-    makes every level set an up-set.  The zero vector decomposes into no
-    terms.
+    The hull raises each entry to the largest entry on its subsets, so a
+    member moves by at most the slack and every level set is an up-set.
+    Hull levels are grouped from the top, no group spanning more than the
+    slack, and each group stands for its largest level; a group within the
+    slack of 0 is dropped.  With t_1 > ... > t_k the group levels, the
+    i-th term is (t_i - t_{i+1}) times the indicator of the subsets in
+    groups 1..i.  The zero vector decomposes into no terms.
     """
     report = check_membership(v)
     if not report.member:
         raise NotInConeError(report)
     if not v.is_finite():
         raise InfiniteEntryError("decomposition is defined for finite vectors only")
-    exact = all(_is_exact(x) for x in v.values)
-    rep_of = _merged_levels(v.values, exact)
-    levels = sorted({r for r in rep_of.values() if r > 0}, reverse=True)
+    slack = _slack(v.values)
+    value = dict(v.entries())
+    hull = {m: max([val, *map(value.__getitem__, proper_submasks(m))])
+            for m, val in value.items()}
+    levels = []  # group tops, descending
+    top_of = {}
+    for level in sorted(set(hull.values()), reverse=True):
+        if not levels or levels[-1] - level > slack:
+            levels.append(level)
+        top_of[level] = levels[-1]
+    if levels and levels[-1] <= slack:
+        levels.pop()
     terms = []
     members: set[int] = set()
     for i, t in enumerate(levels):
-        members |= {m for m, val in v.entries() if rep_of[val] == t}
+        members |= {m for m, h in hull.items() if top_of[h] == t}
         t_next = levels[i + 1] if i + 1 < len(levels) else 0
         terms.append((t - t_next, UpSet(v.n, frozenset(members))))
     return RayDecomposition(v.n, tuple(terms))
-
-
-def recompose(d: RayDecomposition) -> REVector:
-    """Sum of coefficient * indicator over the decomposition terms."""
-    totals = [0] * ((1 << d.n) - 1)
-    order = subsets_in_order(d.n)
-    for coeff, upset in d.terms:
-        for i, mask in enumerate(order):
-            if mask in upset.members:
-                totals[i] = totals[i] + coeff
-    return REVector(d.n, tuple(totals))

@@ -53,7 +53,7 @@ def vector_from_json(doc) -> REVector:
         _require(isinstance(item, dict) and set(item) == {"parties", "value"},
                  f"each entry needs exactly 'parties' and 'value', got {item!r}")
         plist = item["parties"]
-        _require(isinstance(plist, list) and plist and all(isinstance(x, int) for x in plist),
+        _require(isinstance(plist, list) and plist and set(map(type, plist)) <= {int},
                  f"'parties' must be a nonempty list of integers, got {plist!r}")
         _require(plist == sorted(set(plist)), f"'parties' must be sorted and duplicate-free: {plist!r}")
         mask = mask_of(plist, n)
@@ -127,7 +127,7 @@ def pair_from_json(doc) -> StatePair:
     n = _party_count(doc)
     sizes = doc.get("alphabet_sizes")
     _require(isinstance(sizes, list) and len(sizes) == n
-             and all(isinstance(s, int) and s >= 1 for s in sizes),
+             and set(map(type, sizes)) <= {int} and all(s >= 1 for s in sizes),
              f"'alphabet_sizes' must list one positive integer per party, got {sizes!r}")
     sizes = tuple(sizes)
     _require("rho" in doc and "sigma" in doc, "need both 'rho' and 'sigma'")

@@ -12,10 +12,11 @@ product.
 The weight is exact from the start: p = 1 / 2**lam for integer lam, so
 entries come out machine-exact, and otherwise p is the double nearest
 2**(-lam), taken as an exact Fraction.  That double carries 53
-significant bits down to 2**-1022, so achieved values match targets to
-well below 1e-6 for lam from 1e-9 up to 1000 bits.  Past 1022 bits the
-double is subnormal and coarser, and synthesis reports any miss;
-MAX_RAY_BITS bounds lam for both kinds of weight.
+significant bits down to 2**-1022, so achieved values match targets
+well within the cone's TOL for lam from 1e-9 up to 1022 bits.  Past 1022
+bits the double is subnormal and coarser, and synthesis reports any
+miss; MAX_RAY_BITS bounds lam for both kinds of weight.  Synthesis
+accepts its pair by the same report as verify, with tolerance TOL.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cone import (
-    NotInConeError,
+    TOL,
     RayDecomposition,
     REVector,
     Violation,
@@ -36,9 +38,6 @@ from .lattice import UpSet, mask_label, subsets_in_order
 from .schemes import dnf_scheme, scheme_state_pair
 from .states import StatePair, point_pair, re_vector, tensor
 
-DYADIC_TOL = 1e-9
-GENERAL_TOL = 1e-6
-MONOTONICITY_RECHECK_TOL = 1e-12
 #: largest ray coefficient in bits: 2**-1074 is the smallest positive double
 MAX_RAY_BITS = 1074
 
@@ -53,10 +52,7 @@ def _dyadic_weight(lam) -> Fraction:
             f"ray coefficient must be a number of bits in (0, {MAX_RAY_BITS}], got {lam}")
     if lam == int(lam):
         return Fraction(1, 1 << int(lam))
-    p = Fraction(2.0 ** -float(lam))
-    if not 0 < p < 1:
-        raise ValueError(f"ray coefficient {lam} leaves no representable mixing weight")
-    return p
+    return Fraction(2.0 ** -float(lam))
 
 
 def realize_ray(u: UpSet, lam) -> StatePair:
@@ -66,50 +62,7 @@ def realize_ray(u: UpSet, lam) -> StatePair:
     return scheme_state_pair(scheme, _dyadic_weight(lam))
 
 
-@dataclass(frozen=True)
-class RealizationResult:
-    target: REVector
-    decomposition: RayDecomposition
-    pair: StatePair
-    achieved: REVector
-    max_abs_error: float
-
-
-def _auto_tolerance(decomposition: RayDecomposition) -> float:
-    dyadic = all(
-        (isinstance(c, int) and not isinstance(c, bool))
-        or (isinstance(c, float) and c.is_integer())
-        or (isinstance(c, Fraction) and c.denominator == 1)
-        for c, _ in decomposition.terms)
-    return DYADIC_TOL if dyadic else GENERAL_TOL
-
-
-def synthesize(v: REVector, tol: float | None = None) -> RealizationResult:
-    """Build and check a state pair realizing a finite cone member.
-
-    Decomposes v over its level sets, realizes each nested ray, tensors
-    the realizations together and recomputes the achieved vector.  When
-    tol is None it defaults to 1e-9 for integer-level targets (exact
-    dyadic weights) and 1e-6 otherwise.  Raises RealizationError if the
-    achieved vector misses the target beyond the tolerance.
-    """
-    decomposition = layer_cake_decompose(v)  # also enforces membership
-    pair = point_pair(v.n)
-    for coeff, upset in decomposition.terms:
-        pair = tensor(pair, realize_ray(upset, coeff))
-    achieved = re_vector(pair)
-    max_err = max((abs(a - t) for a, t in zip(achieved.values, v.values)), default=0.0)
-    if tol is None:
-        tol = _auto_tolerance(decomposition)
-    if max_err > tol:
-        raise RealizationError(
-            f"achieved vector misses the target by {max_err:.3e} > {tol:.1e}")
-    return RealizationResult(target=v, decomposition=decomposition, pair=pair,
-                             achieved=achieved, max_abs_error=max_err)
-
-
-@dataclass(frozen=True)
-class SubsetDeviation:
+class SubsetDeviation(NamedTuple):
     mask: int
     target: object
     achieved: object
@@ -134,30 +87,62 @@ class VerificationReport:
         return max(self.violations, key=lambda x: x.v_subset - x.v_superset, default=None)
 
 
-def verify(v: REVector, pair: StatePair, tol: float = DYADIC_TOL) -> VerificationReport:
-    """Recompute the pair's relative-entropy vector and compare to v.
-
-    Reports the per-subset deviation, the worst deviation, and whether
-    the achieved vector itself still passes the monotonicity check (with
-    a 1e-12 cushion for float noise in independent marginal sums).
-    """
-    if v.n != pair.n:
-        raise ValueError(f"vector has {v.n} parties but pair has {pair.n}")
-    achieved = re_vector(pair)
+def _compare(v: REVector, achieved: REVector, tol: float) -> VerificationReport:
+    """Per-subset deviations of achieved from v, and the monotonicity
+    recheck of achieved under the cone's tolerance policy."""
     deviations = []
-    for mask in subsets_in_order(v.n):
-        t, a = v.value(mask), achieved.value(mask)
+    for mask, t, a in zip(subsets_in_order(v.n), v.values, achieved.values):
         if t == math.inf or a == math.inf:
             dev = 0.0 if t == a else math.inf
         else:
             dev = abs(float(a) - float(t))
         deviations.append(SubsetDeviation(mask, t, a, dev))
     max_err = max(d.deviation for d in deviations)
-    recheck = check_membership(achieved, tol=MONOTONICITY_RECHECK_TOL)
+    recheck = check_membership(achieved)
     return VerificationReport(n=v.n, tol=tol, deviations=tuple(deviations),
                               max_abs_error=max_err, monotone_ok=recheck.member,
                               violations=recheck.violations,
                               passed=bool(max_err <= tol and recheck.member))
+
+
+def verify(v: REVector, pair: StatePair, tol: float = TOL) -> VerificationReport:
+    """Recompute the pair's relative-entropy vector and compare to v.
+
+    Reports the per-subset deviation, the worst deviation, and whether
+    the achieved vector itself still passes the monotonicity check.
+    """
+    if v.n != pair.n:
+        raise ValueError(f"vector has {v.n} parties but pair has {pair.n}")
+    return _compare(v, re_vector(pair), tol)
+
+
+@dataclass(frozen=True)
+class RealizationResult:
+    target: REVector
+    decomposition: RayDecomposition
+    pair: StatePair
+    achieved: REVector
+    max_abs_error: float
+
+
+def synthesize(v: REVector) -> RealizationResult:
+    """Build and check a state pair realizing a finite cone member.
+
+    Decomposes v over its level sets, realizes each nested ray, tensors
+    the realizations together and recomputes the achieved vector.  Raises
+    RealizationError, naming the worst subset, unless the achieved vector
+    passes verification against v with tolerance TOL.
+    """
+    decomposition = layer_cake_decompose(v)  # also enforces membership
+    pair = point_pair(v.n)
+    for coeff, upset in decomposition.terms:
+        pair = tensor(pair, realize_ray(upset, coeff))
+    achieved = re_vector(pair)
+    report = _compare(v, achieved, TOL)
+    if not report.passed:
+        raise RealizationError(f"synthesized pair fails verification: {describe_deviation(report)}")
+    return RealizationResult(target=v, decomposition=decomposition, pair=pair,
+                             achieved=achieved, max_abs_error=report.max_abs_error)
 
 
 def describe_deviation(report: VerificationReport) -> str:

@@ -210,15 +210,6 @@ def shannon_entropy(P: JointDistribution) -> float:
     return math.fsum(terms)
 
 
-def binary_entropy(p: float) -> float:
-    """H2(p) in bits."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"need 0 <= p <= 1, got {p}")
-    if p in (0, 1):
-        return 0.0
-    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-
-
 @dataclass(frozen=True)
 class StatePair:
     """Two distributions over one product alphabet, the arguments of

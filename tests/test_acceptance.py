@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from conftest import random_distribution, random_pair
 from test_lattice import brute_force_upsets
+from test_states import binary_entropy
 
 from recone.cli import main as cli_main
 from recone.cone import REVector, check_membership
@@ -26,7 +27,6 @@ from recone.schemes import (
 )
 from recone.states import (
     StatePair,
-    binary_entropy,
     marginal,
     mix,
     re_vector,

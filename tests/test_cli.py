@@ -149,6 +149,25 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["check", str(path)]) == 2
+    assert "nested" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_tolerance_policy_from_the_command_line(tmp_path, capsys):
+    near = write(tmp_path, "near.json", vector_to_json(REVector(2, (1.0, 0.0, 1.0 - 1e-15))))
+    assert main(["check", near]) == 0
+    capsys.readouterr()
+    tiny = write(tmp_path, "tiny.json", vector_to_json(REVector(1, (1e-17,))))
+    assert main(["synthesize", tiny, "-o", str(tmp_path / "pair.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["decomposition"]["terms"] == []
+    subnormal = write(tmp_path, "sub.json", vector_to_json(REVector(1, (1073.5,))))
+    assert main(["synthesize", subnormal, "-o", str(tmp_path / "pair.json")]) == 1
+    assert "at subset A" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["check", "/nonexistent/v.json"]) == 2
     assert "error" in json.loads(capsys.readouterr().err)

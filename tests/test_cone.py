@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from recone.cone import (
+    TOL,
     InfiniteEntryError,
     MembershipReport,
     NotInConeError,
@@ -13,7 +14,6 @@ from recone.cone import (
     REVector,
     check_membership,
     layer_cake_decompose,
-    recompose,
 )
 from recone.lattice import UpSet, enumerate_upsets, is_upset, subsets_in_order, upward_closure
 
@@ -22,6 +22,17 @@ AB, AC, BC, ABC = 0b011, 0b101, 0b110, 0b111
 
 RAY6 = upward_closure({A, BC}, 3)
 RAY6_VECTOR = REVector(3, (1, 0, 0, 1, 1, 1, 1))
+
+
+def recompose(d: RayDecomposition) -> REVector:
+    """Sum of coefficient * indicator over the decomposition terms."""
+    totals = [0] * ((1 << d.n) - 1)
+    order = subsets_in_order(d.n)
+    for coeff, upset in d.terms:
+        for i, mask in enumerate(order):
+            if mask in upset.members:
+                totals[i] = totals[i] + coeff
+    return REVector(d.n, tuple(totals))
 
 
 def test_revector_validation():
@@ -74,9 +85,11 @@ def test_membership_infinite_entries():
 
 
 def test_membership_tolerance():
+    # floats within TOL count as equal; exact entries compare exactly
     jittered = REVector(2, (1.0, 0.0, 1.0 - 1e-15))
-    assert not check_membership(jittered).member
-    assert check_membership(jittered, tol=1e-12).member
+    assert check_membership(jittered).member
+    assert not check_membership(REVector(2, (1.0, 0.0, 1.0 - 2 * TOL))).member
+    assert not check_membership(REVector(2, (1, 0, 1 - Fraction(1, 10**15)))).member
 
 
 def test_layer_cake_single_ray():
@@ -121,6 +134,16 @@ def test_layer_cake_merges_float_noise():
     v = REVector(2, (base, 0.0, jitter))
     d = layer_cake_decompose(v)
     assert len(d.terms) == 1
+
+
+def test_layer_cake_decomposes_monotone_hull():
+    # AB sits 1e-15 below A: the hull lifts it onto A's level
+    d = layer_cake_decompose(REVector(2, (1.0, 0.0, 1.0 - 1e-15)))
+    assert [(c, sorted(u.members)) for c, u in d.terms] == [(1.0, [0b01, 0b11])]
+    # levels within TOL of 0 are dropped; levels further apart stay apart
+    assert layer_cake_decompose(REVector(2, (0.0, 0.0, 0.9 * TOL))).terms == ()
+    d = layer_cake_decompose(REVector(2, (1.0, 0.0, 1.0 + 2 * TOL)))
+    assert [sorted(u.members) for _, u in d.terms] == [[0b11], [0b01, 0b11]]
 
 
 def test_layer_cake_exact_rationals_not_merged():

@@ -44,6 +44,7 @@ def test_vector_round_trip_infinite():
     lambda d: d["entries"][0].update(parties=[2, 1]),
     lambda d: d["entries"][0].update(parties=[9]),
     lambda d: d.update(n="three"),
+    lambda d: d["entries"][0].update(parties=[True]),  # a bool is not party 1
 ])
 def test_vector_from_json_rejects_malformed(mutate):
     doc = vector_to_json(REVector(2, (1.0, 0.0, 1.0)))
@@ -86,6 +87,9 @@ def test_pair_json_golden_digest():
     lambda d: d["rho"][0].update(symbols=[True, 0]),
     lambda d: d["rho"][0].update(symbols=[0.0, 0]),
     lambda d: d["rho"][0].update(p={"num": "0", "den": "2"}),
+    lambda d: d.update(alphabet_sizes=[True, True],  # bools are not sizes
+                       rho=[{"symbols": [0, 0], "p": {"num": "1", "den": "1"}}],
+                       sigma=[{"symbols": [0, 0], "p": {"num": "1", "den": "1"}}]),
 ])
 def test_pair_from_json_rejects_malformed(mutate):
     rho = JointDistribution(2, (2, 2), (((0, 0), 1), ((1, 1), 1)), 2)

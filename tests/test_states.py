@@ -11,7 +11,6 @@ from recone.lattice import proper_submasks, subsets_in_order, validate_mask
 from recone.states import (
     JointDistribution,
     StatePair,
-    binary_entropy,
     marginal,
     mix,
     point_pair,
@@ -20,6 +19,15 @@ from recone.states import (
     shannon_entropy,
     tensor,
 )
+
+
+def binary_entropy(p: float) -> float:
+    """H2(p) in bits."""
+    if not 0 <= p <= 1:
+        raise ValueError(f"need 0 <= p <= 1, got {p}")
+    if p in (0, 1):
+        return 0.0
+    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
 def mutual_information(P: JointDistribution, split_mask: int) -> float:
@@ -317,7 +325,11 @@ def test_monotone_achieved_vectors_pass_membership():
     rng = random.Random(47)
     for _ in range(40):
         pair = random_pair(rng, 3, (2, 2, 2), sigma_full_support=True)
-        assert check_membership(re_vector(pair), tol=1e-12).member
+        vec = re_vector(pair)
+        assert check_membership(vec).member
+        # no pair drops by more than the 1e-12 float-noise cushion
+        assert all(vec.value(mask) >= vec.value(sub) - 1e-12
+                   for mask in subsets_in_order(3) for sub in proper_submasks(mask))
 
 
 @st.composite
