@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
-from .lattice import UpSet, is_upset, proper_submasks, subsets_in_order
+from .lattice import UpSet, is_upset, proper_submasks, subset_index, subsets_in_order
 
 #: bits by which float entries may differ and still count as equal
 TOL = 1e-9
@@ -38,11 +37,6 @@ class NotInConeError(ValueError):
 
 class InfiniteEntryError(ValueError):
     """Operation requires a finite vector."""
-
-
-@lru_cache(maxsize=None)
-def _index_of(n: int) -> dict[int, int]:
-    return {mask: i for i, mask in enumerate(subsets_in_order(n))}
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,7 @@ class REVector:
         return cls(u.n, u.indicator_values())
 
     def value(self, mask: int):
-        return self.values[_index_of(self.n)[mask]]
+        return self.values[subset_index(self.n)[mask]]
 
     def entries(self):
         return zip(subsets_in_order(self.n), self.values)
@@ -165,11 +159,13 @@ def layer_cake_decompose(v: REVector) -> RayDecomposition:
 
     The hull raises each entry to the largest entry on its subsets, so a
     member moves by at most the slack and every level set is an up-set.
-    Hull levels are grouped from the top, no group spanning more than the
-    slack, and each group stands for its largest level; a group within the
-    slack of 0 is dropped.  With t_1 > ... > t_k the group levels, the
-    i-th term is (t_i - t_{i+1}) times the indicator of the subsets in
-    groups 1..i.  The zero vector decomposes into no terms.
+    Hull levels are grouped from the top, and each group stands for its
+    largest level.  A hull level joins the group above only if every
+    original entry on it lies within the slack of that group's top, so no
+    entry moves by more than the slack in all; a group within the slack of
+    0 is dropped.  With t_1 > ... > t_k the group levels, the i-th term is
+    (t_i - t_{i+1}) times the indicator of the subsets in groups 1..i.  The
+    zero vector decomposes into no terms.
     """
     report = check_membership(v)
     if not report.member:
@@ -180,10 +176,13 @@ def layer_cake_decompose(v: REVector) -> RayDecomposition:
     value = dict(v.entries())
     hull = {m: max([val, *map(value.__getitem__, proper_submasks(m))])
             for m, val in value.items()}
+    lowest = {}  # hull level -> smallest original entry lifted onto it
+    for m, h in hull.items():
+        lowest[h] = min(lowest.get(h, h), value[m])
     levels = []  # group tops, descending
     top_of = {}
-    for level in sorted(set(hull.values()), reverse=True):
-        if not levels or levels[-1] - level > slack:
+    for level in sorted(lowest, reverse=True):
+        if not levels or levels[-1] - lowest[level] > slack:
             levels.append(level)
         top_of[level] = levels[-1]
     if levels and levels[-1] <= slack:

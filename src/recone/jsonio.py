@@ -178,7 +178,12 @@ def verification_report_to_json(report: VerificationReport) -> dict:
 
 
 def realization_to_json(result: RealizationResult) -> dict:
+    """The realization, with the scheme each ray was built from, its table
+    size and the candidate sizes it was chosen over, one per term."""
     return {"target": vector_to_json(result.target),
             "decomposition": decomposition_to_json(result.decomposition),
+            "schemes": [{"kind": plan.kind, "table_atoms": plan.table_atoms,
+                         "candidates": dict(plan.candidates)} for plan in result.plans],
+            "sigma_atoms": result.sigma_atoms,
             "achieved": vector_to_json(result.achieved),
             "max_abs_error": result.max_abs_error}

@@ -60,6 +60,12 @@ def subsets_in_order(n: int) -> tuple[int, ...]:
     return tuple(sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), parties(m))))
 
 
+@lru_cache(maxsize=None)
+def subset_index(n: int) -> dict[int, int]:
+    """Position of each nonempty subset mask in the canonical order."""
+    return {mask: i for i, mask in enumerate(subsets_in_order(n))}
+
+
 def proper_submasks(mask: int):
     """Proper nonempty submasks of a mask."""
     sub = (mask - 1) & mask
@@ -99,13 +105,17 @@ class UpSet:
         return mask in self.members
 
     def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members, key=lambda m: (m.bit_count(), parties(m))))
+        return tuple(sorted(self.members, key=subset_index(self.n).__getitem__))
 
     def minimal_sets(self) -> tuple[int, ...]:
-        """The antichain of inclusion-minimal members; its closure is self."""
-        minimal = [m for m in self.members
-                   if not any(sub in self.members for sub in proper_submasks(m))]
-        return tuple(sorted(minimal, key=lambda m: (m.bit_count(), parties(m))))
+        """The antichain of inclusion-minimal members; its closure is self.
+
+        By closure, a member has a smaller member below it iff it is
+        another member plus one party.
+        """
+        bits = [1 << i for i in range(self.n)]
+        covered = {m | b for m in self.members for b in bits if not m & b}
+        return tuple(sorted(self.members - covered, key=subset_index(self.n).__getitem__))
 
     def encoding(self) -> int:
         """Membership bitset: bit mask-1 set iff mask is a member."""

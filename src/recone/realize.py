@@ -1,13 +1,22 @@
 """End-to-end realization: target vector -> state pair -> verification.
 
-A single ray, lam times the indicator of an up-set U, is realized by the
-XOR scheme for U: take rho = table(0) and sigma = the weight-p mix of the
-two tables with p = 2**(-lam).  Authorized subsets then sit at exactly
--log2(p) bits (the two tables never collide, so the cross term vanishes;
-note this is -log2(p), not the binary entropy of p, which the mixture
-form might suggest) and unauthorized subsets at exactly 0.  General
-members decompose into nested rays whose realizations combine by tensor
-product.
+A single ray, lam times the indicator of an up-set U, is realized by any
+perfect secret-sharing scheme for U: take rho = table(0) and sigma = the
+weight-p mix of the two tables with p = 2**(-lam).  Authorized subsets
+then sit at exactly -log2(p) bits (the two tables never collide, so the
+cross term vanishes; note this is -log2(p), not the binary entropy of p,
+which the mixture form might suggest) and unauthorized subsets at exactly
+0.  General members decompose into nested rays whose realizations combine
+by tensor product.
+
+The scheme's table size sets the cost of everything after it, so each ray
+is planned before anything is built.  The candidates are the XOR scheme,
+with 2**sum(|S| - 1) atoms over the minimal sets S, and, when U is the
+k-of-T threshold up-set (its minimal sets are all C(|T|, k) k-subsets of
+their union T), a Shamir scheme over GF(q), q the smallest prime above
+|T|, with q**(k - 1) atoms.  The smaller table is built; ties go to XOR.
+Synthesis multiplies the planned sizes into the exact sigma support size
+and refuses a target above MAX_SIGMA_ATOMS before building any table.
 
 The weight is exact from the start: p = 1 / 2**lam for integer lam, so
 entries come out machine-exact, and otherwise p is the double nearest
@@ -24,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from .cone import (
@@ -35,15 +46,25 @@ from .cone import (
     layer_cake_decompose,
 )
 from .lattice import UpSet, mask_label, subsets_in_order
-from .schemes import dnf_scheme, scheme_state_pair
+from .schemes import (
+    Scheme,
+    dnf_scheme,
+    scheme_state_pair,
+    smallest_prime_above,
+    weighted_threshold_scheme,
+)
 from .states import StatePair, point_pair, re_vector, tensor
 
 #: largest ray coefficient in bits: 2**-1074 is the smallest positive double
 MAX_RAY_BITS = 1074
+#: largest sigma support synthesize builds: at about 620 bytes of peak
+#: memory per sigma atom (780 with the pair JSON), some 0.65 to 0.8 GB
+MAX_SIGMA_ATOMS = 1 << 20
 
 
 class RealizationError(ValueError):
-    """Synthesized pair missed the target beyond the allowed tolerance."""
+    """Synthesis refused: the predicted support exceeds the budget, or the
+    pair missed the target beyond the allowed tolerance."""
 
 
 def _dyadic_weight(lam) -> Fraction:
@@ -55,11 +76,49 @@ def _dyadic_weight(lam) -> Fraction:
     return Fraction(2.0 ** -float(lam))
 
 
+class RayPlan(NamedTuple):
+    """The scheme chosen for one ray and the table sizes it beat."""
+
+    kind: str  # "xor" or "shamir"
+    table_atoms: int
+    candidates: tuple[tuple[str, int], ...]  # (kind, table atoms) per candidate
+
+
+def _candidates(u: UpSet):
+    """(kind, exact table atoms, builder) for each scheme that realizes u,
+    XOR first; the builders look the constructions up at call time."""
+    minimal = u.minimal_sets()
+    yield "xor", 2 ** sum(m.bit_count() - 1 for m in minimal), lambda: dnf_scheme(u)
+    k = minimal[0].bit_count()
+    group = reduce(or_, minimal)
+    if all(m.bit_count() == k for m in minimal) and len(minimal) == math.comb(group.bit_count(), k):
+        q = smallest_prime_above(group.bit_count())
+        allocation = [group >> i & 1 for i in range(u.n)]
+        yield "shamir", q ** (k - 1), lambda: weighted_threshold_scheme(u.n, allocation, k, q)
+
+
+def _plan(u: UpSet):
+    candidates = list(_candidates(u))
+    kind, atoms, build = min(candidates, key=itemgetter(1))  # first minimum: ties go to XOR
+    return RayPlan(kind, atoms, tuple(c[:2] for c in candidates)), build
+
+
+def plan_ray(u: UpSet) -> RayPlan:
+    """Predict the table size of each candidate scheme for u, building none."""
+    return _plan(u)[0]
+
+
+def ray_scheme(u: UpSet) -> Scheme:
+    """The smallest candidate scheme for u, as plan_ray chooses it."""
+    return _plan(u)[1]()
+
+
 def realize_ray(u: UpSet, lam) -> StatePair:
-    """State pair whose relative-entropy vector is lam times the indicator
-    of u, up to the rounding of the mixing weight 2**(-lam) to a double."""
-    scheme = dnf_scheme(u)
-    return scheme_state_pair(scheme, _dyadic_weight(lam))
+    """State pair, built from the planned scheme, whose relative-entropy
+    vector is lam times the indicator of u, up to the rounding of the
+    mixing weight 2**(-lam) to a double."""
+    weight = _dyadic_weight(lam)
+    return scheme_state_pair(ray_scheme(u), weight)
 
 
 class SubsetDeviation(NamedTuple):
@@ -120,20 +179,39 @@ def verify(v: REVector, pair: StatePair, tol: float = TOL) -> VerificationReport
 class RealizationResult:
     target: REVector
     decomposition: RayDecomposition
+    plans: tuple[RayPlan, ...]  # one per decomposition term
     pair: StatePair
     achieved: REVector
     max_abs_error: float
+
+    @property
+    def sigma_atoms(self) -> int:
+        """Predicted sigma support size; equals len(pair.sigma.atoms)."""
+        return sigma_atoms(self.plans)
+
+
+def sigma_atoms(plans) -> int:
+    """Exact sigma support of the tensored rays: each sigma mixes two
+    disjoint tables, so a ray contributes twice its table size."""
+    return math.prod(2 * plan.table_atoms for plan in plans)
 
 
 def synthesize(v: REVector) -> RealizationResult:
     """Build and check a state pair realizing a finite cone member.
 
-    Decomposes v over its level sets, realizes each nested ray, tensors
-    the realizations together and recomputes the achieved vector.  Raises
-    RealizationError, naming the worst subset, unless the achieved vector
-    passes verification against v with tolerance TOL.
+    Decomposes v over its level sets, plans a scheme per nested ray,
+    realizes each ray, tensors the realizations together and recomputes
+    the achieved vector.  Raises RealizationError before building anything
+    when the predicted sigma support exceeds MAX_SIGMA_ATOMS, and, naming
+    the worst subset, unless the achieved vector passes verification
+    against v with tolerance TOL.
     """
     decomposition = layer_cake_decompose(v)  # also enforces membership
+    plans = tuple(plan_ray(upset) for _, upset in decomposition.terms)
+    predicted = sigma_atoms(plans)
+    if predicted > MAX_SIGMA_ATOMS:
+        raise RealizationError(f"predicted sigma support of {predicted} atoms exceeds "
+                               f"the budget of {MAX_SIGMA_ATOMS} atoms")
     pair = point_pair(v.n)
     for coeff, upset in decomposition.terms:
         pair = tensor(pair, realize_ray(upset, coeff))
@@ -141,7 +219,7 @@ def synthesize(v: REVector) -> RealizationResult:
     report = _compare(v, achieved, TOL)
     if not report.passed:
         raise RealizationError(f"synthesized pair fails verification: {describe_deviation(report)}")
-    return RealizationResult(target=v, decomposition=decomposition, pair=pair,
+    return RealizationResult(target=v, decomposition=decomposition, plans=plans, pair=pair,
                              achieved=achieved, max_abs_error=report.max_abs_error)
 
 

@@ -15,6 +15,14 @@ constructions are provided:
 * a per-minimal-set threshold variant where every clause of size m runs
   an (m, m) Shamir scheme over the smallest prime above m.
 
+Ray realization (recone.realize) builds, per ray, the smaller of two:
+the XOR construction, with 2**sum(|S| - 1) atoms over the minimal sets S,
+and, for a k-of-T threshold up-set, the weighted Shamir scheme with one
+share per party of T and none elsewhere, with q**(k - 1) atoms over
+GF(q), q the smallest prime above |T|.  The per-clause threshold variant
+is never smaller than XOR (p**(m - 1) >= 2**(m - 1) per clause), so only
+the demos use it.
+
 An exhaustive auditor checks the defining property subset by subset
 against an up-set of authorized groups: authorized groups see disjoint
 supports for b = 0 and b = 1, while unauthorized groups see identical
@@ -126,6 +134,8 @@ class Scheme:
 def weighted_threshold_scheme(n: int, allocation, k: int, p: int) -> Scheme:
     """Shamir scheme whose m = sum(allocation) shares go to the parties in
     consecutive runs; a group is authorized iff its share count reaches k.
+    A party allocated no share holds one degenerate (1,) register, as in
+    the XOR construction for a party outside every clause.
     """
     allocation = tuple(allocation)
     if len(allocation) != n or any(a < 0 for a in allocation):

@@ -136,6 +136,27 @@ def test_verify_names_failed_monotonicity_recheck(tmp_path, capsys, monkeypatch)
         "superset": [1, 2], "subset": [2], "v_superset": 0.5, "v_subset": 1.0}
 
 
+def test_synthesize_says_which_scheme_realized_each_ray(tmp_path, capsys):
+    # 3-of-3 stays XOR (4 atoms against Shamir's 25), 2-of-3 goes Shamir (5 against 8)
+    path = write(tmp_path, "v.json", vector_to_json(REVector(3, (0, 0, 0, 2, 2, 2, 3))))
+    assert main(["synthesize", path, "-o", str(tmp_path / "pair.json")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["schemes"] == [
+        {"kind": "xor", "table_atoms": 4, "candidates": {"xor": 4, "shamir": 25}},
+        {"kind": "shamir", "table_atoms": 5, "candidates": {"xor": 8, "shamir": 5}}]
+    assert summary["sigma_atoms"] == 80
+
+
+def test_synthesize_over_budget_exits_one(tmp_path, capsys):
+    path = write(tmp_path, "v.json", vector_to_json(REVector(4, tuple(range(1, 16)))))
+    out = tmp_path / "pair.json"
+    assert main(["synthesize", path, "-o", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "predicted sigma support of 2814749767106560000 atoms" in error
+    assert "budget" in error
+    assert not out.exists()
+
+
 def test_synthesize_refuses_nonmember(tmp_path, capsys):
     path = write(tmp_path, "v.json", BAD_DOC)
     assert main(["synthesize", path, "-o", str(tmp_path / "out.json")]) == 1

@@ -146,6 +146,18 @@ def test_layer_cake_decomposes_monotone_hull():
     assert [sorted(u.members) for _, u in d.terms] == [[0b11], [0b01, 0b11]]
 
 
+def test_layer_cake_moves_no_entry_beyond_tol():
+    # AB is lifted 0.9e-9 onto A's level, which sits 0.9e-9 below the top
+    # group: joining that group would move AB by 1.8e-9, so A's level stays apart
+    v = REVector(3, (1.0, 0.0, 1 + 0.9e-9, 1 - 0.9e-9, 1 + 0.9e-9, 1 + 0.9e-9, 1 + 0.9e-9))
+    d = layer_cake_decompose(v)
+    assert [sorted(u.members) for _, u in d.terms] == [[4, 5, 6, 7], [1, 3, 4, 5, 6, 7]]
+    assert max(abs(a - b) for a, b in zip(recompose(d).values, v.values)) <= TOL
+    # AB lifted 0.4e-9 onto A's level, 0.5e-9 below the top: 0.9e-9 in all, one group
+    d = layer_cake_decompose(REVector(3, (1.0, 0.0, 0.0, 1 - 0.4e-9, 1 + 0.5e-9, 0.0, 1 + 0.5e-9)))
+    assert [(c, sorted(u.members)) for c, u in d.terms] == [(1 + 0.5e-9, [1, 3, 5, 7])]
+
+
 def test_layer_cake_exact_rationals_not_merged():
     tick = Fraction(1, 10**15)
     v = REVector(2, (Fraction(1), Fraction(0), Fraction(1) + tick))

@@ -14,8 +14,9 @@ from recone.jsonio import (
     vector_to_json,
     verification_report_to_json,
 )
-from recone.lattice import enumerate_upsets
-from recone.realize import realize_ray, synthesize, verify
+from recone.lattice import enumerate_upsets, upward_closure
+from recone.realize import _dyadic_weight, realize_ray, synthesize, verify
+from recone.schemes import dnf_scheme, scheme_state_pair
 from recone.states import JointDistribution, StatePair
 
 
@@ -64,17 +65,39 @@ def test_pair_round_trip_exact_big_integers():
     assert back.sigma == sigma
 
 
-def test_pair_json_golden_digest():
+def _pair_json_digest(make_pair) -> str:
     # all 23 up-sets with n <= 3, each at lambda 1 and 1.7; the digest pins
     # the pair JSON byte for byte, including the exact mixing weights
     digest = hashlib.sha256()
     for n in (1, 2, 3):
         for u in enumerate_upsets(n):
             for lam in (1, 1.7):
-                doc = pair_to_json(realize_ray(u, lam))
+                doc = pair_to_json(make_pair(u, lam))
                 digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
-    assert digest.hexdigest() == \
+    return digest.hexdigest()
+
+
+def xor_pair(u, lam):
+    return scheme_state_pair(dnf_scheme(u), _dyadic_weight(lam))
+
+
+def test_pair_json_golden_digest():
+    # the XOR construction's bytes, as every ray was realized before planning
+    assert _pair_json_digest(xor_pair) == \
         "3f2ccf7ef0628a61c1ce12468e9f21d9b0bdf38bb7fa26df5851dba804b64949"
+
+
+def test_planned_pair_json_golden_digest():
+    # realize_ray's planned bytes: XOR everywhere but 2-of-3, which is Shamir
+    assert _pair_json_digest(realize_ray) == \
+        "1befdcb93f4e5bf40e7ffc9e32e1b95fcffb59a5557b4b26a7aed6ff804df582"
+
+
+def test_realize_ray_keeps_xor_pair_except_two_of_three():
+    two_of_three = upward_closure({0b011, 0b101, 0b110}, 3)
+    planned = [u for n in (1, 2, 3) for u in enumerate_upsets(n)
+               if realize_ray(u, 1.7) != xor_pair(u, 1.7)]
+    assert planned == [two_of_three]
 
 
 @pytest.mark.parametrize("mutate", [

@@ -1,22 +1,36 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recone.cone import NotInConeError, REVector
+from recone import realize
+from recone.cone import TOL, NotInConeError, REVector
 from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure
 from recone.realize import (
+    MAX_SIGMA_ATOMS,
     RealizationError,
     describe_deviation,
+    plan_ray,
+    ray_scheme,
     realize_ray,
     synthesize,
     verify,
 )
+from recone.schemes import dnf_scheme, verify_scheme
 from recone.states import JointDistribution, StatePair, re_vector
 
 RAY6 = upward_closure({0b001, 0b110}, 3)
+
+
+def k_of_n(k, n):
+    return upward_closure({m for m in range(1, 1 << n) if m.bit_count() == k}, n)
+
+
+K_OF_5 = [k_of_n(k, 5) for k in range(1, 6)]
+SMALL_UPSETS = [u for n in (1, 2, 3, 4) for u in enumerate_upsets(n)]
 
 
 def test_realize_ray_unit_coefficient():
@@ -93,6 +107,16 @@ def test_synthesize_zero_vector():
     assert result.max_abs_error == 0.0
     assert result.pair.rho == result.pair.sigma
     assert result.decomposition.terms == ()
+
+
+def test_decomposition_drift_stays_within_tol():
+    # AB sits just below A, which the hull lifts it onto, and A's level sits
+    # just below the top group: grouping by the hull alone moved AB by
+    # 1.8e-9, twice TOL, and synthesis refused this member
+    v = REVector(3, (1.0, 0.0, 1 + 0.9e-9, 1 - 0.9e-9, 1 + 0.9e-9, 1 + 0.9e-9, 1 + 0.9e-9))
+    result = synthesize(v)
+    assert result.max_abs_error <= TOL
+    assert [len(u.members) for _, u in result.decomposition.terms] == [4, 6]
 
 
 def test_synthesize_rejects_nonmember():
@@ -191,6 +215,90 @@ def test_every_ray_realizes_at_unit_level(n):
         assert all(abs(a - t) <= 1e-9 for a, t in zip(vec.values, target.values))
 
 
+def _threshold_oracle(u):
+    # u is k-of-T iff it is exactly the family of sets meeting T, the union
+    # of its minimal sets, in at least k parties
+    group = 0
+    for m in u.minimal_sets():
+        group |= m
+    k = min(m.bit_count() for m in u.minimal_sets())
+    meets = {m for m in range(1, 1 << u.n) if (m & group).bit_count() >= k}
+    return (k, group) if meets == set(u.members) else None
+
+
+@pytest.mark.parametrize("u", SMALL_UPSETS + K_OF_5, ids=lambda u: f"n{u.n}-{u.encoding():x}")
+def test_planned_scheme_is_the_smallest_exact_scheme(u):
+    plan = plan_ray(u)
+    sizes = dict(plan.candidates)
+    threshold = _threshold_oracle(u)
+    if threshold is None:
+        assert set(sizes) == {"xor"}
+    else:
+        k, group = threshold
+        q = next(q for q in range(group.bit_count() + 1, 100)
+                 if all(q % d for d in range(2, q)))
+        assert sizes["shamir"] == q ** (k - 1)
+    # the smallest candidate, ties to XOR
+    assert plan.table_atoms == min(sizes.values())
+    assert plan.kind == ("xor" if sizes["xor"] == plan.table_atoms else "shamir")
+    scheme = ray_scheme(u)
+    assert len(scheme.table(0)) == plan.table_atoms
+    assert verify_scheme(scheme, u).passed
+    for lam in (1, 1.7):
+        assert re_vector(realize_ray(u, lam)).values == \
+            tuple(lam if x else 0.0 for x in u.indicator_values())
+
+
+def test_xor_size_prediction_matches_built_tables():
+    # the chosen scheme's size is checked above; this covers XOR where it loses
+    for u in SMALL_UPSETS:
+        assert len(dnf_scheme(u).table(0)) == dict(plan_ray(u).candidates)["xor"]
+
+
+def test_planner_changes_only_strictly_smaller_threshold_rays():
+    shamir = [u.n for u in SMALL_UPSETS if plan_ray(u).kind == "shamir"]
+    assert [shamir.count(n) for n in (1, 2, 3, 4)] == [0, 0, 1, 6]
+    assert [plan_ray(u).kind for u in K_OF_5] == ["xor", "shamir", "shamir", "shamir", "xor"]
+    assert [plan_ray(u).table_atoms for u in K_OF_5] == [1, 7, 49, 343, 16]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_every_threshold_ray_of_five_synthesizes_exactly(k):
+    u = K_OF_5[k - 1]
+    for lam in (3, 1.7):
+        target = REVector(5, tuple(lam if x else 0 for x in u.indicator_values()))
+        result = synthesize(target)
+        assert result.achieved.values == tuple(map(float, target.values))
+        assert result.sigma_atoms == len(result.pair.sigma.atoms) == 2 * plan_ray(u).table_atoms
+
+
+def test_result_records_each_rays_scheme():
+    two_of_three = k_of_n(2, 3)
+    result = synthesize(REVector(3, (0, 0, 0, 2, 2, 2, 3)))
+    assert [(p.kind, p.table_atoms) for p in result.plans] == [("xor", 4), ("shamir", 5)]
+    assert result.plans[1].candidates == (("xor", 8), ("shamir", 5))
+    assert result.decomposition.terms[1][1] == two_of_three
+    assert result.sigma_atoms == len(result.pair.sigma.atoms) == 80
+
+
+def test_oversized_target_refused_before_building(monkeypatch):
+    # strictly monotone at n = 4: fifteen levels, one nested ray each
+    target = REVector(4, tuple(range(1, 16)))
+
+    def no_tables(*args):
+        raise AssertionError("a share table was built")
+
+    monkeypatch.setattr(realize, "dnf_scheme", no_tables)
+    monkeypatch.setattr(realize, "weighted_threshold_scheme", no_tables)
+    start = time.perf_counter()
+    with pytest.raises(RealizationError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:
+        synthesize(target)
+    assert time.perf_counter() - start < 1
+    plans = [plan_ray(u) for _, u in realize.layer_cake_decompose(target).terms]
+    assert f"support of {realize.sigma_atoms(plans)} atoms" in str(err.value)
+    assert len(plans) == 15
+
+
 def predicted_sigma_atoms(decomposition):
     # clause-product supports: each level contributes 2**(free bits + 1)
     total = 1
@@ -222,5 +330,8 @@ def test_random_members_round_trip_n4():
         result = synthesize(target)
         assert result.max_abs_error <= 1e-6
         assert verify(target, result.pair, tol=1e-6).passed
+        # the planned support is exact and never above the XOR one
+        assert result.sigma_atoms == len(result.pair.sigma.atoms)
+        assert result.sigma_atoms <= predicted_sigma_atoms(result.decomposition)
         ran += 1
     assert ran >= 10
