@@ -42,8 +42,6 @@ from .schemes import (
     SchemeAudit,
     dnf_scheme,
     scheme_state_pair,
-    shamir_table,
-    threshold_clause_scheme,
     verify_scheme,
     weighted_threshold_scheme,
 )

@@ -5,7 +5,8 @@ GF(5) with share allocation (2, 1, 1); party A alone or any pair can
 reconstruct, so the vector is 1 on {A and every set of two or more}.
 
 example6: four parties, two independent (2, 2) Shamir clauses over GF(3),
-one on AB and one on CD; exactly the groups containing AB or CD are
+one on AB and one on CD, written as the forms A = b + r1, B = b + 2 r1,
+C = b + r2, D = b + 2 r2; exactly the groups containing AB or CD are
 authorized.
 """
 
@@ -15,12 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone import REVector
-from .lattice import mask_label, parties, subsets_in_order, upward_closure
+from .lattice import mask_label, parties
 from .schemes import (
     Scheme,
+    linear_scheme,
     party_digits,
     scheme_state_pair,
-    threshold_clause_scheme,
     weighted_threshold_scheme,
 )
 from .states import StatePair, marginal, re_vector
@@ -51,7 +52,7 @@ def example5() -> Demo:
 
 
 def example6() -> Demo:
-    scheme = threshold_clause_scheme(upward_closure({0b0011, 0b1100}, 4))
+    scheme = linear_scheme(4, 3, [[(1, 1, 0)], [(1, 2, 0)], [(1, 0, 1)], [(1, 0, 2)]], 2)
     pair = scheme_state_pair(scheme)
     return Demo(
         name="example6",

@@ -10,13 +10,14 @@ which the mixture form might suggest) and unauthorized subsets at exactly
 by tensor product.
 
 The scheme's table size sets the cost of everything after it, so each ray
-is planned before anything is built.  The candidates are the XOR scheme,
-with 2**sum(|S| - 1) atoms over the minimal sets S, and, when U is the
-k-of-T threshold up-set (its minimal sets are all C(|T|, k) k-subsets of
-their union T), a Shamir scheme over GF(q), q the smallest prime above
-|T|, with q**(k - 1) atoms.  The smaller table is built; ties go to XOR.
-Synthesis multiplies the planned sizes into the exact sigma support size
-and refuses a target above MAX_SIGMA_ATOMS before building any table.
+is planned before anything is built.  The candidates are the XOR scheme
+and, when U is the k-of-T threshold up-set (its minimal sets are all
+C(|T|, k) k-subsets of their union T), a Shamir scheme over GF(q), q the
+smallest prime above |T|.  Each candidate's size is q**R, read from the
+same linear layout its builder enumerates; the smaller table is built,
+ties going to XOR.  Synthesis multiplies the planned sizes into the exact
+sigma support size and refuses a target above MAX_SIGMA_ATOMS before
+building any table.
 
 The weight is exact from the start: p = 1 / 2**lam for integer lam, so
 entries come out machine-exact, and otherwise p is the double nearest
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import itemgetter, or_
 from typing import NamedTuple
 
@@ -48,9 +49,11 @@ from .cone import (
 from .lattice import UpSet, mask_label, subsets_in_order
 from .schemes import (
     Scheme,
+    dnf_layout,
     dnf_scheme,
     scheme_state_pair,
     smallest_prime_above,
+    threshold_layout,
     weighted_threshold_scheme,
 )
 from .states import StatePair, point_pair, re_vector, tensor
@@ -86,18 +89,23 @@ class RayPlan(NamedTuple):
 
 def _candidates(u: UpSet):
     """(kind, exact table atoms, builder) for each scheme that realizes u,
-    XOR first; the builders look the constructions up at call time."""
+    XOR first.  A table has q**R atoms over its layout's field GF(q) and R
+    random symbols; the builders look the constructions up at call time."""
+    q, _, r = dnf_layout(u)
+    yield "xor", q ** r, lambda: dnf_scheme(u)
     minimal = u.minimal_sets()
-    yield "xor", 2 ** sum(m.bit_count() - 1 for m in minimal), lambda: dnf_scheme(u)
     k = minimal[0].bit_count()
     group = reduce(or_, minimal)
     if all(m.bit_count() == k for m in minimal) and len(minimal) == math.comb(group.bit_count(), k):
-        q = smallest_prime_above(group.bit_count())
         allocation = [group >> i & 1 for i in range(u.n)]
-        yield "shamir", q ** (k - 1), lambda: weighted_threshold_scheme(u.n, allocation, k, q)
+        q, _, r = threshold_layout(allocation, k, smallest_prime_above(group.bit_count()))
+        yield "shamir", q ** r, lambda: weighted_threshold_scheme(u.n, allocation, k, q)
 
 
+@lru_cache(maxsize=256)
 def _plan(u: UpSet):
+    """The chosen plan and its builder; cached, as synthesize plans every
+    ray for its budget and realize_ray plans it again."""
     candidates = list(_candidates(u))
     kind, atoms, build = min(candidates, key=itemgetter(1))  # first minimum: ties go to XOR
     return RayPlan(kind, atoms, tuple(c[:2] for c in candidates)), build

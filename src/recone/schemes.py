@@ -1,27 +1,25 @@
-"""Classical secret-sharing schemes for a single bit.
+"""Classical secret-sharing schemes for a single bit, all linear.
 
 A scheme fixes a register layout (each party holds an ordered list of
 share slots) and, for each secret value b in {0, 1}, an exact uniform
 JointDistribution over share assignments: every share tuple has weight 1
 over the table size.  In those distributions a party's symbol is its
-slot values in mixed radix, first slot most significant.  Three
-constructions are provided:
+slot values in mixed radix, first slot most significant.
 
-* Shamir threshold tables over a prime field, with a weighted variant
-  that hands several consecutive shares to one party;
+Every scheme here is linear (a monotone span program): each slot holds a
+linear form c0*b + c1*r1 + ... + cR*rR over GF(q) in the secret and R
+uniform random symbols.  One builder, linear_scheme, takes the forms and
+enumerates each table as the image of GF(q)^R, so a table has exactly
+q**R atoms whenever the layout is injective.  Two layouts feed it:
+
+* Shamir threshold sharing over a prime field, in a weighted variant
+  that hands several consecutive shares to one party: share x holds
+  b + r1*x + ... + r(k-1)*x**(k-1), so q**(k - 1) atoms;
 * a per-minimal-set XOR construction that realizes an arbitrary access
-  structure: each minimal authorized set gets its own independent
-  all-or-nothing additive sharing over GF(2);
-* a per-minimal-set threshold variant where every clause of size m runs
-  an (m, m) Shamir scheme over the smallest prime above m.
+  structure: each minimal authorized set S gets its own independent
+  all-or-nothing additive sharing over GF(2), so 2**sum(|S| - 1) atoms.
 
-Ray realization (recone.realize) builds, per ray, the smaller of two:
-the XOR construction, with 2**sum(|S| - 1) atoms over the minimal sets S,
-and, for a k-of-T threshold up-set, the weighted Shamir scheme with one
-share per party of T and none elsewhere, with q**(k - 1) atoms over
-GF(q), q the smallest prime above |T|.  The per-clause threshold variant
-is never smaller than XOR (p**(m - 1) >= 2**(m - 1) per clause), so only
-the demos use it.
+Ray realization (recone.realize) reads a candidate's size from its layout.
 
 An exhaustive auditor checks the defining property subset by subset
 against an up-set of authorized groups: authorized groups see disjoint
@@ -34,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, islice
 
 from .lattice import UpSet, mask_label, parties
 from .states import JointDistribution, StatePair, marginal, mix
@@ -56,48 +54,6 @@ def smallest_prime_above(m: int) -> int:
     while not is_prime(p):
         p += 1
     return p
-
-
-def shamir_table(p: int, k: int, m: int, b: int) -> list[tuple[int, ...]]:
-    """All share tuples (y(1), ..., y(m)) of the degree-(k-1) polynomials
-    with constant term b over GF(p); exactly p^(k-1) tuples, uniform.
-    """
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    if p <= m:
-        raise ValueError(f"need p > share count for distinct evaluation points, got p={p}, m={m}")
-    if not 1 <= k <= m:
-        raise ValueError(f"threshold must satisfy 1 <= k <= {m}, got {k}")
-    if b not in (0, 1):
-        raise ValueError(f"secret must be a bit, got {b}")
-    tuples = []
-    for coeffs in product(range(p), repeat=k - 1):
-        shares = []
-        for x in range(1, m + 1):
-            y = b
-            power = 1
-            for a in coeffs:
-                power = power * x % p
-                y += a * power
-            shares.append(y % p)
-        tuples.append(tuple(shares))
-    return tuples
-
-
-def xor_share_table(m: int, b: int) -> list[tuple[int, ...]]:
-    """All-or-nothing additive sharing of a bit among m slots: the first
-    m - 1 slots are free and the last carries the parity."""
-    if m < 1:
-        raise ValueError("need at least one slot")
-    if b not in (0, 1):
-        raise ValueError(f"secret must be a bit, got {b}")
-    out = []
-    for free in product((0, 1), repeat=m - 1):
-        parity = b
-        for r in free:
-            parity ^= r
-        out.append(free + (parity,))
-    return out
 
 
 @dataclass(frozen=True)
@@ -131,78 +87,98 @@ class Scheme:
         return self.distributions[b].atoms
 
 
-def weighted_threshold_scheme(n: int, allocation, k: int, p: int) -> Scheme:
+def linear_scheme(n: int, q: int, slots, randomness: int) -> Scheme:
+    """Scheme whose slots hold linear forms over GF(q), q prime.
+
+    slots[i] lists party i+1's slots, each a coefficient tuple
+    (c0, c1, ..., cR) for the slot value c0*b + c1*r1 + ... + cR*rR mod q,
+    R = randomness.  Table b lists the share tuples of all (r1, ..., rR)
+    in GF(q)^R, each with weight 1; a layout that maps two of them to one
+    tuple is refused as a duplicate.  A party with no slot holds one
+    degenerate (1,) register.
+    """
+    if len(slots) != n:
+        raise ValueError(f"need one slot list per party, got {len(slots)} for n={n}")
+    for form in chain.from_iterable(slots):
+        if len(form) != randomness + 1:
+            raise ValueError(f"form {tuple(form)} needs {randomness + 1} coefficients")
+    registers = tuple((q,) * len(forms) or (1,) for forms in slots)
+    sizes = tuple(q ** len(forms) for forms in slots)
+    rows = q ** randomness
+    shifted = {}  # c -> v -> [v + t*c mod q for t in GF(q)]
+    columns = []
+    for forms in slots:
+        packed = [0] * 2 * rows
+        for c0, *coeffs in forms:
+            # column by column over (b, r1, ..., rR), b most significant:
+            # the values for r1..rj are those for r1..r(j-1), each
+            # followed by its q shifts by t*cj
+            values = [0, c0 % q]
+            for c in coeffs:
+                c %= q
+                if c not in shifted:
+                    shifted[c] = [[(v + t * c) % q for t in range(q)] for v in range(q)]
+                values = list(chain.from_iterable(map(shifted[c].__getitem__, values)))
+            packed = [p * q + v for p, v in zip(packed, values)]
+        columns.append(packed)
+    atoms = [(sym, 1) for sym in zip(*columns)]
+    return Scheme(registers, tuple(JointDistribution(n, sizes, atoms[b * rows:(b + 1) * rows], rows)
+                                   for b in (0, 1)))
+
+
+def threshold_layout(allocation, k: int, q: int):
+    """(q, slots, R) of the k-out-of-m Shamir scheme over GF(q) whose
+    m = sum(allocation) shares go to the parties in consecutive runs:
+    share x = 1..m holds b + r1*x + ... + r(k-1)*x**(k-1)."""
+    m = sum(allocation)
+    if any(a < 0 for a in allocation):
+        raise ValueError(f"need nonnegative share counts, got {tuple(allocation)}")
+    if not is_prime(q):
+        raise ValueError(f"modulus {q} is not prime")
+    if q <= m:
+        raise ValueError(f"need q > share count for distinct evaluation points, got q={q}, m={m}")
+    if not 1 <= k <= m:
+        raise ValueError(f"threshold must satisfy 1 <= k <= {m}, got {k}")
+    points = iter(range(1, m + 1))
+    slots = [[tuple(pow(x, j, q) for j in range(k)) for x in islice(points, a)]
+             for a in allocation]
+    return q, slots, k - 1
+
+
+def weighted_threshold_scheme(n: int, allocation, k: int, q: int) -> Scheme:
     """Shamir scheme whose m = sum(allocation) shares go to the parties in
     consecutive runs; a group is authorized iff its share count reaches k.
     A party allocated no share holds one degenerate (1,) register, as in
     the XOR construction for a party outside every clause.
     """
-    allocation = tuple(allocation)
-    if len(allocation) != n or any(a < 0 for a in allocation):
-        raise ValueError(f"need one nonnegative share count per party, got {allocation}")
-    registers = tuple((p,) * a if a else (1,) for a in allocation)
-    sizes = tuple(p ** a for a in allocation)
-    distributions = []
-    for b in (0, 1):
-        raw = shamir_table(p, k, sum(allocation), b)
-        atoms = []
-        for shares in raw:
-            rest = iter(shares)
-            sym = []
-            for a in allocation:
-                flat = 0
-                for _ in range(a):
-                    flat = flat * p + next(rest)
-                sym.append(flat)
-            atoms.append((tuple(sym), 1))
-        distributions.append(JointDistribution(n, sizes, tuple(atoms), len(atoms)))
-    return Scheme(registers, tuple(distributions))
+    return linear_scheme(n, *threshold_layout(tuple(allocation), k, q))
 
 
-def _clause_scheme(u: UpSet, clause_table, clause_alphabet) -> Scheme:
-    """Product of independent per-clause sharings, one clause per minimal
-    authorized set.  Within a clause, shares go to its members in
-    ascending party order; parties outside every clause keep a single
-    degenerate register so each party always holds something.
-    """
-    members = [parties(c) for c in u.minimal_sets()]
-    alphabets = [clause_alphabet(len(mem)) for mem in members]
-    registers: list[list[int]] = [[] for _ in range(u.n)]
-    for mem, alphabet in zip(members, alphabets):
-        for party in mem:
-            registers[party - 1].append(alphabet)
-    registers = tuple(tuple(r) or (1,) for r in registers)
-    sizes = tuple(math.prod(r) for r in registers)
-    distributions = []
-    for b in (0, 1):
-        per_clause = [clause_table(len(mem), b) for mem in members]
-        symbols = []
-        for combo in product(*per_clause):
-            sym = [0] * u.n
-            for mem, alphabet, shares in zip(members, alphabets, combo):
-                for party, share in zip(mem, shares):
-                    sym[party - 1] = sym[party - 1] * alphabet + share
-            symbols.append(tuple(sym))
-        atoms = tuple((sym, 1) for sym in symbols)
-        distributions.append(JointDistribution(u.n, sizes, atoms, len(atoms)))
-    return Scheme(registers, tuple(distributions))
+def dnf_layout(u: UpSet):
+    """(2, slots, R) of the XOR construction: per minimal set, its members
+    but the last, in ascending party order, each hold a fresh bit, and the
+    last holds the secret plus those bits.  A party outside every clause
+    holds no slot."""
+    clauses = [parties(m) for m in u.minimal_sets()]
+    randomness = sum(len(c) - 1 for c in clauses)
+    slots = [[] for _ in range(u.n)]
+    used = 0
+    for *free, last in clauses:
+        parity = [1] + [0] * randomness
+        for party in free:
+            used += 1
+            form = [0] * (randomness + 1)
+            form[used] = parity[used] = 1
+            slots[party - 1].append(form)
+        slots[last - 1].append(parity)
+    return 2, slots, randomness
 
 
 def dnf_scheme(u: UpSet) -> Scheme:
     """XOR construction: an independent all-or-nothing GF(2) sharing per
     minimal authorized set.  Realizes exactly the given up-set.
     """
-    return _clause_scheme(u, xor_share_table, lambda m: 2)
-
-
-def threshold_clause_scheme(u: UpSet) -> Scheme:
-    """Threshold construction: every minimal set of size m runs its own
-    (m, m) Shamir scheme over GF(smallest prime above m)."""
-
-    def table(m, b):
-        return shamir_table(smallest_prime_above(m), m, m, b)
-
-    return _clause_scheme(u, table, smallest_prime_above)
+    return linear_scheme(u.n, *dnf_layout(u))
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,12 @@ from test_states import binary_entropy
 
 from recone.cli import main as cli_main
 from recone.cone import REVector, check_membership
-from recone.lattice import enumerate_upsets, proper_submasks, subsets_in_order, upward_closure
+from recone.lattice import enumerate_upsets, proper_submasks, subsets_in_order
 from recone.realize import realize_ray, synthesize, verify
 from recone.schemes import (
     dnf_scheme,
+    linear_scheme,
     scheme_state_pair,
-    threshold_clause_scheme,
     verify_scheme,
     weighted_threshold_scheme,
 )
@@ -56,8 +56,9 @@ def test_criterion_1_weighted_gf5_regression():
 
 def test_criterion_2_two_clause_gf3_regression():
     t0 = time.perf_counter()
-    structure = upward_closure({0b0011, 0b1100}, 4)
-    pair = scheme_state_pair(threshold_clause_scheme(structure))
+    # one (2, 2) Shamir clause over GF(3) on AB and one on CD
+    clauses = [[(1, 1, 0)], [(1, 2, 0)], [(1, 0, 1)], [(1, 0, 2)]]
+    pair = scheme_state_pair(linear_scheme(4, 3, clauses, 2))
     vec = re_vector(pair)
     target = (0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
     worst = max(abs(a - t) for a, t in zip(vec.values, target))

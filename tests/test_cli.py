@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -247,11 +248,19 @@ def test_demo_example6_atom_listings(capsys):
     assert sigma_bc == rho_bc
 
 
+DEMO_SHA256 = {
+    "example5": "b690ea816829c2eb535fc75c57bdb48ce0fe0054bab712b587b309fee801955d",
+    "example6": "0e1ad25d37ceb5ebd47873aa632d504005246118566eae7f4f559f1e43dc3076",
+}
+
+
 def test_demo_output_byte_stable(capsys):
-    main(["demo", "example6"])
-    first = capsys.readouterr().out
-    main(["demo", "example6"])
-    assert capsys.readouterr().out == first
+    for name, digest in DEMO_SHA256.items():
+        main(["demo", name])
+        first = capsys.readouterr().out
+        assert hashlib.sha256(first.encode()).hexdigest() == digest, name
+        main(["demo", name])
+        assert capsys.readouterr().out == first
 
 
 def test_module_invocation_smoke():

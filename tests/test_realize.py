@@ -19,7 +19,7 @@ from recone.realize import (
     synthesize,
     verify,
 )
-from recone.schemes import dnf_scheme, verify_scheme
+from recone.schemes import verify_scheme
 from recone.states import JointDistribution, StatePair, re_vector
 
 RAY6 = upward_closure({0b001, 0b110}, 3)
@@ -250,9 +250,27 @@ def test_planned_scheme_is_the_smallest_exact_scheme(u):
 
 
 def test_xor_size_prediction_matches_built_tables():
-    # the chosen scheme's size is checked above; this covers XOR where it loses
+    # every candidate, the losing ones too (XOR for 2-of-3, Shamir for 2-of-2)
     for u in SMALL_UPSETS:
-        assert len(dnf_scheme(u).table(0)) == dict(plan_ray(u).candidates)["xor"]
+        for kind, atoms, build in realize._candidates(u):
+            scheme = build()
+            assert len(scheme.table(0)) == len(scheme.table(1)) == atoms, (kind, u)
+            assert (kind, atoms) in plan_ray(u).candidates
+
+
+def test_synthesize_plans_each_upset_once(monkeypatch):
+    calls, rays = [], []
+    candidates, realize_one = realize._candidates, realize.realize_ray
+    monkeypatch.setattr(realize, "_candidates", lambda u: calls.append(u) or candidates(u))
+    monkeypatch.setattr(realize, "realize_ray", lambda u, lam: rays.append(u) or realize_one(u, lam))
+    realize._plan.cache_clear()
+    target = REVector(3, (0, 0, 0, 2, 2, 2, 3))  # two rays: ABC and 2-of-3
+    upsets = [u for _, u in synthesize(target).decomposition.terms]
+    assert len(upsets) == 2
+    assert sorted(calls, key=repr) == sorted(upsets, key=repr)
+    assert rays == upsets  # one realize_ray call, the traced span, per ray
+    synthesize(target)
+    assert len(calls) == 2 and len(rays) == 4
 
 
 def test_planner_changes_only_strictly_smaller_threshold_rays():

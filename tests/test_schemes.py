@@ -8,14 +8,12 @@ from recone.schemes import (
     Scheme,
     dnf_scheme,
     is_prime,
+    linear_scheme,
     party_digits,
     scheme_state_pair,
-    shamir_table,
     smallest_prime_above,
-    threshold_clause_scheme,
     verify_scheme,
     weighted_threshold_scheme,
-    xor_share_table,
 )
 from recone.states import JointDistribution, marginal, re_vector
 
@@ -24,6 +22,8 @@ AB, BC = 0b011, 0b110
 
 RAY6_STRUCTURE = upward_closure({A, BC}, 3)
 TWO_PAIRS_STRUCTURE = upward_closure({0b0011, 0b1100}, 4)
+# two (2, 2) Shamir clauses over GF(3): A = b + r1, B = b + 2 r1, C = b + r2, D = b + 2 r2
+TWO_GF3_CLAUSES = [[(1, 1, 0)], [(1, 2, 0)], [(1, 0, 1)], [(1, 0, 2)]]
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,16 @@ def test_field_arithmetic():
         x + FieldElement(1, 7)
 
 
+def shamir_table(p, k, m, b):
+    """Share tuples, one share per party, of the k-of-m Shamir scheme."""
+    return [sym for sym, _ in weighted_threshold_scheme(m, (1,) * m, k, p).table(b)]
+
+
 def test_shamir_table_gf5():
-    assert shamir_table(5, 2, 4, 0) == [
-        (0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 1, 3), (3, 1, 4, 2), (4, 3, 2, 1)]
-    assert shamir_table(5, 2, 4, 1) == [
-        (1, 1, 1, 1), (2, 3, 4, 0), (3, 0, 2, 4), (4, 2, 0, 3), (0, 4, 3, 2)]
+    assert shamir_table(5, 2, 4, 0) == sorted([
+        (0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 1, 3), (3, 1, 4, 2), (4, 3, 2, 1)])
+    assert shamir_table(5, 2, 4, 1) == sorted([
+        (1, 1, 1, 1), (2, 3, 4, 0), (3, 0, 2, 4), (4, 2, 0, 3), (0, 4, 3, 2)])
 
 
 def test_shamir_table_constant_polynomial():
@@ -112,13 +117,25 @@ def test_shamir_table_constant_polynomial():
 
 def test_shamir_table_parameter_errors():
     with pytest.raises(ValueError):
-        shamir_table(4, 2, 3, 0)  # not prime
+        weighted_threshold_scheme(3, (1, 1, 1), 2, 4)  # not prime
     with pytest.raises(ValueError):
-        shamir_table(5, 2, 5, 0)  # p <= m
+        weighted_threshold_scheme(3, (2, 2, 1), 2, 5)  # q <= share count
     with pytest.raises(ValueError):
-        shamir_table(5, 0, 4, 0)
+        weighted_threshold_scheme(4, (1, 1, 1, 1), 0, 5)
     with pytest.raises(ValueError):
-        shamir_table(5, 2, 4, 2)
+        weighted_threshold_scheme(2, (1, 1), 3, 5)  # k above the share count
+    with pytest.raises(ValueError):
+        weighted_threshold_scheme(2, (1, -1), 1, 5)
+    with pytest.raises(ValueError):
+        weighted_threshold_scheme(3, (1, 1), 1, 5)  # no count for party three
+
+
+def test_linear_scheme_rejects_bad_layouts():
+    with pytest.raises(ValueError, match="needs 2 coefficients"):
+        linear_scheme(2, 3, [[(1, 1)], [(1, 2, 0)]], 1)
+    # r2 reaches no slot, so every share tuple comes up twice
+    with pytest.raises(ValueError, match="duplicate symbol tuple"):
+        linear_scheme(2, 2, [[(1, 1, 0)], [(1, 0, 0)]], 2)
 
 
 @pytest.mark.parametrize("p,k,m", [(5, 2, 4), (7, 3, 5), (3, 2, 2)])
@@ -149,9 +166,13 @@ def test_shamir_correctness(p, k, m):
 
 
 def test_xor_share_table():
+    # all-or-nothing sharing among m parties: the m-of-m XOR scheme
+    def xor_share_table(m, b):
+        return [sym for sym, _ in dnf_scheme(upward_closure({(1 << m) - 1}, m)).table(b)]
+
     assert xor_share_table(1, 1) == [(1,)]
-    assert sorted(xor_share_table(2, 0)) == [(0, 0), (1, 1)]
-    assert sorted(xor_share_table(3, 1)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
+    assert xor_share_table(2, 0) == [(0, 0), (1, 1)]
+    assert xor_share_table(3, 1) == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
 
 
 def test_weighted_scheme_matches_ray6_structure():
@@ -227,7 +248,7 @@ def test_dnf_scheme_exhaustive_small(n):
 
 
 def test_threshold_clause_scheme_matches_printed_tables():
-    scheme = threshold_clause_scheme(TWO_PAIRS_STRUCTURE)
+    scheme = linear_scheme(4, 3, TWO_GF3_CLAUSES, 2)
     assert scheme.registers == ((3,), (3,), (3,), (3,))
     atoms0 = sorted(sym for sym, _ in scheme.table(0))
     assert atoms0 == [
@@ -245,13 +266,13 @@ def test_threshold_clause_scheme_matches_printed_tables():
 
 
 def test_threshold_clause_scheme_vector():
-    pair = scheme_state_pair(threshold_clause_scheme(TWO_PAIRS_STRUCTURE))
+    pair = scheme_state_pair(linear_scheme(4, 3, TWO_GF3_CLAUSES, 2))
     assert re_vector(pair).values == (
         0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_threshold_clause_pair_marginals():
-    pair = scheme_state_pair(threshold_clause_scheme(TWO_PAIRS_STRUCTURE))
+    pair = scheme_state_pair(linear_scheme(4, 3, TWO_GF3_CLAUSES, 2))
     rho_ab = marginal(pair.rho, 0b0011)
     assert rho_ab.atoms == (((0, 0), 1), ((1, 2), 1), ((2, 1), 1))
     assert rho_ab.denominator == 3
