@@ -33,6 +33,7 @@ from .realize import (
     RealizationError,
     RealizationResult,
     VerificationReport,
+    dense_pair,
     realize_ray,
     synthesize,
     verify,
@@ -47,6 +48,7 @@ from .schemes import (
 )
 from .states import (
     JointDistribution,
+    ProductPair,
     StatePair,
     marginal,
     mix,

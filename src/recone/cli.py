@@ -25,7 +25,7 @@ from .jsonio import (
     verification_report_to_json,
 )
 from .lattice import enumerate_upsets, mask_label, permutation_classes, subsets_in_order
-from .realize import RealizationError, describe_deviation, synthesize, verify
+from .realize import RealizationError, dense_pair, describe_deviation, synthesize, verify
 from .states import re_vector
 
 
@@ -94,8 +94,9 @@ def _cmd_decompose(args) -> int:
 def _cmd_synthesize(args) -> int:
     vector = vector_from_json(_load_json(args.file))
     result = synthesize(vector)
+    pair = dense_pair(result.pair) if args.dense else result.pair
     with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(pair_to_json(result.pair), handle, indent=2)
+        json.dump(pair_to_json(pair), handle, indent=2)
         handle.write("\n")
     _emit(realization_to_json(result))
     return 0
@@ -147,9 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="realize a vector file as a state pair")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True, help="where to write the pair JSON")
+    p.add_argument("--dense", action="store_true",
+                   help="write the tensor product as one pair instead of one factor per ray")
     p.set_defaults(handler=_cmd_synthesize)
 
-    p = sub.add_parser("relent", help="relative-entropy vector of a state-pair file")
+    p = sub.add_parser("relent", help="relative-entropy vector of a state-pair file, "
+                                      "dense or factored")
     p.add_argument("file")
     p.set_defaults(handler=_cmd_relent)
 

@@ -6,11 +6,17 @@ Vector files look like
 
 with parties as sorted 1-based arrays and every nonempty subset present
 exactly once; "value" may be the string "inf" (membership checks only).
-State-pair files carry exact rationals as decimal strings:
+State-pair files carry exact rationals as decimal strings.  A dense
+pair is one object:
 
     {"n": 2, "alphabet_sizes": [2, 2],
      "rho":   [{"symbols": [0, 0], "p": {"num": "1", "den": "2"}}, ...],
      "sigma": [...]}
+
+and a factored pair, the tensor product of its factors, lists dense pair
+objects of the same n (none for the zero vector):
+
+    {"n": 2, "factors": [{"n": 2, "alphabet_sizes": [2, 2], ...}, ...]}
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import math
 from .cone import MembershipReport, RayDecomposition, REVector, Violation
 from .lattice import mask_label, mask_of, parties, subsets_in_order
 from .realize import RealizationResult, VerificationReport
-from .states import JointDistribution, StatePair
+from .states import JointDistribution, ProductPair, StatePair
 
 
 def _require(condition: bool, message: str) -> None:
@@ -116,14 +122,37 @@ def _distribution_from_json(doc, n: int, sizes) -> JointDistribution:
                                              for sym, num, den in atoms), common)
 
 
-def pair_to_json(pair: StatePair) -> dict:
+def pair_to_json(pair: StatePair | ProductPair) -> dict:
+    if isinstance(pair, ProductPair):
+        return {"n": pair.n, "factors": [pair_to_json(f) for f in pair.factors]}
     return {"n": pair.n,
             "alphabet_sizes": list(pair.rho.alphabet_sizes),
             "rho": _distribution_to_json(pair.rho),
             "sigma": _distribution_to_json(pair.sigma)}
 
 
-def pair_from_json(doc) -> StatePair:
+def pair_from_json(doc) -> StatePair | ProductPair:
+    """A dense pair object as a StatePair, a factored one as a
+    ProductPair whose factors pass every check of a dense pair."""
+    n = _party_count(doc)
+    if "factors" not in doc:
+        return _dense_pair_from_json(doc)
+    _require(doc.keys() == {"n", "factors"},
+             f"a factored pair holds exactly 'n' and 'factors', got {sorted(doc)}")
+    factors = doc["factors"]
+    _require(isinstance(factors, list), "'factors' must be a list of pair objects")
+    pairs = []
+    for i, item in enumerate(factors, start=1):
+        try:
+            pair = _dense_pair_from_json(item)
+        except ValueError as err:
+            raise ValueError(f"factor {i}: {err}") from None
+        _require(pair.n == n, f"factor {i} has n = {pair.n} but the file has n = {n}")
+        pairs.append(pair)
+    return ProductPair(n, tuple(pairs))
+
+
+def _dense_pair_from_json(doc) -> StatePair:
     n = _party_count(doc)
     sizes = doc.get("alphabet_sizes")
     _require(isinstance(sizes, list) and len(sizes) == n

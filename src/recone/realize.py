@@ -6,8 +6,10 @@ weight-p mix of the two tables with p = 2**(-lam).  Authorized subsets
 then sit at exactly -log2(p) bits (the two tables never collide, so the
 cross term vanishes; note this is -log2(p), not the binary entropy of p,
 which the mixture form might suggest) and unauthorized subsets at exactly
-0.  General members decompose into nested rays whose realizations combine
-by tensor product.
+0.  General members decompose into nested rays whose realizations are
+kept as factors of a ProductPair: relative entropies add over tensor
+products, so the achieved vector is the sum of the rays' vectors and the
+product itself is built only on request, by dense_pair.
 
 The scheme's table size sets the cost of everything after it, so each ray
 is planned before anything is built.  The candidates are the XOR scheme
@@ -15,9 +17,10 @@ and, when U is the k-of-T threshold up-set (its minimal sets are all
 C(|T|, k) k-subsets of their union T), a Shamir scheme over GF(q), q the
 smallest prime above |T|.  Each candidate's size is q**R, read from the
 same linear layout its builder enumerates; the smaller table is built,
-ties going to XOR.  Synthesis multiplies the planned sizes into the exact
-sigma support size and refuses a target above MAX_SIGMA_ATOMS before
-building any table.
+ties going to XOR.  Synthesis refuses a target, before building any
+table, when one ray's sigma (twice its planned table) exceeds
+MAX_SIGMA_ATOMS; dense_pair refuses, before tensoring, when the product
+of the factors' sigma supports does.
 
 The weight is exact from the start: p = 1 / 2**lam for integer lam, so
 entries come out machine-exact, and otherwise p is the double nearest
@@ -56,18 +59,19 @@ from .schemes import (
     threshold_layout,
     weighted_threshold_scheme,
 )
-from .states import StatePair, point_pair, re_vector, tensor
+from .states import ProductPair, StatePair, re_vector, tensor
 
 #: largest ray coefficient in bits: 2**-1074 is the smallest positive double
 MAX_RAY_BITS = 1074
-#: largest sigma support synthesize builds: at about 620 bytes of peak
-#: memory per sigma atom (780 with the pair JSON), some 0.65 to 0.8 GB
+#: largest sigma support built at once: one ray's sigma under synthesize,
+#: the whole product under dense_pair.  At about 620 bytes of peak memory
+#: per sigma atom (780 with the pair JSON), some 0.65 to 0.8 GB
 MAX_SIGMA_ATOMS = 1 << 20
 
 
 class RealizationError(ValueError):
-    """Synthesis refused: the predicted support exceeds the budget, or the
-    pair missed the target beyond the allowed tolerance."""
+    """Synthesis refused: a predicted sigma support exceeds the budget, or
+    the pair missed the target beyond the allowed tolerance."""
 
 
 def _dyadic_weight(lam) -> Fraction:
@@ -121,11 +125,26 @@ def ray_scheme(u: UpSet) -> Scheme:
     return _plan(u)[1]()
 
 
+def _budgeted_plan(u: UpSet) -> RayPlan:
+    """plan_ray(u), refused, naming u, when the ray's sigma, twice its
+    table, would exceed MAX_SIGMA_ATOMS."""
+    plan = plan_ray(u)
+    if 2 * plan.table_atoms > MAX_SIGMA_ATOMS:
+        sets = ", ".join(mask_label(m) for m in u.minimal_sets())
+        raise RealizationError(
+            f"ray with minimal sets {{{sets}}} plans a {plan.kind} table of "
+            f"{plan.table_atoms} atoms: its sigma of {2 * plan.table_atoms} atoms "
+            f"exceeds the budget of {MAX_SIGMA_ATOMS} atoms")
+    return plan
+
+
 def realize_ray(u: UpSet, lam) -> StatePair:
     """State pair, built from the planned scheme, whose relative-entropy
     vector is lam times the indicator of u, up to the rounding of the
-    mixing weight 2**(-lam) to a double."""
+    mixing weight 2**(-lam) to a double.  Raises RealizationError before
+    building when the ray's sigma would exceed MAX_SIGMA_ATOMS."""
     weight = _dyadic_weight(lam)
+    _budgeted_plan(u)
     return scheme_state_pair(ray_scheme(u), weight)
 
 
@@ -172,7 +191,7 @@ def _compare(v: REVector, achieved: REVector, tol: float) -> VerificationReport:
                               passed=bool(max_err <= tol and recheck.member))
 
 
-def verify(v: REVector, pair: StatePair, tol: float = TOL) -> VerificationReport:
+def verify(v: REVector, pair: StatePair | ProductPair, tol: float = TOL) -> VerificationReport:
     """Recompute the pair's relative-entropy vector and compare to v.
 
     Reports the per-subset deviation, the worst deviation, and whether
@@ -188,13 +207,14 @@ class RealizationResult:
     target: REVector
     decomposition: RayDecomposition
     plans: tuple[RayPlan, ...]  # one per decomposition term
-    pair: StatePair
+    pair: ProductPair  # one factor per decomposition term
     achieved: REVector
     max_abs_error: float
 
     @property
     def sigma_atoms(self) -> int:
-        """Predicted sigma support size; equals len(pair.sigma.atoms)."""
+        """Sigma support size of the dense product; equals
+        len(dense_pair(pair).sigma.atoms), which need not be built."""
         return sigma_atoms(self.plans)
 
 
@@ -204,25 +224,34 @@ def sigma_atoms(plans) -> int:
     return math.prod(2 * plan.table_atoms for plan in plans)
 
 
+def dense_pair(pair: ProductPair) -> StatePair:
+    """The tensor product of pair's factors as one StatePair, folded with
+    tensor from the first factor; the audit path.  Raises RealizationError
+    before tensoring when the product's sigma support, the product of the
+    factors' supports, exceeds MAX_SIGMA_ATOMS."""
+    predicted = math.prod(len(f.sigma.atoms) for f in pair.factors)
+    if predicted > MAX_SIGMA_ATOMS:
+        raise RealizationError(f"predicted sigma support of {predicted} atoms exceeds "
+                               f"the budget of {MAX_SIGMA_ATOMS} atoms")
+    if not pair.factors:
+        return StatePair(pair.rho, pair.sigma)  # the one-atom pair
+    return reduce(tensor, pair.factors)
+
+
 def synthesize(v: REVector) -> RealizationResult:
     """Build and check a state pair realizing a finite cone member.
 
     Decomposes v over its level sets, plans a scheme per nested ray,
-    realizes each ray, tensors the realizations together and recomputes
-    the achieved vector.  Raises RealizationError before building anything
-    when the predicted sigma support exceeds MAX_SIGMA_ATOMS, and, naming
-    the worst subset, unless the achieved vector passes verification
-    against v with tolerance TOL.
+    realizes each ray as one factor of a ProductPair and sums the factors'
+    vectors into the achieved vector.  Raises RealizationError before
+    building anything when one ray's sigma would exceed MAX_SIGMA_ATOMS,
+    naming that ray, and, naming the worst subset, unless the achieved
+    vector passes verification against v with tolerance TOL.
     """
     decomposition = layer_cake_decompose(v)  # also enforces membership
-    plans = tuple(plan_ray(upset) for _, upset in decomposition.terms)
-    predicted = sigma_atoms(plans)
-    if predicted > MAX_SIGMA_ATOMS:
-        raise RealizationError(f"predicted sigma support of {predicted} atoms exceeds "
-                               f"the budget of {MAX_SIGMA_ATOMS} atoms")
-    pair = point_pair(v.n)
-    for coeff, upset in decomposition.terms:
-        pair = tensor(pair, realize_ray(upset, coeff))
+    plans = tuple(_budgeted_plan(upset) for _, upset in decomposition.terms)
+    pair = ProductPair(v.n, tuple(realize_ray(upset, coeff)
+                                  for coeff, upset in decomposition.terms))
     achieved = re_vector(pair)
     report = _compare(v, achieved, TOL)
     if not report.passed:

@@ -7,6 +7,8 @@ over one common denominator.  Probabilities stay exact through
 marginalization, mixing and tensor products, which add and multiply
 integers only; base-2 logs are taken in double precision only at the very
 end, after atoms with identical likelihood ratio have been pooled exactly.
+A ProductPair stands for a tensor product of pairs and builds it only when
+its rho or sigma is read.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from operator import add, contains, itemgetter
 
 from .cone import REVector
@@ -231,20 +234,53 @@ def tensor(a: StatePair, b: StatePair) -> StatePair:
     return StatePair(_product(a.rho, b.rho), _product(a.sigma, b.sigma))
 
 
-def point_pair(n: int) -> StatePair:
-    """Deterministic rho = sigma pair; its relative-entropy vector is zero."""
-    d = JointDistribution(n, (1,) * n, (((0,) * n, 1),), 1)
-    return StatePair(d, d)
+@dataclass(frozen=True)
+class ProductPair:
+    """The tensor product of state pairs over the same n parties, kept as
+    its factors.  Relative entropies add over tensor products, so its
+    vector is the sum of the factors' vectors; with no factors it is the
+    zero vector.  rho and sigma multiply the product out on every access,
+    with no size check: their supports are the products of the factors'
+    supports, and realize.dense_pair checks that size first."""
+
+    n: int
+    factors: tuple[StatePair, ...]
+
+    def __post_init__(self):
+        factors = tuple(self.factors)
+        object.__setattr__(self, "factors", factors)
+        for i, f in enumerate(factors, start=1):
+            if f.n != self.n:
+                raise ValueError(f"factor {i} has {f.n} parties, the product has {self.n}")
+
+    def _multiply_out(self, side: str) -> JointDistribution:
+        point = JointDistribution._trusted(self.n, (1,) * self.n, (((0,) * self.n, 1),), 1)
+        return reduce(_product, (getattr(f, side) for f in self.factors), point)
+
+    @property
+    def rho(self) -> JointDistribution:
+        return self._multiply_out("rho")
+
+    @property
+    def sigma(self) -> JointDistribution:
+        return self._multiply_out("sigma")
 
 
-def re_vector(pair: StatePair) -> REVector:
+def re_vector(pair: StatePair | ProductPair) -> REVector:
     """All 2^n - 1 relative entropies of the marginal pairs, in bits.
 
-    Each proper subset's marginals are summed from those of its parent,
-    the subset plus its lowest missing party, so every subset is reached
-    once and the full tables are reduced only n times per side.  The walk
-    is depth first, so only one chain of marginals is alive at a time.
+    A ProductPair's vector is the math.fsum, entry by entry, of its
+    factors' vectors.  For a StatePair each proper subset's marginals are
+    summed from those of its parent, the subset plus its lowest missing
+    party, so every subset is reached once and the full tables are
+    reduced only n times per side.  The walk is depth first, so only one
+    chain of marginals is alive at a time.
     """
+    if isinstance(pair, ProductPair):
+        if not pair.factors:
+            return REVector(pair.n, (0.0,) * ((1 << pair.n) - 1))
+        columns = zip(*(re_vector(f).values for f in pair.factors))
+        return REVector(pair.n, tuple(map(math.fsum, columns)))
     values = {}
 
     def walk(mask: int, rho: JointDistribution, sigma: JointDistribution) -> None:

@@ -1,7 +1,12 @@
-"""Shared generators for exact random distributions and state pairs."""
+"""Shared generators for exact random distributions, state pairs and
+cone members."""
 
+import math
+import random
 from itertools import product
 
+from recone.cone import REVector
+from recone.lattice import enumerate_upsets, subsets_in_order
 from recone.states import JointDistribution, StatePair
 
 
@@ -20,3 +25,16 @@ def random_pair(rng, n, sizes, sigma_full_support=False):
     rho = random_distribution(rng, n, sizes)
     sigma = random_distribution(rng, n, sizes, full_support=sigma_full_support)
     return StatePair(rho, sigma)
+
+
+def random_members(seed, n, count):
+    """count cone members at n parties, as acceptance criterion 5 draws
+    them: sums of 1 to 4 distinct random rays, coefficients U(0.1, 3.0)."""
+    rng = random.Random(seed)
+    upsets = enumerate_upsets(n)
+    order = subsets_in_order(n)
+    for _ in range(count):
+        picks = rng.sample(upsets, rng.randint(1, 4))
+        coeffs = [rng.uniform(0.1, 3.0) for _ in picks]
+        yield REVector(n, tuple(math.fsum(c for c, u in zip(coeffs, picks) if mask in u.members)
+                                for mask in order))

@@ -10,12 +10,12 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_distribution, random_pair
+from conftest import random_distribution, random_members, random_pair
 from test_lattice import brute_force_upsets
 from test_states import binary_entropy
 
 from recone.cli import main as cli_main
-from recone.cone import REVector, check_membership
+from recone.cone import check_membership
 from recone.lattice import enumerate_upsets, proper_submasks, subsets_in_order
 from recone.realize import realize_ray, synthesize, verify
 from recone.schemes import (
@@ -121,18 +121,9 @@ def test_criterion_4_exhaustive_realization_n_up_to_4():
 
 
 def test_criterion_5_round_trip_synthesis_n3():
-    rng = random.Random(555)
-    upsets = enumerate_upsets(3)
-    order = subsets_in_order(3)
     t0 = time.perf_counter()
     worst = 0.0
-    for _ in range(100):
-        picks = rng.sample(upsets, rng.randint(1, 4))
-        coeffs = [rng.uniform(0.1, 3.0) for _ in picks]
-        values = tuple(
-            math.fsum(c for c, u in zip(coeffs, picks) if mask in u.members)
-            for mask in order)
-        target = REVector(3, values)
+    for target in random_members(555, 3, 100):
         result = synthesize(target)
         assert verify(target, result.pair, tol=1e-6).passed
         worst = max(worst, result.max_abs_error)

@@ -1,14 +1,17 @@
+import copy
 import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from recone.cli import main
 from recone.cone import REVector, Violation
 from recone.jsonio import pair_to_json, vector_to_json
-from recone.realize import VerificationReport, synthesize
+from recone.lattice import subsets_in_order
+from recone.realize import MAX_SIGMA_ATOMS, VerificationReport, dense_pair, synthesize
 
 RAY6_DOC = vector_to_json(REVector(3, (1, 0, 0, 1, 1, 1, 1)))
 BAD_DOC = vector_to_json(REVector(2, (1, 0, 0.5)))
@@ -149,13 +152,84 @@ def test_synthesize_says_which_scheme_realized_each_ray(tmp_path, capsys):
 
 
 def test_synthesize_over_budget_exits_one(tmp_path, capsys):
+    # the factors fit, so only the dense product is refused
     path = write(tmp_path, "v.json", vector_to_json(REVector(4, tuple(range(1, 16)))))
     out = tmp_path / "pair.json"
-    assert main(["synthesize", path, "-o", str(out)]) == 1
+    assert main(["synthesize", path, "-o", str(out), "--dense"]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert "predicted sigma support of 2814749767106560000 atoms" in error
     assert "budget" in error
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_strictly_monotone_target_through_the_cli(n, tmp_path, capsys):
+    # v_S = sum of 2^i over the parties i of S: one level, so one ray, per subset
+    doc = vector_to_json(REVector(n, subsets_in_order(n)))
+    vec_path = write(tmp_path, "v.json", doc)
+    out_path = str(tmp_path / "pair.json")
+    for argv in (["synthesize", vec_path, "-o", out_path],
+                 ["verify", vec_path, out_path],
+                 ["relent", out_path]):
+        start = time.perf_counter()
+        assert main(argv) == 0, argv
+        assert time.perf_counter() - start < 1, argv
+    out = capsys.readouterr().out
+    assert out.endswith(json.dumps(doc, indent=2) + "\n")  # relent gives v back exactly
+    assert len(json.load(open(out_path))["factors"]) == (1 << n) - 1
+    if n == 4:
+        assert main(["synthesize", vec_path, "-o", out_path, "--dense"]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        predicted = synthesize(REVector(4, subsets_in_order(4))).sigma_atoms
+        assert f"predicted sigma support of {predicted} atoms" in error
+        assert f"budget of {MAX_SIGMA_ATOMS} atoms" in error
+
+
+def test_synthesize_dense_writes_one_pair(tmp_path, capsys):
+    target = REVector(3, (0, 0, 0, 2, 2, 2, 3))  # two rays, 80 sigma atoms
+    vec_path = write(tmp_path, "v.json", vector_to_json(target))
+    out_path = tmp_path / "pair.json"
+    assert main(["synthesize", vec_path, "-o", str(out_path), "--dense"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    written = json.loads(out_path.read_text())
+    assert written == pair_to_json(dense_pair(synthesize(target).pair))
+    assert len(written["sigma"]) == summary["sigma_atoms"] == 80
+    assert main(["verify", vec_path, str(out_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert main(["relent", str(out_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == vector_to_json(target)
+
+
+def _factored_doc(edit):
+    factor = pair_to_json(synthesize(REVector(2, (0, 0, 1))).pair.factors[0])
+    doc = {"n": 2, "factors": [factor, copy.deepcopy(factor)]}
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda d: d.update(n=3), "factor 1 has n = 2"),
+    (lambda d: d.update(factors=d["factors"][0]), "'factors' must be a list"),
+    (lambda d: d.update(rho=d["factors"][0]["rho"]), "exactly 'n' and 'factors'"),
+    (lambda d: d["factors"][1]["rho"][0].update(symbols=[0, 7]), "factor 2: symbol tuple"),
+], ids=["factor-n", "factors-not-list", "factors-and-rho", "bad-atom-in-factor-2"])
+@pytest.mark.parametrize("command", ["relent", "verify"])
+def test_malformed_factored_pair_exits_two(command, edit, needle, tmp_path, capsys):
+    pair_path = write(tmp_path, "pair.json", _factored_doc(edit))
+    vec_path = write(tmp_path, "v.json", vector_to_json(REVector(2, (0, 0, 1))))
+    argv = ["relent", pair_path] if command == "relent" else ["verify", vec_path, pair_path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in json.loads(captured.err)["error"]
+
+
+def test_factored_pair_file_round_trip(tmp_path, capsys):
+    vec_path = write(tmp_path, "v.json", vector_to_json(REVector(2, (0, 0, 1))))
+    pair_path = write(tmp_path, "pair.json", _factored_doc(lambda d: None))
+    assert main(["relent", pair_path]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"][2]["value"] == 2.0
+    assert main(["verify", vec_path, pair_path]) == 1  # two factors of 1 bit each
 
 
 def test_synthesize_refuses_nonmember(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from recone.jsonio import (
 from recone.lattice import enumerate_upsets, upward_closure
 from recone.realize import _dyadic_weight, realize_ray, synthesize, verify
 from recone.schemes import dnf_scheme, scheme_state_pair
-from recone.states import JointDistribution, StatePair
+from recone.states import JointDistribution, ProductPair, StatePair
 
 
 def test_vector_round_trip():
@@ -100,6 +101,26 @@ def test_realize_ray_keeps_xor_pair_except_two_of_three():
     assert planned == [two_of_three]
 
 
+def test_factored_pair_round_trip():
+    result = synthesize(REVector(3, (0, 0, 0, 2, 2, 2, 3)))
+    doc = pair_to_json(result.pair)
+    assert sorted(doc) == ["factors", "n"] and doc["n"] == 3
+    assert doc["factors"] == [pair_to_json(f) for f in result.pair.factors]
+    assert pair_from_json(json.loads(json.dumps(doc))) == result.pair
+    empty = pair_to_json(ProductPair(2, ()))
+    assert empty == {"n": 2, "factors": []}
+    assert pair_from_json(empty) == ProductPair(2, ())
+
+
+def factored(doc, edit):
+    """Turn a dense pair document, in place, into a valid two-factor one,
+    then apply edit to it."""
+    dense = dict(doc)
+    doc.clear()
+    doc.update(n=dense["n"], factors=[dense, copy.deepcopy(dense)])
+    edit(doc)
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.pop("sigma"),
     lambda d: d.update(alphabet_sizes=[2]),
@@ -113,6 +134,10 @@ def test_realize_ray_keeps_xor_pair_except_two_of_three():
     lambda d: d.update(alphabet_sizes=[True, True],  # bools are not sizes
                        rho=[{"symbols": [0, 0], "p": {"num": "1", "den": "1"}}],
                        sigma=[{"symbols": [0, 0], "p": {"num": "1", "den": "1"}}]),
+    lambda d: factored(d, lambda f: f.update(n=3)),  # factors have n = 2
+    lambda d: factored(d, lambda f: f.update(factors=f["factors"][0])),
+    lambda d: factored(d, lambda f: f.update(rho=f["factors"][0]["rho"])),
+    lambda d: factored(d, lambda f: f["factors"][1]["rho"][0].update(symbols=[0, 5])),
 ])
 def test_pair_from_json_rejects_malformed(mutate):
     rho = JointDistribution(2, (2, 2), (((0, 0), 1), ((1, 1), 1)), 2)

@@ -1,17 +1,21 @@
+import hashlib
+import json
 import math
-import random
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_members
 from recone import realize
 from recone.cone import TOL, NotInConeError, REVector
-from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure
+from recone.jsonio import pair_to_json
+from recone.lattice import enumerate_upsets, mask_label, subsets_in_order, upward_closure
 from recone.realize import (
     MAX_SIGMA_ATOMS,
     RealizationError,
+    dense_pair,
     describe_deviation,
     plan_ray,
     ray_scheme,
@@ -20,7 +24,7 @@ from recone.realize import (
     verify,
 )
 from recone.schemes import verify_scheme
-from recone.states import JointDistribution, StatePair, re_vector
+from recone.states import JointDistribution, ProductPair, StatePair, re_vector
 
 RAY6 = upward_closure({0b001, 0b110}, 3)
 
@@ -105,7 +109,9 @@ def test_synthesize_two_level_vector():
 def test_synthesize_zero_vector():
     result = synthesize(REVector(3, (0,) * 7))
     assert result.max_abs_error == 0.0
-    assert result.pair.rho == result.pair.sigma
+    assert result.pair == ProductPair(3, ())
+    dense = dense_pair(result.pair)
+    assert dense.rho == dense.sigma
     assert result.decomposition.terms == ()
 
 
@@ -135,7 +141,8 @@ def test_synthesize_honors_explicit_tolerance():
 def test_level_within_tol_of_zero_synthesizes_to_zero_pair():
     result = synthesize(REVector(2, (0.0, 0.0, 1e-17)))
     assert result.decomposition.terms == ()
-    assert result.pair.rho == result.pair.sigma
+    dense = dense_pair(result.pair)
+    assert dense.rho == dense.sigma
     assert result.max_abs_error == 1e-17
 
 
@@ -179,10 +186,10 @@ def test_verify_passes_on_synthesized_pair():
 
 def test_verify_flags_corrupted_sigma():
     target = REVector(3, (1, 0, 0, 1, 1, 1, 1))
-    result = synthesize(target)
-    rho = result.pair.rho
+    dense = dense_pair(synthesize(target).pair)
+    rho = dense.rho
     # tilt sigma off the half mix: move weight onto rho's first atom
-    sigma = result.pair.sigma
+    sigma = dense.sigma
     first = rho.atoms[0][0]
     bump = Fraction(1, 10)
     scale = 1 - bump
@@ -287,7 +294,8 @@ def test_every_threshold_ray_of_five_synthesizes_exactly(k):
         target = REVector(5, tuple(lam if x else 0 for x in u.indicator_values()))
         result = synthesize(target)
         assert result.achieved.values == tuple(map(float, target.values))
-        assert result.sigma_atoms == len(result.pair.sigma.atoms) == 2 * plan_ray(u).table_atoms
+        assert result.sigma_atoms == len(dense_pair(result.pair).sigma.atoms) == \
+            2 * plan_ray(u).table_atoms
 
 
 def test_result_records_each_rays_scheme():
@@ -296,12 +304,33 @@ def test_result_records_each_rays_scheme():
     assert [(p.kind, p.table_atoms) for p in result.plans] == [("xor", 4), ("shamir", 5)]
     assert result.plans[1].candidates == (("xor", 8), ("shamir", 5))
     assert result.decomposition.terms[1][1] == two_of_three
-    assert result.sigma_atoms == len(result.pair.sigma.atoms) == 80
+    assert result.sigma_atoms == len(dense_pair(result.pair).sigma.atoms) == 80
 
 
 def test_oversized_target_refused_before_building(monkeypatch):
-    # strictly monotone at n = 4: fifteen levels, one nested ray each
+    # strictly monotone at n = 4: fifteen levels, one nested ray each; the
+    # factors are small, their product is far above the budget
     target = REVector(4, tuple(range(1, 16)))
+    result = synthesize(target)
+    assert len(result.pair.factors) == len(result.plans) == 15
+
+    def no_tensor(*args):
+        raise AssertionError("a tensor product was built")
+
+    monkeypatch.setattr(realize, "tensor", no_tensor)
+    start = time.perf_counter()
+    with pytest.raises(RealizationError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:
+        dense_pair(result.pair)
+    assert time.perf_counter() - start < 1
+    assert f"support of {realize.sigma_atoms(result.plans)} atoms" in str(err.value)
+
+
+def test_oversized_ray_refused_before_building(monkeypatch):
+    # n = 8, every 4-set plus ABC: not a threshold, and its XOR table has
+    # 2**(65 * 3 + 2) atoms
+    n = 8
+    u = upward_closure({m for m in range(1 << n) if m.bit_count() == 4} | {0b111}, n)
+    assert plan_ray(u).table_atoms == 2 ** 197
 
     def no_tables(*args):
         raise AssertionError("a share table was built")
@@ -310,11 +339,13 @@ def test_oversized_target_refused_before_building(monkeypatch):
     monkeypatch.setattr(realize, "weighted_threshold_scheme", no_tables)
     start = time.perf_counter()
     with pytest.raises(RealizationError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:
-        synthesize(target)
+        synthesize(REVector.indicator(u))
     assert time.perf_counter() - start < 1
-    plans = [plan_ray(u) for _, u in realize.layer_cake_decompose(target).terms]
-    assert f"support of {realize.sigma_atoms(plans)} atoms" in str(err.value)
-    assert len(plans) == 15
+    message = str(err.value)
+    assert f"minimal sets {{{', '.join(mask_label(m) for m in u.minimal_sets())}}}" in message
+    assert f"xor table of {2 ** 197} atoms" in message
+    with pytest.raises(RealizationError, match="minimal sets"):
+        realize_ray(u, 1)
 
 
 def predicted_sigma_atoms(decomposition):
@@ -327,29 +358,40 @@ def predicted_sigma_atoms(decomposition):
 
 
 def test_random_members_round_trip_n4():
-    # a sum of <= 4 rays can split into up to 15 levels at n=4 and the
-    # tensor support multiplies across levels, so keep only the samples
-    # whose predicted support stays desk-scale (deterministic given seed)
-    from recone.cone import layer_cake_decompose
-
-    rng = random.Random(2024)
-    upsets = enumerate_upsets(4)
-    order = subsets_in_order(4)
-    ran = 0
-    for _ in range(20):
-        picks = rng.sample(upsets, rng.randint(1, 4))
-        coeffs = [rng.uniform(0.1, 3.0) for _ in picks]
-        values = tuple(
-            math.fsum(c for c, u in zip(coeffs, picks) if mask in u.members)
-            for mask in order)
-        target = REVector(4, values)
-        if predicted_sigma_atoms(layer_cake_decompose(target)) > 1 << 13:
-            continue
+    # a sum of <= 4 rays splits into up to 15 levels at n = 4; one factor
+    # per level keeps every draw small, however large the product
+    for target in random_members(2024, 4, 20):
         result = synthesize(target)
         assert result.max_abs_error <= 1e-6
         assert verify(target, result.pair, tol=1e-6).passed
-        # the planned support is exact and never above the XOR one
-        assert result.sigma_atoms == len(result.pair.sigma.atoms)
+        # the planned supports are exact and never above the XOR ones
+        assert [len(f.sigma.atoms) for f in result.pair.factors] == \
+            [2 * plan.table_atoms for plan in result.plans]
         assert result.sigma_atoms <= predicted_sigma_atoms(result.decomposition)
-        ran += 1
-    assert ran >= 10
+
+
+# SHA-256 of the dense pair JSON, one document per member below whose
+# product fits MAX_SIGMA_ATOMS (115 of them), as synthesize wrote it when
+# it tensored the rays itself
+DENSE_PAIRS_SHA256 = "d21921dfca0bdca84d9b196dce5d6fc3a0d6e02228dc004decf77bd566ac2d53"
+
+
+def test_dense_pair_audits_the_factored_pair():
+    # the members of test_random_members_round_trip_n4 and of acceptance
+    # criterion 5
+    digest = hashlib.sha256()
+    audited = 0
+    for seed, n, count in ((2024, 4, 20), (555, 3, 100)):
+        for target in random_members(seed, n, count):
+            result = synthesize(target)
+            if result.sigma_atoms > MAX_SIGMA_ATOMS:
+                continue
+            dense = dense_pair(result.pair)
+            assert len(dense.sigma.atoms) == result.sigma_atoms
+            for a, b in zip(re_vector(dense).values, result.achieved.values):
+                assert abs(a - b) <= 1e-12
+            digest.update(json.dumps(pair_to_json(dense), sort_keys=True,
+                                     separators=(",", ":")).encode())
+            audited += 1
+    assert audited == 115
+    assert digest.hexdigest() == DENSE_PAIRS_SHA256

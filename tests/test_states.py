@@ -8,17 +8,24 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_distribution, random_pair
 from recone.cone import check_membership
 from recone.lattice import proper_submasks, subsets_in_order, validate_mask
+from recone.realize import dense_pair
 from recone.states import (
     JointDistribution,
+    ProductPair,
     StatePair,
     marginal,
     mix,
-    point_pair,
     re_vector,
     relative_entropy,
     shannon_entropy,
     tensor,
 )
+
+
+def point_pair(n: int) -> StatePair:
+    """Deterministic rho = sigma pair, the empty product multiplied out;
+    its relative-entropy vector is zero."""
+    return dense_pair(ProductPair(n, ()))
 
 
 def binary_entropy(p: float) -> float:
@@ -224,6 +231,40 @@ def test_tensor_adds_vectors():
 def test_tensor_rejects_party_mismatch():
     with pytest.raises(ValueError):
         tensor(point_pair(3), point_pair(4))
+
+
+def test_product_pair_vector_is_the_sum_of_its_factors():
+    rng = random.Random(17)
+    for _ in range(30):
+        a = random_pair(rng, 2, (2, 3))
+        b = random_pair(rng, 2, (3, 2))
+        factored = re_vector(ProductPair(2, (a, b)))
+        expected = [math.fsum(x) for x in zip(re_vector(a).values, re_vector(b).values)]
+        assert list(factored.values) == expected
+        for x, y in zip(factored.values, re_vector(tensor(a, b)).values):
+            assert x == y if math.inf in (x, y) else abs(x - y) <= 1e-10
+    pair = example5_pair()
+    assert re_vector(ProductPair(3, (pair,))).values == re_vector(pair).values
+    assert re_vector(ProductPair(3, ())).values == (0.0,) * 7
+
+
+def test_product_pair_multiplies_out_on_request():
+    rng = random.Random(23)
+    a = random_pair(rng, 2, (2, 3))
+    b = random_pair(rng, 2, (3, 2))
+    c = random_pair(rng, 2, (2, 2))
+    product = ProductPair(2, (a, b, c))
+    dense = tensor(tensor(a, b), c)
+    assert (product.rho, product.sigma) == (dense.rho, dense.sigma)
+    assert ProductPair(2, (a,)).sigma == a.sigma
+    one = JointDistribution(3, (1, 1, 1), (((0, 0, 0), 1),), 1)
+    assert (ProductPair(3, ()).rho, ProductPair(3, ()).sigma) == (one, one)
+    assert point_pair(3) == StatePair(one, one)
+
+
+def test_product_pair_rejects_party_mismatch():
+    with pytest.raises(ValueError, match="factor 2 has 4 parties"):
+        ProductPair(3, (point_pair(3), point_pair(4)))
 
 
 def test_shannon_entropy_uniform():
