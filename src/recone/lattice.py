@@ -4,13 +4,20 @@ A nonempty subset S of the parties {1, ..., n} is encoded as an int mask
 with bit i-1 set iff party i is in S.  Party counts up to n = 8 are
 supported for general operations; exhaustive up-set enumeration is capped
 at n = 5 (the counts grow like Dedekind numbers).
+
+The lattice works on one representation of a family: its truth table, an
+int with bit m set iff mask m is a member (for an up-set, bit 0, the empty
+set, is clear and the table is ``encoding() << 1``).  Closure is n shifted
+masks of the table, a monotone table on k + 1 parties is a pair lo <= hi
+of monotone tables on k parties, and relabelling the parties by a
+transposition is one delta swap of the table.  So a canonical form costs
+n! delta swaps whatever the member count: about 10 ms at n = 8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 MAX_PARTIES = 8
 MAX_ENUMERATION_PARTIES = 5
@@ -74,6 +81,33 @@ def proper_submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def _truth_table(family) -> int:
+    """Bit m set iff mask m is in the family."""
+    table = 0
+    for mask in family:
+        table |= 1 << mask
+    return table
+
+
+def _members(table: int, n: int) -> frozenset[int]:
+    """The nonempty masks whose bits are set in a truth table on [n]."""
+    return frozenset(m for m in range(1, 1 << n) if table >> m & 1)
+
+
+@lru_cache(maxsize=None)
+def _without(n: int) -> tuple[int, ...]:
+    """Per party j (0-based), the truth table of the masks that lack j."""
+    return tuple(_truth_table(m for m in range(1 << n) if not m >> j & 1) for j in range(n))
+
+
+def _one_party_up(table: int, n: int) -> int:
+    """Truth table of the masks that are a member plus one more party."""
+    up = 0
+    for j, without_j in enumerate(_without(n)):
+        up |= (table & without_j) << (1 << j)
+    return up
+
+
 def is_upset(family, n: int) -> bool:
     """True iff the family of masks is nonempty and closed under supersets."""
     members = set(family)
@@ -81,12 +115,8 @@ def is_upset(family, n: int) -> bool:
         validate_mask(mask, n)
     if not members:
         return False
-    for mask in members:
-        for j in range(n):
-            sup = mask | (1 << j)
-            if sup != mask and sup not in members:
-                return False
-    return True
+    table = _truth_table(members)
+    return _one_party_up(table, n) & ~table == 0
 
 
 @dataclass(frozen=True)
@@ -113,13 +143,13 @@ class UpSet:
         By closure, a member has a smaller member below it iff it is
         another member plus one party.
         """
-        bits = [1 << i for i in range(self.n)]
-        covered = {m | b for m in self.members for b in bits if not m & b}
-        return tuple(sorted(self.members - covered, key=subset_index(self.n).__getitem__))
+        table = _truth_table(self.members)
+        minimal = _members(table & ~_one_party_up(table, self.n), self.n)
+        return tuple(sorted(minimal, key=subset_index(self.n).__getitem__))
 
     def encoding(self) -> int:
         """Membership bitset: bit mask-1 set iff mask is a member."""
-        return sum(1 << (m - 1) for m in self.members)
+        return _truth_table(self.members) >> 1
 
     def indicator_values(self) -> tuple[int, ...]:
         """0/1 membership per subset, in canonical coordinate order."""
@@ -137,70 +167,69 @@ def upward_closure(seed, n: int) -> UpSet:
         raise ValueError("seed must be nonempty")
     for mask in seed:
         validate_mask(mask, n)
-    closed = set()
-    for mask in seed:
-        # add every superset of mask: mask | (any submask of the complement)
-        rest = ((1 << n) - 1) & ~mask
-        closed.add(mask)
-        sup = rest
-        while sup:
-            closed.add(mask | sup)
-            sup = (sup - 1) & rest
-    return UpSet(n, frozenset(closed))
+    table = _truth_table(seed)
+    while (closed := table | _one_party_up(table, n)) != table:
+        table = closed
+    return UpSet(n, _members(table, n))
 
 
 def enumerate_upsets(n: int) -> list[UpSet]:
     """All up-sets of nonempty subsets of [n], in deterministic order.
 
-    Order: ascending (member count, membership bitset).  Recursive
-    extension over subsets of decreasing cardinality; a subset may join
-    only once all its immediate supersets are in, so closure never has to
-    be re-checked on complete families.
+    Order: ascending (member count, membership bitset).  A monotone truth
+    table on k + 1 parties is lo | hi << 2^k for a pair lo <= hi of monotone
+    tables on k parties (the masks without and with party k + 1), starting
+    from the two tables on no parties; the constant tables (no member, and
+    every mask including the empty one) are then dropped.
     """
     if not 1 <= n <= MAX_ENUMERATION_PARTIES:
         raise ValueError(
             f"up-set enumeration is supported for 1 <= n <= {MAX_ENUMERATION_PARTIES}; "
             f"counts grow too fast beyond that (got n={n})")
-    masks = sorted(range(1, 1 << n), key=lambda m: (-m.bit_count(), m))
-    found: list[frozenset[int]] = []
-    chosen: set[int] = set()
-
-    def extend(i: int) -> None:
-        if i == len(masks):
-            if chosen:
-                found.append(frozenset(chosen))
-            return
-        m = masks[i]
-        if all((m | (1 << j)) in chosen for j in range(n) if not m >> j & 1):
-            chosen.add(m)
-            extend(i + 1)
-            chosen.remove(m)
-        extend(i + 1)
-
-    extend(0)
-    upsets = [UpSet(n, fam) for fam in found]
-    upsets.sort(key=lambda u: (len(u.members), u.encoding()))
-    return upsets
+    tables = [0, 1]
+    for k in range(n):
+        tables = [lo | hi << (1 << k) for hi in tables for lo in tables if not lo & ~hi]
+    full = (1 << (1 << n)) - 1
+    tables = sorted((t for t in tables if t not in (0, full)), key=lambda t: (t.bit_count(), t))
+    return [UpSet(n, _members(t, n)) for t in tables]
 
 
-def apply_permutation(mask: int, perm: tuple[int, ...]) -> int:
-    """Relabel parties: party i maps to perm[i-1]."""
-    out = 0
-    for i in range(len(perm)):
-        if mask >> i & 1:
-            out |= 1 << (perm[i] - 1)
-    return out
+@lru_cache(maxsize=None)
+def _transpositions(n: int) -> tuple[tuple[int, int], ...]:
+    """Heap's walk through the n! relabellings of [n], as the n! - 1 delta
+    swaps (shift, mask) of the party transpositions (a, i) it makes.
+
+    Swapping parties a < i moves each mask m that holds a but not i to
+    m + shift with shift = 2^i - 2^a; mask is the truth table of those m.
+    """
+    full = (1 << (1 << n)) - 1
+    without = _without(n)
+    swap = {(a, i): ((1 << i) - (1 << a), (full ^ without[a]) & without[i])
+            for i in range(n) for a in range(i)}
+    steps = []
+    count = [0] * n
+    i = 1
+    while i < n:
+        if count[i] < i:
+            a = count[i] if i % 2 else 0
+            steps.append(swap[a, i])
+            count[i] += 1
+            i = 1
+        else:
+            count[i] = 0
+            i += 1
+    return tuple(steps)
 
 
 def canonical_representative(u: UpSet) -> UpSet:
     """Orbit representative under party relabeling: minimal membership bitset."""
-    best = None
-    for perm in permutations(range(1, u.n + 1)):
-        enc = sum(1 << (apply_permutation(m, perm) - 1) for m in u.members)
-        if best is None or enc < best:
-            best = enc
-    members = frozenset(i + 1 for i in range((1 << u.n) - 1) if best >> i & 1)
-    return UpSet(u.n, members)
+    table = best = _truth_table(u.members)
+    for shift, mask in _transpositions(u.n):
+        delta = (table >> shift ^ table) & mask
+        table ^= delta ^ delta << shift
+        if table < best:
+            best = table
+    return UpSet(u.n, _members(best, u.n))
 
 
 @dataclass(frozen=True)
@@ -219,15 +248,12 @@ def permutation_classes(upsets, n: int) -> list[OrbitClass]:
     (lexicographically, in canonical coordinate order), which for n=3
     reproduces the standard eight-ray table.
     """
-    groups: dict[int, int] = {}
+    groups: dict[UpSet, int] = {}
     for u in upsets:
         if u.n != n:
             raise ValueError("all up-sets must share the same party count")
         rep = canonical_representative(u)
-        groups[rep.encoding()] = groups.get(rep.encoding(), 0) + 1
-    classes = []
-    for enc, size in groups.items():
-        members = frozenset(i + 1 for i in range((1 << n) - 1) if enc >> i & 1)
-        classes.append(OrbitClass(UpSet(n, members), size))
+        groups[rep] = groups.get(rep, 0) + 1
+    classes = [OrbitClass(rep, size) for rep, size in groups.items()]
     classes.sort(key=lambda c: c.representative.indicator_values())
     return classes

@@ -49,6 +49,13 @@ def test_rays_classes_table(capsys):
     assert "8 classes, 18 up-sets in total" in lines[-1]
 
 
+def test_rays_classes_n5_scale(capsys):
+    start = time.perf_counter()
+    assert main(["rays", "--n", "5", "--classes"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out.splitlines()[-1] == "208 classes, 7579 up-sets in total"
+
+
 def test_rays_rejects_big_n(capsys):
     assert main(["rays", "--n", "6"]) == 2
     assert "error" in capsys.readouterr().err

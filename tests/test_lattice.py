@@ -1,9 +1,14 @@
+import hashlib
+import random
+import re
+import time
+from itertools import permutations
+
 import pytest
 
 from recone.lattice import (
     OrbitClass,
     UpSet,
-    apply_permutation,
     canonical_representative,
     enumerate_upsets,
     is_upset,
@@ -40,6 +45,30 @@ def brute_force_upsets(n):
     return out
 
 
+def apply_permutation(mask, perm):
+    """Relabel parties: party i maps to perm[i-1]."""
+    out = 0
+    for i in range(len(perm)):
+        if mask >> i & 1:
+            out |= 1 << (perm[i] - 1)
+    return out
+
+
+def relabel(u, perm):
+    return UpSet(u.n, frozenset(apply_permutation(m, perm) for m in u.members))
+
+
+def brute_force_representative(u):
+    """Oracle: the smallest encoding over every relabelling of the parties."""
+    return min((relabel(u, p) for p in permutations(range(1, u.n + 1))),
+               key=UpSet.encoding)
+
+
+def random_upset(rng, n):
+    """Upward closure of one to four random masks."""
+    return upward_closure({rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))}, n)
+
+
 def test_mask_helpers():
     assert parties(AC) == (1, 3)
     assert mask_of([1, 3], 3) == AC
@@ -59,11 +88,47 @@ def test_invalid_masks_rejected(mask, n):
         is_upset({mask}, n)
 
 
+@pytest.mark.parametrize("mask,message", [
+    ("a", "subset mask must be an int, got 'a'"),
+    (1.0, "subset mask must be an int, got 1.0"),
+    (True, "subset mask must be an int, got True"),
+    (0, "subset mask 0 out of range for n=3 (need 1 <= mask < 8)"),
+    (8, "subset mask 8 out of range for n=3 (need 1 <= mask < 8)"),
+])
+def test_is_upset_error_messages(mask, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        is_upset({ABC, mask}, 3)
+
+
 def test_is_upset_examples():
     assert is_upset({ABC}, 3)
     assert is_upset({AB, ABC}, 3)
     assert not is_upset({A}, 2)  # AB missing
     assert not is_upset(set(), 3)
+
+
+def closed_by_definition(family, n):
+    """Every member plus any one party is a member."""
+    return bool(family) and all(m | 1 << j in family for m in family for j in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_is_upset_agrees_with_definition(n):
+    rng = random.Random(n)
+    masks = range(1, 1 << n)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            p = rng.random()
+            family = {m for m in masks if rng.random() < p}
+        else:
+            # a closure, sometimes missing one member or with one more
+            family = set(random_upset(rng, n).members)
+            change = rng.choice([None, "drop", "add"])
+            if change == "drop":
+                family.discard(rng.choice(sorted(family)))
+            elif change == "add":
+                family.add(rng.choice(masks))
+        assert is_upset(family, n) == closed_by_definition(family, n), (n, sorted(family))
 
 
 def test_upward_closure_examples():
@@ -134,6 +199,60 @@ def test_minimal_sets_round_trip_exhaustive():
             assert upward_closure(u.minimal_sets(), n) == u
 
 
+@pytest.mark.parametrize("n,upsets,classes", [
+    (1, 1, 1), (2, 4, 3), (3, 18, 8), (4, 166, 28), (5, 7579, 208),
+])
+def test_lattice_counts(n, upsets, classes):
+    # up-sets: Dedekind numbers minus the two constant families; classes:
+    # A003182(n) - 2
+    enumerated = enumerate_upsets(n)
+    assert len(enumerated) == upsets
+    found = permutation_classes(enumerated, n)
+    assert len(found) == classes
+    assert sum(c.size for c in found) == upsets
+
+
+def test_classes_n5_digest_and_order():
+    upsets = enumerate_upsets(5)
+    keys = [(len(u.members), u.encoding()) for u in upsets]
+    assert keys == sorted(set(keys))
+    reps = [c.representative.members for c in permutation_classes(upsets, 5)]
+    digest = hashlib.sha256(repr(sorted(sorted(m) for m in reps)).encode()).hexdigest()
+    assert digest == "6117effbed349df5f6d17699234bb602838ed33313804a009bc4c59c8efe8589"
+
+
+def test_canonical_representative_matches_oracle_exhaustive():
+    for n in (1, 2, 3, 4):
+        for u in enumerate_upsets(n):
+            assert canonical_representative(u) == brute_force_representative(u)
+
+
+def test_canonical_representative_matches_oracle_sampled():
+    rng = random.Random(5)
+    sample = rng.sample(enumerate_upsets(5), 40) + [random_upset(rng, 6) for _ in range(3)]
+    for u in sample:
+        assert canonical_representative(u) == brute_force_representative(u)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_canonical_representative_is_relabelling_invariant(n):
+    rng = random.Random(n)
+
+    def timed_representative(u):
+        start = time.perf_counter()
+        rep = canonical_representative(u)
+        if n == 8:
+            assert time.perf_counter() - start < 0.1
+        return rep
+
+    for _ in range(2):
+        u = random_upset(rng, n)
+        rep = timed_representative(u)
+        for _ in range(3):
+            perm = tuple(rng.sample(range(1, n + 1), n))
+            assert timed_representative(relabel(u, perm)) == rep
+
+
 def test_apply_permutation():
     # swap parties 1 and 2 at n=3
     perm = (2, 1, 3)
@@ -167,9 +286,8 @@ def test_permutation_classes_n3_table():
 def test_permutation_classes_orbit_sizes():
     ray5 = upward_closure({A}, 3)
     orbit = {canonical_representative(ray5).encoding()}
-    from itertools import permutations as perms
     images = set()
-    for p in perms((1, 2, 3)):
+    for p in permutations((1, 2, 3)):
         images.add(frozenset(apply_permutation(m, p) for m in ray5.members))
     assert len(images) == 3
     classes = permutation_classes(enumerate_upsets(3), 3)
