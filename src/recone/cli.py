@@ -120,8 +120,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    demo = DEMOS[args.name]()
-    print(render_demo(demo), end="")
+    print(render_demo(args.name), end="")
     return 0
 
 

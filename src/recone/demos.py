@@ -12,87 +12,46 @@ authorized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import REVector
 from .lattice import mask_label, parties
-from .schemes import (
-    Scheme,
-    linear_scheme,
-    party_digits,
-    scheme_state_pair,
-    weighted_threshold_scheme,
-)
-from .states import StatePair, marginal, re_vector
+from .schemes import linear_scheme, party_digits, scheme_state_pair, weighted_threshold_scheme
+from .states import marginal, re_vector
+
+#: name -> (description, scheme builder, masks whose marginals are listed)
+DEMOS = {
+    "example5": ("weighted Shamir threshold scheme over GF(5), threshold 2, "
+                 "share allocation (2, 1, 1)",
+                 lambda: weighted_threshold_scheme(3, (2, 1, 1), 2, 5),
+                 (0b001, 0b010)),
+    "example6": ("two (2, 2) Shamir clauses over GF(3), one shared by AB and one by CD",
+                 lambda: linear_scheme(4, 3, [[(1, 1, 0)], [(1, 2, 0)], [(1, 0, 1)], [(1, 0, 2)]], 2),
+                 (0b0011, 0b0110)),
+}
 
 
-@dataclass(frozen=True)
-class Demo:
-    name: str
-    description: str
-    scheme: Scheme
-    pair: StatePair
-    vector: REVector
-    highlight_masks: tuple[int, ...]
-
-
-def example5() -> Demo:
-    scheme = weighted_threshold_scheme(3, (2, 1, 1), 2, 5)
-    pair = scheme_state_pair(scheme)
-    return Demo(
-        name="example5",
-        description="weighted Shamir threshold scheme over GF(5), threshold 2, "
-                    "share allocation (2, 1, 1)",
-        scheme=scheme,
-        pair=pair,
-        vector=re_vector(pair),
-        highlight_masks=(0b001, 0b010),
-    )
-
-
-def example6() -> Demo:
-    scheme = linear_scheme(4, 3, [[(1, 1, 0)], [(1, 2, 0)], [(1, 0, 1)], [(1, 0, 2)]], 2)
-    pair = scheme_state_pair(scheme)
-    return Demo(
-        name="example6",
-        description="two (2, 2) Shamir clauses over GF(3), one shared by AB "
-                    "and one by CD",
-        scheme=scheme,
-        pair=pair,
-        vector=re_vector(pair),
-        highlight_masks=(0b0011, 0b0110),
-    )
-
-
-DEMOS = {"example5": example5, "example6": example6}
-
-
-def _format_value(x) -> str:
-    return f"{float(x):g}"
-
-
-def _atom_string(scheme: Scheme, mask: int, symbols) -> str:
+def _atom_string(registers, mask: int, symbols) -> str:
     chunks = []
     for party, flat in zip(parties(mask), symbols):
-        layout = scheme.registers[party - 1]
-        digits = party_digits(layout, flat)
+        layout = registers[party - 1]
         sep = "" if all(s <= 10 for s in layout) else "-"
-        chunks.append(sep.join(str(d) for d in digits))
+        chunks.append(sep.join(map(str, party_digits(layout, flat))))
     return "".join(chunks)
 
 
-def render_demo(demo: Demo) -> str:
-    lines = [f"demo {demo.name}: {demo.description}"]
-    lines.append("achieved vector (bits):")
-    cells = [f"{mask_label(m)}={_format_value(v)}" for m, v in demo.vector.entries()]
-    lines.append("  " + "  ".join(cells))
-    for mask in demo.highlight_masks:
-        for label, dist in (("rho", demo.pair.rho), ("sigma", demo.pair.sigma)):
+def render_demo(name: str) -> str:
+    """The demo's achieved vector and its rho and sigma marginals on the
+    listed masks, one atom per line."""
+    description, build, masks = DEMOS[name]
+    scheme = build()
+    pair = scheme_state_pair(scheme)
+    lines = [f"demo {name}: {description}", "achieved vector (bits):",
+             "  " + "  ".join(f"{mask_label(m)}={float(v):g}" for m, v in re_vector(pair).entries())]
+    for mask in masks:
+        for label, dist in (("rho", pair.rho), ("sigma", pair.sigma)):
             lines.append(f"{label} marginal on {mask_label(mask)}:")
             part = marginal(dist, mask)
-            rows = sorted((_atom_string(demo.scheme, mask, sym), Fraction(w, part.denominator))
+            rows = sorted((_atom_string(scheme.registers, mask, sym), Fraction(w, part.denominator))
                           for sym, w in part.atoms)
-            for text, p in rows:
-                lines.append(f"  {text}  {p}")
+            lines.extend(f"  {text}  {p}" for text, p in rows)
     return "\n".join(lines) + "\n"

@@ -85,6 +85,8 @@ def _probability_from_json(doc) -> tuple[int, int]:
     if not (isinstance(doc, dict) and doc.keys() == {"num", "den"}):
         raise ValueError(f"a probability needs exactly 'num' and 'den', got {doc!r}")
     try:
+        if not (type(doc["num"]) is str and type(doc["den"]) is str):
+            raise TypeError  # JSON numbers and booleans are refused, not truncated
         num, den = int(doc["num"]), int(doc["den"])
     except (TypeError, ValueError):
         raise ValueError(f"'num' and 'den' must be decimal integer strings, got {doc!r}")

@@ -196,7 +196,10 @@ def verify(v: REVector, pair: StatePair | ProductPair, tol: float = TOL) -> Veri
 
     Reports the per-subset deviation, the worst deviation, and whether
     the achieved vector itself still passes the monotonicity check.
+    Raises ValueError unless 0 <= tol < inf.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     if v.n != pair.n:
         raise ValueError(f"vector has {v.n} parties but pair has {pair.n}")
     return _compare(v, re_vector(pair), tol)
@@ -215,13 +218,12 @@ class RealizationResult:
     def sigma_atoms(self) -> int:
         """Sigma support size of the dense product; equals
         len(dense_pair(pair).sigma.atoms), which need not be built."""
-        return sigma_atoms(self.plans)
+        return _sigma_support(self.pair)
 
 
-def sigma_atoms(plans) -> int:
-    """Exact sigma support of the tensored rays: each sigma mixes two
-    disjoint tables, so a ray contributes twice its table size."""
-    return math.prod(2 * plan.table_atoms for plan in plans)
+def _sigma_support(pair: ProductPair) -> int:
+    """Sigma support of the dense product: the product of the factors'."""
+    return math.prod(len(f.sigma.atoms) for f in pair.factors)
 
 
 def dense_pair(pair: ProductPair) -> StatePair:
@@ -229,7 +231,7 @@ def dense_pair(pair: ProductPair) -> StatePair:
     tensor from the first factor; the audit path.  Raises RealizationError
     before tensoring when the product's sigma support, the product of the
     factors' supports, exceeds MAX_SIGMA_ATOMS."""
-    predicted = math.prod(len(f.sigma.atoms) for f in pair.factors)
+    predicted = _sigma_support(pair)
     if predicted > MAX_SIGMA_ATOMS:
         raise RealizationError(f"predicted sigma support of {predicted} atoms exceeds "
                                f"the budget of {MAX_SIGMA_ATOMS} atoms")

@@ -121,9 +121,14 @@ def linear_scheme(n: int, q: int, slots, randomness: int) -> Scheme:
                 values = list(chain.from_iterable(map(shifted[c].__getitem__, values)))
             packed = [p * q + v for p, v in zip(packed, values)]
         columns.append(packed)
-    atoms = [(sym, 1) for sym in zip(*columns)]
-    return Scheme(registers, tuple(JointDistribution(n, sizes, atoms[b * rows:(b + 1) * rows], rows)
-                                   for b in (0, 1)))
+    symbols = list(zip(*columns))
+    tables = symbols[:rows], symbols[rows:]
+    for b, table in enumerate(tables):  # range, weights and sum hold by construction
+        if len(set(table)) < rows:
+            raise ValueError(f"duplicate symbol tuple in the table for b = {b}: "
+                             f"two random choices give the same shares")
+    return Scheme(registers, tuple(JointDistribution._trusted(n, sizes, [(sym, 1) for sym in t], rows)
+                                   for t in tables))
 
 
 def threshold_layout(allocation, k: int, q: int):

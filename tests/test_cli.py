@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -229,6 +230,32 @@ def test_malformed_factored_pair_exits_two(command, edit, needle, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert needle in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("rho", [
+    [{"symbols": [0, 0], "p": {"num": 1.9, "den": "2"}},
+     {"symbols": [1, 1], "p": {"num": "1", "den": "2"}}],
+    [{"symbols": [0, 0], "p": {"num": True, "den": True}}],
+], ids=["float-num", "bool-num-den"])
+def test_relent_refuses_non_string_probabilities(rho, tmp_path, capsys):
+    pair_path = write(tmp_path, "pair.json", {
+        "n": 2, "alphabet_sizes": [2, 2], "rho": rho,
+        "sigma": [{"symbols": [0, 0], "p": {"num": "1", "den": "1"}}]})
+    assert main(["relent", pair_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be decimal integer strings" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_refuses_tolerance_outside_zero_to_inf(tol, tmp_path, capsys):
+    target = REVector(2, (0, 0, 1))
+    pair_path = write(tmp_path, "pair.json", pair_to_json(synthesize(target).pair))
+    vec_path = write(tmp_path, "v.json", vector_to_json(REVector(2, (0, 0, math.inf))))
+    assert main(["verify", vec_path, pair_path, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance must be finite and nonnegative" in json.loads(captured.err)["error"]
 
 
 def test_factored_pair_file_round_trip(tmp_path, capsys):

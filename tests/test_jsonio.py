@@ -138,6 +138,10 @@ def factored(doc, edit):
     lambda d: factored(d, lambda f: f.update(factors=f["factors"][0])),
     lambda d: factored(d, lambda f: f.update(rho=f["factors"][0]["rho"])),
     lambda d: factored(d, lambda f: f["factors"][1]["rho"][0].update(symbols=[0, 5])),
+    # JSON numbers and bools are refused, not truncated: int() reads 1.9
+    # and true as 1, so rho would pass as a valid table
+    lambda d: d["rho"][0].update(p={"num": 1.9, "den": "2"}),
+    lambda d: d.update(rho=[{"symbols": [0, 0], "p": {"num": True, "den": True}}]),
 ])
 def test_pair_from_json_rejects_malformed(mutate):
     rho = JointDistribution(2, (2, 2), (((0, 0), 1), ((1, 1), 1)), 2)

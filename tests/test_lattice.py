@@ -1,3 +1,4 @@
+import doctest
 import hashlib
 import random
 import re
@@ -6,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+import recone.lattice
 from recone.lattice import (
     OrbitClass,
     UpSet,
@@ -304,3 +306,10 @@ def test_orbit_sizes_sum_n4():
     upsets = enumerate_upsets(4)
     classes = permutation_classes(upsets, 4)
     assert sum(c.size for c in classes) == 166
+
+
+def test_lattice_doctests_run_and_pass():
+    # the suite collects tests/ only, so the module's >>> examples run here
+    result = doctest.testmod(recone.lattice)
+    assert result.attempted >= 1
+    assert result.failed == 0

@@ -207,6 +207,15 @@ def test_verify_rejects_dimension_mismatch():
         verify(REVector(3, (0,) * 7), result.pair)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_verify_rejects_tolerance_outside_zero_to_inf(tol):
+    target = REVector(2, (0, 0, 1))
+    result = synthesize(target)
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        verify(target, result.pair, tol=tol)
+    assert verify(target, result.pair, tol=0.0).passed
+
+
 def test_verify_infinite_target_mismatch():
     result = synthesize(REVector(2, (0, 0, 1)))
     report = verify(REVector(2, (0, 0, math.inf)), result.pair)
@@ -322,7 +331,7 @@ def test_oversized_target_refused_before_building(monkeypatch):
     with pytest.raises(RealizationError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:
         dense_pair(result.pair)
     assert time.perf_counter() - start < 1
-    assert f"support of {realize.sigma_atoms(result.plans)} atoms" in str(err.value)
+    assert f"support of {result.sigma_atoms} atoms" in str(err.value)
 
 
 def test_oversized_ray_refused_before_building(monkeypatch):
