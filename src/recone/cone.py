@@ -149,7 +149,7 @@ class RayDecomposition:
                 raise ValueError(f"coefficient must be positive, got {coeff}")
             if upset.n != self.n:
                 raise ValueError("up-set party count mismatch")
-            if prev is not None and not prev.members < upset.members:
+            if prev is not None and (prev.table & ~upset.table or prev.table == upset.table):
                 raise ValueError("up-sets must be strictly nested, innermost first")
             prev = upset
 
@@ -188,9 +188,9 @@ def layer_cake_decompose(v: REVector) -> RayDecomposition:
     if levels and levels[-1] <= slack:
         levels.pop()
     terms = []
-    members: set[int] = set()
+    table = 0
     for i, t in enumerate(levels):
-        members |= {m for m, h in hull.items() if top_of[h] == t}
+        table |= sum(1 << m for m, h in hull.items() if top_of[h] == t)
         t_next = levels[i + 1] if i + 1 < len(levels) else 0
-        terms.append((t - t_next, UpSet(v.n, frozenset(members))))
+        terms.append((t - t_next, UpSet._from_table(v.n, table)))
     return RayDecomposition(v.n, tuple(terms))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import mask_label, parties
-from .schemes import linear_scheme, party_digits, scheme_state_pair, weighted_threshold_scheme
+from .schemes import Scheme, party_digits, scheme_state_pair, weighted_threshold_scheme
 from .states import marginal, re_vector
 
 #: name -> (description, scheme builder, masks whose marginals are listed)
@@ -25,7 +25,7 @@ DEMOS = {
                  lambda: weighted_threshold_scheme(3, (2, 1, 1), 2, 5),
                  (0b001, 0b010)),
     "example6": ("two (2, 2) Shamir clauses over GF(3), one shared by AB and one by CD",
-                 lambda: linear_scheme(4, 3, [[(1, 1, 0)], [(1, 2, 0)], [(1, 0, 1)], [(1, 0, 2)]], 2),
+                 lambda: Scheme(3, [[(1, 1, 0)], [(1, 2, 0)], [(1, 0, 1)], [(1, 0, 2)]], 2),
                  (0b0011, 0b0110)),
 }
 

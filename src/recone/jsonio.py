@@ -84,12 +84,11 @@ def _probability_from_json(doc) -> tuple[int, int]:
     # per atom: messages are formatted only on failure
     if not (isinstance(doc, dict) and doc.keys() == {"num", "den"}):
         raise ValueError(f"a probability needs exactly 'num' and 'den', got {doc!r}")
-    try:
-        if not (type(doc["num"]) is str and type(doc["den"]) is str):
-            raise TypeError  # JSON numbers and booleans are refused, not truncated
-        num, den = int(doc["num"]), int(doc["den"])
-    except (TypeError, ValueError):
+    num, den = doc["num"], doc["den"]
+    if not (type(num) is str and type(den) is str and num.isascii() and den.isascii()
+            and num.isdigit() and den.isdigit()):  # not JSON numbers, signs, spaces or "_"
         raise ValueError(f"'num' and 'den' must be decimal integer strings, got {doc!r}")
+    num, den = int(num), int(den)
     if den <= 0:
         raise ValueError("denominator must be positive")
     return num, den

@@ -6,12 +6,13 @@ supported for general operations; exhaustive up-set enumeration is capped
 at n = 5 (the counts grow like Dedekind numbers).
 
 The lattice works on one representation of a family: its truth table, an
-int with bit m set iff mask m is a member (for an up-set, bit 0, the empty
-set, is clear and the table is ``encoding() << 1``).  Closure is n shifted
-masks of the table, a monotone table on k + 1 parties is a pair lo <= hi
-of monotone tables on k parties, and relabelling the parties by a
-transposition is one delta swap of the table.  So a canonical form costs
-n! delta swaps whatever the member count: about 10 ms at n = 8.
+int with bit m set iff mask m is a member.  An UpSet holds only n and its
+table (bit 0, the empty set, clear); masks are validated only where they
+come in, as members or seeds.  Closure is n shifted masks of the table, a
+monotone table on k + 1 parties is a pair lo <= hi of monotone tables on
+k parties, and relabelling the parties by a transposition is one delta
+swap of the table.  So a canonical form costs n! delta swaps whatever the
+member count: about 10 ms at n = 8.
 """
 
 from __future__ import annotations
@@ -81,23 +82,19 @@ def proper_submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _truth_table(family) -> int:
-    """Bit m set iff mask m is in the family."""
+def _table_of(family, n: int) -> int:
+    """Truth table of a family of masks, each one validated."""
     table = 0
     for mask in family:
+        validate_mask(mask, n)
         table |= 1 << mask
     return table
-
-
-def _members(table: int, n: int) -> frozenset[int]:
-    """The nonempty masks whose bits are set in a truth table on [n]."""
-    return frozenset(m for m in range(1, 1 << n) if table >> m & 1)
 
 
 @lru_cache(maxsize=None)
 def _without(n: int) -> tuple[int, ...]:
     """Per party j (0-based), the truth table of the masks that lack j."""
-    return tuple(_truth_table(m for m in range(1 << n) if not m >> j & 1) for j in range(n))
+    return tuple(sum(1 << m for m in range(1 << n) if not m >> j & 1) for j in range(n))
 
 
 def _one_party_up(table: int, n: int) -> int:
@@ -108,34 +105,49 @@ def _one_party_up(table: int, n: int) -> int:
     return up
 
 
+def _is_closed(table: int, n: int) -> bool:
+    """True iff the table is a nonempty up-set of nonempty masks of [n]."""
+    return (table > 0 and not table & 1 and not table >> (1 << n)
+            and not _one_party_up(table, n) & ~table)
+
+
 def is_upset(family, n: int) -> bool:
     """True iff the family of masks is nonempty and closed under supersets."""
-    members = set(family)
-    for mask in members:
-        validate_mask(mask, n)
-    if not members:
-        return False
-    table = _truth_table(members)
-    return _one_party_up(table, n) & ~table == 0
+    return _is_closed(_table_of(family, n), n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UpSet:
-    """An upward-closed family of nonempty subsets of [n]."""
+    """An upward-closed family of nonempty subsets of [n], as its truth table."""
 
     n: int
-    members: frozenset[int]
+    table: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if not is_upset(self.members, self.n):
+    def __init__(self, n: int, members):
+        self._set_table(n, _table_of(members, n))
+
+    @classmethod
+    def _from_table(cls, n: int, table: int) -> UpSet:
+        """The up-set with this truth table, under the same closure check."""
+        u = object.__new__(cls)
+        u._set_table(n, table)
+        return u
+
+    def _set_table(self, n: int, table: int) -> None:
+        if not _is_closed(table, n):
             raise ValueError("family is not a nonempty upward-closed set of valid masks")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "table", table)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.members
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(m for m in range(1, 1 << self.n) if self.table >> m & 1)
+
+    def __contains__(self, mask) -> bool:
+        return type(mask) is int and 0 < mask < 1 << self.n and bool(self.table >> mask & 1)
 
     def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members, key=subset_index(self.n).__getitem__))
+        return tuple(m for m in subsets_in_order(self.n) if self.table >> m & 1)
 
     def minimal_sets(self) -> tuple[int, ...]:
         """The antichain of inclusion-minimal members; its closure is self.
@@ -143,17 +155,16 @@ class UpSet:
         By closure, a member has a smaller member below it iff it is
         another member plus one party.
         """
-        table = _truth_table(self.members)
-        minimal = _members(table & ~_one_party_up(table, self.n), self.n)
-        return tuple(sorted(minimal, key=subset_index(self.n).__getitem__))
+        minimal = self.table & ~_one_party_up(self.table, self.n)
+        return tuple(m for m in subsets_in_order(self.n) if minimal >> m & 1)
 
     def encoding(self) -> int:
         """Membership bitset: bit mask-1 set iff mask is a member."""
-        return _truth_table(self.members) >> 1
+        return self.table >> 1
 
     def indicator_values(self) -> tuple[int, ...]:
         """0/1 membership per subset, in canonical coordinate order."""
-        return tuple(1 if m in self.members else 0 for m in subsets_in_order(self.n))
+        return tuple(self.table >> m & 1 for m in subsets_in_order(self.n))
 
 
 def upward_closure(seed, n: int) -> UpSet:
@@ -162,15 +173,12 @@ def upward_closure(seed, n: int) -> UpSet:
     >>> sorted(upward_closure({0b001}, 3).members)
     [1, 3, 5, 7]
     """
-    seed = set(seed)
-    if not seed:
+    table = _table_of(seed, n)
+    if not table:
         raise ValueError("seed must be nonempty")
-    for mask in seed:
-        validate_mask(mask, n)
-    table = _truth_table(seed)
     while (closed := table | _one_party_up(table, n)) != table:
         table = closed
-    return UpSet(n, _members(table, n))
+    return UpSet._from_table(n, table)
 
 
 def enumerate_upsets(n: int) -> list[UpSet]:
@@ -191,7 +199,7 @@ def enumerate_upsets(n: int) -> list[UpSet]:
         tables = [lo | hi << (1 << k) for hi in tables for lo in tables if not lo & ~hi]
     full = (1 << (1 << n)) - 1
     tables = sorted((t for t in tables if t not in (0, full)), key=lambda t: (t.bit_count(), t))
-    return [UpSet(n, _members(t, n)) for t in tables]
+    return [UpSet._from_table(n, t) for t in tables]
 
 
 @lru_cache(maxsize=None)
@@ -223,13 +231,13 @@ def _transpositions(n: int) -> tuple[tuple[int, int], ...]:
 
 def canonical_representative(u: UpSet) -> UpSet:
     """Orbit representative under party relabeling: minimal membership bitset."""
-    table = best = _truth_table(u.members)
+    table = best = u.table
     for shift, mask in _transpositions(u.n):
         delta = (table >> shift ^ table) & mask
         table ^= delta ^ delta << shift
         if table < best:
             best = table
-    return UpSet(u.n, _members(best, u.n))
+    return UpSet._from_table(u.n, best)
 
 
 @dataclass(frozen=True)

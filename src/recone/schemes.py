@@ -8,9 +8,10 @@ slot values in mixed radix, first slot most significant.
 
 Every scheme here is linear (a monotone span program): each slot holds a
 linear form c0*b + c1*r1 + ... + cR*rR over GF(q) in the secret and R
-uniform random symbols.  One builder, linear_scheme, takes the forms and
-enumerates each table as the image of GF(q)^R, so a table has exactly
-q**R atoms whenever the layout is injective.  Two layouts feed it:
+uniform random symbols.  A Scheme is these forms, its generator rows:
+Scheme(q, slots, R) enumerates each table as the image of GF(q)^R, so a
+table has exactly q**R atoms whenever the layout is injective.  Two
+layouts feed it:
 
 * Shamir threshold sharing over a prime field, in a weighted variant
   that hands several consecutive shares to one party: share x holds
@@ -29,8 +30,7 @@ marginal distributions.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 
@@ -58,77 +58,69 @@ def smallest_prime_above(m: int) -> int:
 
 @dataclass(frozen=True)
 class Scheme:
-    """Register layout plus one uniform share distribution per secret bit.
-
-    registers[i] lists the alphabet sizes of party i+1's slots; in
-    distributions[b], party i+1's symbol packs its slot values in mixed
-    radix over that layout, first slot most significant.
-    """
-
-    registers: tuple[tuple[int, ...], ...]
-    distributions: tuple[JointDistribution, JointDistribution]  # index by secret bit
-
-    def __post_init__(self):
-        regs = tuple(tuple(r) for r in self.registers)
-        object.__setattr__(self, "registers", regs)
-        sizes = tuple(math.prod(r) for r in regs)
-        for d in self.distributions:
-            if d.alphabet_sizes != sizes:
-                raise ValueError(
-                    f"alphabets {d.alphabet_sizes} do not match the register layout {regs}")
-            if d.denominator != len(d.atoms):  # positive integer weights: all 1
-                raise ValueError("share tables must be uniform over their support")
-
-    @property
-    def n(self) -> int:
-        return len(self.registers)
-
-    def table(self, b: int):
-        return self.distributions[b].atoms
-
-
-def linear_scheme(n: int, q: int, slots, randomness: int) -> Scheme:
-    """Scheme whose slots hold linear forms over GF(q), q prime.
+    """Scheme given by its generator rows, linear forms over GF(q), q prime.
 
     slots[i] lists party i+1's slots, each a coefficient tuple
     (c0, c1, ..., cR) for the slot value c0*b + c1*r1 + ... + cR*rR mod q,
-    R = randomness.  Table b lists the share tuples of all (r1, ..., rR)
-    in GF(q)^R, each with weight 1; a layout that maps two of them to one
-    tuple is refused as a duplicate.  A party with no slot holds one
-    degenerate (1,) register.
+    R = randomness.  distributions[b] lists the share tuples of all
+    (r1, ..., rR) in GF(q)^R, each with weight 1; a layout that maps two
+    of them to one tuple is refused as a duplicate.  registers[i] lists
+    the alphabet sizes of party i+1's slots, one degenerate (1,) register
+    for a party with no slot.
     """
-    if len(slots) != n:
-        raise ValueError(f"need one slot list per party, got {len(slots)} for n={n}")
-    for form in chain.from_iterable(slots):
-        if len(form) != randomness + 1:
-            raise ValueError(f"form {tuple(form)} needs {randomness + 1} coefficients")
-    registers = tuple((q,) * len(forms) or (1,) for forms in slots)
-    sizes = tuple(q ** len(forms) for forms in slots)
-    rows = q ** randomness
-    shifted = {}  # c -> v -> [v + t*c mod q for t in GF(q)]
-    columns = []
-    for forms in slots:
-        packed = [0] * 2 * rows
-        for c0, *coeffs in forms:
-            # column by column over (b, r1, ..., rR), b most significant:
-            # the values for r1..rj are those for r1..r(j-1), each
-            # followed by its q shifts by t*cj
-            values = [0, c0 % q]
-            for c in coeffs:
-                c %= q
-                if c not in shifted:
-                    shifted[c] = [[(v + t * c) % q for t in range(q)] for v in range(q)]
-                values = list(chain.from_iterable(map(shifted[c].__getitem__, values)))
-            packed = [p * q + v for p, v in zip(packed, values)]
-        columns.append(packed)
-    symbols = list(zip(*columns))
-    tables = symbols[:rows], symbols[rows:]
-    for b, table in enumerate(tables):  # range, weights and sum hold by construction
-        if len(set(table)) < rows:
-            raise ValueError(f"duplicate symbol tuple in the table for b = {b}: "
-                             f"two random choices give the same shares")
-    return Scheme(registers, tuple(JointDistribution._trusted(n, sizes, [(sym, 1) for sym in t], rows)
-                                   for t in tables))
+
+    q: int
+    slots: tuple[tuple[tuple[int, ...], ...], ...]
+    randomness: int
+    distributions: tuple[JointDistribution, JointDistribution] = field(
+        init=False, repr=False, compare=False)  # index by secret bit
+
+    def __post_init__(self):
+        q, randomness = self.q, self.randomness
+        slots = tuple(tuple(map(tuple, forms)) for forms in self.slots)
+        object.__setattr__(self, "slots", slots)
+        if not is_prime(q):
+            raise ValueError(f"modulus {q} is not prime")
+        for form in chain.from_iterable(slots):
+            if len(form) != randomness + 1:
+                raise ValueError(f"form {form} needs {randomness + 1} coefficients")
+        sizes = tuple(q ** len(forms) for forms in slots)
+        rows = q ** randomness
+        shifted = {}  # c -> v -> [v + t*c mod q for t in GF(q)]
+        columns = []
+        for forms in slots:
+            packed = [0] * 2 * rows
+            for c0, *coeffs in forms:
+                # column by column over (b, r1, ..., rR), b most significant:
+                # the values for r1..rj are those for r1..r(j-1), each
+                # followed by its q shifts by t*cj
+                values = [0, c0 % q]
+                for c in coeffs:
+                    c %= q
+                    if c not in shifted:
+                        shifted[c] = [[(v + t * c) % q for t in range(q)] for v in range(q)]
+                    values = list(chain.from_iterable(map(shifted[c].__getitem__, values)))
+                packed = [p * q + v for p, v in zip(packed, values)]
+            columns.append(packed)
+        symbols = list(zip(*columns))
+        tables = symbols[:rows], symbols[rows:]
+        for b, table in enumerate(tables):  # range, weights and sum hold by construction
+            if len(set(table)) < rows:
+                raise ValueError(f"duplicate symbol tuple in the table for b = {b}: "
+                                 f"two random choices give the same shares")
+        object.__setattr__(self, "distributions", tuple(
+            JointDistribution._trusted(self.n, sizes, [(sym, 1) for sym in t], rows) for t in tables))
+
+    @property
+    def n(self) -> int:
+        return len(self.slots)
+
+    @property
+    def registers(self) -> tuple[tuple[int, ...], ...]:
+        return tuple((self.q,) * len(forms) or (1,) for forms in self.slots)
+
+    def table(self, b: int):
+        return self.distributions[b].atoms
 
 
 def threshold_layout(allocation, k: int, q: int):
@@ -138,8 +130,6 @@ def threshold_layout(allocation, k: int, q: int):
     m = sum(allocation)
     if any(a < 0 for a in allocation):
         raise ValueError(f"need nonnegative share counts, got {tuple(allocation)}")
-    if not is_prime(q):
-        raise ValueError(f"modulus {q} is not prime")
     if q <= m:
         raise ValueError(f"need q > share count for distinct evaluation points, got q={q}, m={m}")
     if not 1 <= k <= m:
@@ -156,7 +146,9 @@ def weighted_threshold_scheme(n: int, allocation, k: int, q: int) -> Scheme:
     A party allocated no share holds one degenerate (1,) register, as in
     the XOR construction for a party outside every clause.
     """
-    return linear_scheme(n, *threshold_layout(tuple(allocation), k, q))
+    if len(allocation) != n:
+        raise ValueError(f"need one share count per party, got {len(allocation)} for n={n}")
+    return Scheme(*threshold_layout(allocation, k, q))
 
 
 def dnf_layout(u: UpSet):
@@ -183,7 +175,7 @@ def dnf_scheme(u: UpSet) -> Scheme:
     """XOR construction: an independent all-or-nothing GF(2) sharing per
     minimal authorized set.  Realizes exactly the given up-set.
     """
-    return linear_scheme(u.n, *dnf_layout(u))
+    return Scheme(*dnf_layout(u))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from recone.cone import check_membership
 from recone.lattice import enumerate_upsets, proper_submasks, subsets_in_order
 from recone.realize import realize_ray, synthesize, verify
 from recone.schemes import (
+    Scheme,
     dnf_scheme,
-    linear_scheme,
     scheme_state_pair,
     verify_scheme,
     weighted_threshold_scheme,
@@ -58,7 +58,7 @@ def test_criterion_2_two_clause_gf3_regression():
     t0 = time.perf_counter()
     # one (2, 2) Shamir clause over GF(3) on AB and one on CD
     clauses = [[(1, 1, 0)], [(1, 2, 0)], [(1, 0, 1)], [(1, 0, 2)]]
-    pair = scheme_state_pair(linear_scheme(4, 3, clauses, 2))
+    pair = scheme_state_pair(Scheme(3, clauses, 2))
     vec = re_vector(pair)
     target = (0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
     worst = max(abs(a - t) for a, t in zip(vec.values, target))

@@ -236,7 +236,8 @@ def test_malformed_factored_pair_exits_two(command, edit, needle, tmp_path, caps
     [{"symbols": [0, 0], "p": {"num": 1.9, "den": "2"}},
      {"symbols": [1, 1], "p": {"num": "1", "den": "2"}}],
     [{"symbols": [0, 0], "p": {"num": True, "den": True}}],
-], ids=["float-num", "bool-num-den"])
+    [{"symbols": [0, 0], "p": {"num": " 1_0 ", "den": "\u0661\u0660"}}],
+], ids=["float-num", "bool-num-den", "spaced-num-arabic-indic-den"])
 def test_relent_refuses_non_string_probabilities(rho, tmp_path, capsys):
     pair_path = write(tmp_path, "pair.json", {
         "n": 2, "alphabet_sizes": [2, 2], "rho": rho,

@@ -142,6 +142,11 @@ def factored(doc, edit):
     # and true as 1, so rho would pass as a valid table
     lambda d: d["rho"][0].update(p={"num": 1.9, "den": "2"}),
     lambda d: d.update(rho=[{"symbols": [0, 0], "p": {"num": True, "den": True}}]),
+    # int() also reads spaces, digit-group underscores and non-ASCII digits,
+    # so this one-atom rho would pass as 10/10
+    lambda d: d.update(rho=[{"symbols": [0, 0], "p": {"num": " 1_0 ", "den": "\u0661\u0660"}}]),
+    lambda d: d.update(rho=[{"symbols": [0, 0], "p": {"num": "1", "den": " 1"}}]),
+    lambda d: d.update(rho=[{"symbols": [0, 0], "p": {"num": "+1", "den": "1"}}]),
 ])
 def test_pair_from_json_rejects_malformed(mutate):
     rho = JointDistribution(2, (2, 2), (((0, 0), 1), ((1, 1), 1)), 2)

@@ -8,6 +8,7 @@ from itertools import permutations
 import pytest
 
 import recone.lattice
+from recone.cone import REVector, layer_cake_decompose
 from recone.lattice import (
     OrbitClass,
     UpSet,
@@ -18,6 +19,7 @@ from recone.lattice import (
     mask_of,
     parties,
     permutation_classes,
+    proper_submasks,
     subsets_in_order,
     upward_closure,
     validate_mask,
@@ -98,8 +100,11 @@ def test_invalid_masks_rejected(mask, n):
     (8, "subset mask 8 out of range for n=3 (need 1 <= mask < 8)"),
 ])
 def test_is_upset_error_messages(mask, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        is_upset({ABC, mask}, 3)
+    # every way in from masks: is_upset, UpSet and the upward_closure seed
+    for enter in (lambda family: is_upset(family, 3), lambda family: UpSet(3, family),
+                  lambda family: upward_closure(family, 3)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enter({ABC, mask})
 
 
 def test_is_upset_examples():
@@ -154,6 +159,58 @@ def test_minimal_sets_examples():
     u = upward_closure({0b0011, 0b1100}, 4)
     assert u.minimal_sets() == (0b0011, 0b1100)
     assert UpSet(3, frozenset({ABC})).minimal_sets() == (ABC,)
+
+
+def upsets_up_to_8():
+    """Every up-set with n <= 4, and seeded closures with n = 5 to 8."""
+    for n in (1, 2, 3, 4):
+        yield from enumerate_upsets(n)
+    rng = random.Random(58)
+    for n in (5, 6, 7, 8):
+        for _ in range(10):
+            yield random_upset(rng, n)
+
+
+def test_members_and_truth_table_agree():
+    # the lattice builds up-sets from truth tables; UpSet(n, members) is
+    # the other way in, and every view must read as the member set says
+    for u in upsets_up_to_8():
+        members = u.members
+        assert isinstance(members, frozenset)
+        again = UpSet(u.n, members)
+        assert again == u and hash(again) == hash(u)
+        order = subsets_in_order(u.n)
+        assert u.sorted_members() == tuple(m for m in order if m in members)
+        assert u.minimal_sets() == tuple(
+            m for m in order if m in members and not any(s in members for s in proper_submasks(m)))
+        assert u.indicator_values() == tuple(1 if m in members else 0 for m in order)
+        assert u.encoding() == sum(1 << (m - 1) for m in members)
+        assert all((m in u) == (m in members) for m in range(1, 1 << u.n))
+        # no mask, no member, and no exception for a non-int
+        for probe in (0, -1, 1 << u.n, "a", 1.0):
+            assert probe not in u
+
+
+def test_lattice_builds_upsets_without_validating_masks(monkeypatch):
+    calls = []
+
+    def counted(mask, n):
+        calls.append(mask)
+        validate_mask(mask, n)
+
+    monkeypatch.setattr(recone.lattice, "validate_mask", counted)
+    # up-sets built from truth tables the lattice knows to be monotone
+    upsets = enumerate_upsets(5)
+    assert len(permutation_classes(upsets, 5)) == 208
+    indicators = [u.indicator_values() for u in (upsets[0], upsets[500], upsets[-1])]
+    member = REVector(5, tuple(2 * a + 0.5 * b + c for a, b, c in zip(*indicators)))
+    assert len(layer_cake_decompose(member).terms) == 3
+    assert calls == []
+    # the ways in from masks check each one
+    UpSet(3, {AB, ABC})
+    is_upset({AB, ABC}, 3)
+    upward_closure({AB, ABC}, 3)
+    assert sorted(calls) == [AB] * 3 + [ABC] * 3
 
 
 def test_upset_validation():

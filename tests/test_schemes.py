@@ -8,14 +8,13 @@ from recone.schemes import (
     Scheme,
     dnf_scheme,
     is_prime,
-    linear_scheme,
     party_digits,
     scheme_state_pair,
     smallest_prime_above,
     verify_scheme,
     weighted_threshold_scheme,
 )
-from recone.states import JointDistribution, marginal, re_vector
+from recone.states import marginal, re_vector
 
 A, B, C = 0b001, 0b010, 0b100
 AB, BC = 0b011, 0b110
@@ -132,10 +131,12 @@ def test_shamir_table_parameter_errors():
 
 def test_linear_scheme_rejects_bad_layouts():
     with pytest.raises(ValueError, match="needs 2 coefficients"):
-        linear_scheme(2, 3, [[(1, 1)], [(1, 2, 0)]], 1)
+        Scheme(3, [[(1, 1)], [(1, 2, 0)]], 1)
     # r2 reaches no slot, so every share tuple comes up twice
     with pytest.raises(ValueError, match="duplicate symbol tuple"):
-        linear_scheme(2, 2, [[(1, 1, 0)], [(1, 0, 0)]], 2)
+        Scheme(2, [[(1, 1, 0)], [(1, 0, 0)]], 2)
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        Scheme(4, [[(1, 1)], [(1, 3)]], 1)
 
 
 @pytest.mark.parametrize("p,k,m", [(5, 2, 4), (7, 3, 5), (3, 2, 2)])
@@ -248,7 +249,7 @@ def test_dnf_scheme_exhaustive_small(n):
 
 
 def test_threshold_clause_scheme_matches_printed_tables():
-    scheme = linear_scheme(4, 3, TWO_GF3_CLAUSES, 2)
+    scheme = Scheme(3, TWO_GF3_CLAUSES, 2)
     assert scheme.registers == ((3,), (3,), (3,), (3,))
     atoms0 = sorted(sym for sym, _ in scheme.table(0))
     assert atoms0 == [
@@ -266,13 +267,13 @@ def test_threshold_clause_scheme_matches_printed_tables():
 
 
 def test_threshold_clause_scheme_vector():
-    pair = scheme_state_pair(linear_scheme(4, 3, TWO_GF3_CLAUSES, 2))
+    pair = scheme_state_pair(Scheme(3, TWO_GF3_CLAUSES, 2))
     assert re_vector(pair).values == (
         0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_threshold_clause_pair_marginals():
-    pair = scheme_state_pair(linear_scheme(4, 3, TWO_GF3_CLAUSES, 2))
+    pair = scheme_state_pair(Scheme(3, TWO_GF3_CLAUSES, 2))
     rho_ab = marginal(pair.rho, 0b0011)
     assert rho_ab.atoms == (((0, 0), 1), ((1, 2), 1), ((2, 1), 1))
     assert rho_ab.denominator == 3
@@ -294,12 +295,5 @@ def test_weighted_scheme_vector_is_ray6():
 
 
 def test_scheme_validation():
-    one = JointDistribution(1, (2,), (((1,), 1),), 1)
-    with pytest.raises(ValueError):  # table 0 sums to 1/2
-        Scheme(((2,),), (JointDistribution(1, (2,), (((0,), 1),), 2), one))
-    with pytest.raises(ValueError):  # table 0 is not uniform
-        Scheme(((2,),), (JointDistribution(1, (2,), (((0,), 3), ((1,), 1)), 4), one))
-    with pytest.raises(ValueError):  # alphabet 2 does not match the layout (3,)
-        Scheme(((3,),), (one, one))
     with pytest.raises(ValueError):
         verify_scheme(weighted_threshold_scheme(2, (1, 1), 2, 3), RAY6_STRUCTURE)
