@@ -40,10 +40,8 @@ from .realize import (
 )
 from .schemes import (
     Scheme,
-    SchemeAudit,
     dnf_scheme,
     scheme_state_pair,
-    verify_scheme,
     weighted_threshold_scheme,
 )
 from .states import (
@@ -54,7 +52,6 @@ from .states import (
     mix,
     re_vector,
     relative_entropy,
-    shannon_entropy,
     tensor,
 )
 

@@ -13,20 +13,31 @@ pair is one object:
      "rho":   [{"symbols": [0, 0], "p": {"num": "1", "den": "2"}}, ...],
      "sigma": [...]}
 
-and a factored pair, the tensor product of its factors, lists dense pair
-objects of the same n (none for the zero vector):
+and a factored pair, the tensor product of its factors, lists each
+factor as its linear scheme, the forms of each party's slots over GF(q)
+(see recone.schemes.Scheme), and its exact weight (none for the zero
+vector):
 
-    {"n": 2, "factors": [{"n": 2, "alphabet_sizes": [2, 2], ...}, ...]}
+    {"n": 2, "factors": [{"q": 2, "slots": [[[0, 1]], [[1, 1]]], "randomness": 1,
+                          "weight": {"num": "1", "den": "2"}}, ...]}
+
+A factor is checked by the Scheme constructor, with one slot list per
+party, and by 0 < p < 1; no table is built.  A dense pair object inside
+"factors" is refused.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .cone import MembershipReport, RayDecomposition, REVector, Violation
 from .lattice import mask_label, mask_of, parties, subsets_in_order
 from .realize import RealizationResult, VerificationReport
-from .states import JointDistribution, ProductPair, StatePair
+from .schemes import Scheme
+from .states import Factor, JointDistribution, ProductPair, StatePair
+
+_FACTOR_KEYS = {"q", "slots", "randomness", "weight"}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -125,32 +136,55 @@ def _distribution_from_json(doc, n: int, sizes) -> JointDistribution:
 
 def pair_to_json(pair: StatePair | ProductPair) -> dict:
     if isinstance(pair, ProductPair):
-        return {"n": pair.n, "factors": [pair_to_json(f) for f in pair.factors]}
+        return {"n": pair.n, "factors": [_factor_to_json(f) for f in pair.factors]}
     return {"n": pair.n,
             "alphabet_sizes": list(pair.rho.alphabet_sizes),
             "rho": _distribution_to_json(pair.rho),
             "sigma": _distribution_to_json(pair.sigma)}
 
 
+def _factor_to_json(f: Factor) -> dict:
+    s, p = f.scheme, f.weight
+    return {"q": s.q, "slots": [list(map(list, forms)) for forms in s.slots],
+            "randomness": s.randomness,
+            "weight": {"num": str(p.numerator), "den": str(p.denominator)}}
+
+
 def pair_from_json(doc) -> StatePair | ProductPair:
     """A dense pair object as a StatePair, a factored one as a
-    ProductPair whose factors pass every check of a dense pair."""
+    ProductPair of Factors, each read from its forms and weight."""
     n = _party_count(doc)
     if "factors" not in doc:
         return _dense_pair_from_json(doc)
     _require(doc.keys() == {"n", "factors"},
              f"a factored pair holds exactly 'n' and 'factors', got {sorted(doc)}")
     factors = doc["factors"]
-    _require(isinstance(factors, list), "'factors' must be a list of pair objects")
-    pairs = []
+    _require(isinstance(factors, list), "'factors' must be a list of factor objects")
+    read = []
     for i, item in enumerate(factors, start=1):
         try:
-            pair = _dense_pair_from_json(item)
+            read.append(_factor_from_json(item, n))
         except ValueError as err:
             raise ValueError(f"factor {i}: {err}") from None
-        _require(pair.n == n, f"factor {i} has n = {pair.n} but the file has n = {n}")
-        pairs.append(pair)
-    return ProductPair(n, tuple(pairs))
+    return ProductPair(n, tuple(read))
+
+
+def _factor_from_json(doc, n: int) -> Factor:
+    # per factor: messages are formatted only on failure
+    if not isinstance(doc, dict):
+        raise ValueError(f"a factor must be an object, got {doc!r}")
+    if "rho" in doc or "sigma" in doc:
+        raise ValueError("a dense pair object is not a factor; write a dense pair as the "
+                         "single-pair form {'n', 'alphabet_sizes', 'rho', 'sigma'}, "
+                         "without 'factors'")
+    if doc.keys() != _FACTOR_KEYS:
+        raise ValueError(f"a factor holds exactly 'q', 'slots', 'randomness' and 'weight', "
+                         f"got {sorted(doc)}")
+    slots = doc["slots"]
+    if not (isinstance(slots, list) and len(slots) == n):
+        raise ValueError(f"'slots' must hold one list of forms per party, {n} in all")
+    num, den = _probability_from_json(doc["weight"])
+    return Factor(Scheme(doc["q"], slots, doc["randomness"]), Fraction(num, den))
 
 
 def _dense_pair_from_json(doc) -> StatePair:

@@ -6,21 +6,22 @@ weight-p mix of the two tables with p = 2**(-lam).  Authorized subsets
 then sit at exactly -log2(p) bits (the two tables never collide, so the
 cross term vanishes; note this is -log2(p), not the binary entropy of p,
 which the mixture form might suggest) and unauthorized subsets at exactly
-0.  General members decompose into nested rays whose realizations are
-kept as factors of a ProductPair: relative entropies add over tensor
-products, so the achieved vector is the sum of the rays' vectors and the
-product itself is built only on request, by dense_pair.
+0.  General members decompose into nested rays, each kept as a Factor
+(its scheme and its weight) of a ProductPair: relative entropies add
+over tensor products, so the achieved vector is the sum of the rays'
+vectors.  Every scheme here is linear, so a ray's vector follows from
+the rank of each group's forms (recone.schemes) and synthesis, like
+verify, builds no share table; the tables and their tensor product are
+built only on request, by dense_pair.
 
-The scheme's table size sets the cost of everything after it, so each ray
-is planned before anything is built.  The candidates are the XOR scheme
+The scheme's table size sets the cost of the dense path, so each ray is
+planned before anything is built.  The candidates are the XOR scheme
 and, when U is the k-of-T threshold up-set (its minimal sets are all
 C(|T|, k) k-subsets of their union T), a Shamir scheme over GF(q), q the
 smallest prime above |T|.  Each candidate's size is q**R, read from the
-same linear layout its builder enumerates; the smaller table is built,
-ties going to XOR.  Synthesis refuses a target, before building any
-table, when one ray's sigma (twice its planned table) exceeds
-MAX_SIGMA_ATOMS; dense_pair refuses, before tensoring, when the product
-of the factors' sigma supports does.
+same linear layout its builder enumerates; the smaller table is chosen,
+ties going to XOR.  dense_pair refuses, before building any table, when
+the product of the factors' sigma supports exceeds MAX_SIGMA_ATOMS.
 
 The weight is exact from the start: p = 1 / 2**lam for integer lam, so
 entries come out machine-exact, and otherwise p is the double nearest
@@ -59,19 +60,18 @@ from .schemes import (
     threshold_layout,
     weighted_threshold_scheme,
 )
-from .states import ProductPair, StatePair, re_vector, tensor
+from .states import Factor, ProductPair, StatePair, re_vector, tensor
 
 #: largest ray coefficient in bits: 2**-1074 is the smallest positive double
 MAX_RAY_BITS = 1074
-#: largest sigma support built at once: one ray's sigma under synthesize,
-#: the whole product under dense_pair.  At about 620 bytes of peak memory
-#: per sigma atom (780 with the pair JSON), some 0.65 to 0.8 GB
+#: largest sigma support dense_pair builds.  At about 620 bytes of peak
+#: memory per sigma atom (780 with the pair JSON), some 0.65 to 0.8 GB
 MAX_SIGMA_ATOMS = 1 << 20
 
 
 class RealizationError(ValueError):
-    """Synthesis refused: a predicted sigma support exceeds the budget, or
-    the pair missed the target beyond the allowed tolerance."""
+    """Refused: the dense product's predicted sigma support exceeds the
+    budget, or the pair missed the target beyond the allowed tolerance."""
 
 
 def _dyadic_weight(lam) -> Fraction:
@@ -109,7 +109,7 @@ def _candidates(u: UpSet):
 @lru_cache(maxsize=256)
 def _plan(u: UpSet):
     """The chosen plan and its builder; cached, as synthesize plans every
-    ray for its budget and realize_ray plans it again."""
+    ray for its report and realize_ray plans it again."""
     candidates = list(_candidates(u))
     kind, atoms, build = min(candidates, key=itemgetter(1))  # first minimum: ties go to XOR
     return RayPlan(kind, atoms, tuple(c[:2] for c in candidates)), build
@@ -125,27 +125,13 @@ def ray_scheme(u: UpSet) -> Scheme:
     return _plan(u)[1]()
 
 
-def _budgeted_plan(u: UpSet) -> RayPlan:
-    """plan_ray(u), refused, naming u, when the ray's sigma, twice its
-    table, would exceed MAX_SIGMA_ATOMS."""
-    plan = plan_ray(u)
-    if 2 * plan.table_atoms > MAX_SIGMA_ATOMS:
-        sets = ", ".join(mask_label(m) for m in u.minimal_sets())
-        raise RealizationError(
-            f"ray with minimal sets {{{sets}}} plans a {plan.kind} table of "
-            f"{plan.table_atoms} atoms: its sigma of {2 * plan.table_atoms} atoms "
-            f"exceeds the budget of {MAX_SIGMA_ATOMS} atoms")
-    return plan
-
-
-def realize_ray(u: UpSet, lam) -> StatePair:
-    """State pair, built from the planned scheme, whose relative-entropy
-    vector is lam times the indicator of u, up to the rounding of the
-    mixing weight 2**(-lam) to a double.  Raises RealizationError before
-    building when the ray's sigma would exceed MAX_SIGMA_ATOMS."""
+def realize_ray(u: UpSet, lam) -> Factor:
+    """Factor, the planned scheme with the exact weight, whose
+    relative-entropy vector is lam times the indicator of u, up to the
+    rounding of the mixing weight 2**(-lam) to a double.  Builds no
+    table, whatever the scheme's size."""
     weight = _dyadic_weight(lam)
-    _budgeted_plan(u)
-    return scheme_state_pair(ray_scheme(u), weight)
+    return Factor(ray_scheme(u), weight)
 
 
 class SubsetDeviation(NamedTuple):
@@ -192,7 +178,9 @@ def _compare(v: REVector, achieved: REVector, tol: float) -> VerificationReport:
 
 
 def verify(v: REVector, pair: StatePair | ProductPair, tol: float = TOL) -> VerificationReport:
-    """Recompute the pair's relative-entropy vector and compare to v.
+    """Recompute the pair's relative-entropy vector and compare to v: a
+    ProductPair's from the forms of each factor's scheme, by rank, a
+    StatePair's from its tables.
 
     Reports the per-subset deviation, the worst deviation, and whether
     the achieved vector itself still passes the monotonicity check.
@@ -222,22 +210,25 @@ class RealizationResult:
 
 
 def _sigma_support(pair: ProductPair) -> int:
-    """Sigma support of the dense product: the product of the factors'."""
-    return math.prod(len(f.sigma.atoms) for f in pair.factors)
+    """Sigma support of the dense product, read from the layouts: each
+    factor's sigma covers both tables, 2 * q**R atoms when they are
+    disjoint, as they are for every ray, and fewer otherwise."""
+    return math.prod(2 * f.scheme.q ** f.scheme.randomness for f in pair.factors)
 
 
 def dense_pair(pair: ProductPair) -> StatePair:
-    """The tensor product of pair's factors as one StatePair, folded with
-    tensor from the first factor; the audit path.  Raises RealizationError
-    before tensoring when the product's sigma support, the product of the
-    factors' supports, exceeds MAX_SIGMA_ATOMS."""
+    """The tensor product of pair's factors as one StatePair, each factor
+    built from its share tables and folded with tensor from the first;
+    the audit path.  Raises RealizationError before building any table
+    when the product's sigma support, the product of the factors',
+    exceeds MAX_SIGMA_ATOMS."""
     predicted = _sigma_support(pair)
     if predicted > MAX_SIGMA_ATOMS:
         raise RealizationError(f"predicted sigma support of {predicted} atoms exceeds "
                                f"the budget of {MAX_SIGMA_ATOMS} atoms")
     if not pair.factors:
         return StatePair(pair.rho, pair.sigma)  # the one-atom pair
-    return reduce(tensor, pair.factors)
+    return reduce(tensor, (scheme_state_pair(f.scheme, f.weight) for f in pair.factors))
 
 
 def synthesize(v: REVector) -> RealizationResult:
@@ -245,13 +236,12 @@ def synthesize(v: REVector) -> RealizationResult:
 
     Decomposes v over its level sets, plans a scheme per nested ray,
     realizes each ray as one factor of a ProductPair and sums the factors'
-    vectors into the achieved vector.  Raises RealizationError before
-    building anything when one ray's sigma would exceed MAX_SIGMA_ATOMS,
-    naming that ray, and, naming the worst subset, unless the achieved
-    vector passes verification against v with tolerance TOL.
+    vectors, from rank, into the achieved vector; no share table is
+    built.  Raises RealizationError, naming the worst subset, unless the
+    achieved vector passes verification against v with tolerance TOL.
     """
     decomposition = layer_cake_decompose(v)  # also enforces membership
-    plans = tuple(_budgeted_plan(upset) for _, upset in decomposition.terms)
+    plans = tuple(plan_ray(upset) for _, upset in decomposition.terms)
     pair = ProductPair(v.n, tuple(realize_ray(upset, coeff)
                                   for coeff, upset in decomposition.terms))
     achieved = re_vector(pair)

@@ -8,10 +8,20 @@ slot values in mixed radix, first slot most significant.
 
 Every scheme here is linear (a monotone span program): each slot holds a
 linear form c0*b + c1*r1 + ... + cR*rR over GF(q) in the secret and R
-uniform random symbols.  A Scheme is these forms, its generator rows:
-Scheme(q, slots, R) enumerates each table as the image of GF(q)^R, so a
-table has exactly q**R atoms whenever the layout is injective.  Two
-layouts feed it:
+uniform random symbols.  A Scheme is these forms, its generator rows.
+The constructor checks that the random columns have rank R, so that the
+table of each secret is the injective image of GF(q)^R with exactly
+q**R atoms; the tables themselves are enumerated only when read.
+
+Linearity decides a group's view by rank alone.  Group S's marginal is
+uniform on a coset of the image of S's random columns, shifted by b
+times S's secret column.  The two cosets coincide unless the secret
+column e0 = (1, 0, ..., 0) lies in the row span of S's forms, and are
+disjoint when it does: then S recovers b, otherwise its view does not
+depend on b.  Scheme.authorized finds these groups by one GF(q)
+elimination basis, extended party by party along a walk of the subsets.
+
+Two layouts feed the constructor:
 
 * Shamir threshold sharing over a prime field, in a weighted variant
   that hands several consecutive shares to one party: share x holds
@@ -20,22 +30,23 @@ layouts feed it:
   structure: each minimal authorized set S gets its own independent
   all-or-nothing additive sharing over GF(2), so 2**sum(|S| - 1) atoms.
 
-Ray realization (recone.realize) reads a candidate's size from its layout.
-
-An exhaustive auditor checks the defining property subset by subset
-against an up-set of authorized groups: authorized groups see disjoint
-supports for b = 0 and b = 1, while unauthorized groups see identical
-marginal distributions.
+Ray realization (recone.realize) reads a candidate's size from its
+layout, and verify_scheme checks a scheme's authorized groups against an
+up-set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, islice
 
-from .lattice import UpSet, mask_label, parties
-from .states import JointDistribution, StatePair, marginal, mix
+from .lattice import MAX_PARTIES, UpSet, mask_label, parties
+from .states import JointDistribution, StatePair, mix
+
+#: largest field size a scheme may use; trial division proves primality
+MAX_MODULUS = 1 << 31
 
 
 def is_prime(m: int) -> bool:
@@ -56,60 +67,87 @@ def smallest_prime_above(m: int) -> int:
     return p
 
 
+def _insert(basis: dict[int, dict[int, int]], row: dict[int, int], q: int,
+            secret: int) -> bool:
+    """Reduce a sparse row {column: nonzero coefficient} over GF(q) by the
+    echelon basis {pivot: row with 1 at its pivot and 0 before it}, lowest
+    column first, and enter what is left as a new basis row.  The secret
+    column comes last, so True, with the basis unchanged, means that
+    only the secret column was left: then e0 lies in the span."""
+    row = dict(row)
+    while row:
+        col = min(row)
+        pivot_row = basis.get(col)
+        if pivot_row is None:
+            if col == secret:
+                return True
+            inverse = pow(row[col], -1, q)
+            basis[col] = {c: x * inverse % q for c, x in row.items()}
+            return False
+        f = row[col]
+        for c, x in pivot_row.items():
+            y = (row.get(c, 0) - f * x) % q
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+    return False
+
+
 @dataclass(frozen=True)
 class Scheme:
     """Scheme given by its generator rows, linear forms over GF(q), q prime.
 
     slots[i] lists party i+1's slots, each a coefficient tuple
-    (c0, c1, ..., cR) for the slot value c0*b + c1*r1 + ... + cR*rR mod q,
-    R = randomness.  distributions[b] lists the share tuples of all
-    (r1, ..., rR) in GF(q)^R, each with weight 1; a layout that maps two
-    of them to one tuple is refused as a duplicate.  registers[i] lists
-    the alphabet sizes of party i+1's slots, one degenerate (1,) register
-    for a party with no slot.
+    (c0, c1, ..., cR), integers in range(q), for the slot value
+    c0*b + c1*r1 + ... + cR*rR mod q, R = randomness.  A layout whose
+    random columns have rank below R maps two random choices to one share
+    tuple, and is refused as a duplicate.  distributions[b] lists the
+    share tuples of all (r1, ..., rR) in GF(q)^R, each with weight 1; it
+    is enumerated on first read.  registers[i] lists the alphabet sizes
+    of party i+1's slots, one degenerate (1,) register for a party with
+    no slot.
     """
 
     q: int
     slots: tuple[tuple[tuple[int, ...], ...], ...]
     randomness: int
-    distributions: tuple[JointDistribution, JointDistribution] = field(
-        init=False, repr=False, compare=False)  # index by secret bit
 
     def __post_init__(self):
         q, randomness = self.q, self.randomness
-        slots = tuple(tuple(map(tuple, forms)) for forms in self.slots)
+        try:
+            slots = tuple(tuple(map(tuple, forms)) for forms in self.slots)
+        except TypeError:
+            raise ValueError("slots must list each party's forms as lists of coefficients") from None
         object.__setattr__(self, "slots", slots)
+        if type(q) is not int or not q < MAX_MODULUS:
+            raise ValueError(f"modulus must be an integer below 2**31, got {q!r}")
         if not is_prime(q):
             raise ValueError(f"modulus {q} is not prime")
+        if type(randomness) is not int or randomness < 0:
+            raise ValueError(f"randomness must be a nonnegative integer, got {randomness!r}")
+        if not 1 <= len(slots) <= MAX_PARTIES:
+            raise ValueError(f"party count must be in 1..{MAX_PARTIES}, got {len(slots)}")
         for form in chain.from_iterable(slots):
             if len(form) != randomness + 1:
                 raise ValueError(f"form {form} needs {randomness + 1} coefficients")
-        sizes = tuple(q ** len(forms) for forms in slots)
-        rows = q ** randomness
-        shifted = {}  # c -> v -> [v + t*c mod q for t in GF(q)]
-        columns = []
-        for forms in slots:
-            packed = [0] * 2 * rows
-            for c0, *coeffs in forms:
-                # column by column over (b, r1, ..., rR), b most significant:
-                # the values for r1..rj are those for r1..r(j-1), each
-                # followed by its q shifts by t*cj
-                values = [0, c0 % q]
-                for c in coeffs:
-                    c %= q
-                    if c not in shifted:
-                        shifted[c] = [[(v + t * c) % q for t in range(q)] for v in range(q)]
-                    values = list(chain.from_iterable(map(shifted[c].__getitem__, values)))
-                packed = [p * q + v for p, v in zip(packed, values)]
-            columns.append(packed)
-        symbols = list(zip(*columns))
-        tables = symbols[:rows], symbols[rows:]
-        for b, table in enumerate(tables):  # range, weights and sum hold by construction
-            if len(set(table)) < rows:
-                raise ValueError(f"duplicate symbol tuple in the table for b = {b}: "
-                                 f"two random choices give the same shares")
-        object.__setattr__(self, "distributions", tuple(
-            JointDistribution._trusted(self.n, sizes, [(sym, 1) for sym in t], rows) for t in tables))
+        coefficients = list(chain.from_iterable(chain.from_iterable(slots)))
+        if coefficients and not (set(map(type, coefficients)) <= {int}
+                                 and min(coefficients) >= 0 and max(coefficients) < q):
+            form = next(f for f in chain.from_iterable(slots)
+                        if not all(type(c) is int and 0 <= c < q for c in f))
+            raise ValueError(f"form {form} needs integer coefficients in 0..{q - 1}")
+        # per party, its forms as sparse rows {column: coefficient}, r1..rR
+        # in columns 0..R-1 and the secret last, in column R
+        rows = tuple([{c: x for c, x in enumerate(form[1:] + form[:1]) if x} for form in forms]
+                     for forms in slots)
+        basis = {}
+        for row in chain.from_iterable(rows):
+            _insert(basis, row, q, randomness)
+        if len(basis) < randomness:  # no pivot but on a random column
+            raise ValueError("duplicate symbol tuple in the table for b = 0: "
+                             "two random choices give the same shares")
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def n(self) -> int:
@@ -118,6 +156,60 @@ class Scheme:
     @property
     def registers(self) -> tuple[tuple[int, ...], ...]:
         return tuple((self.q,) * len(forms) or (1,) for forms in self.slots)
+
+    def authorized(self) -> int:
+        """Truth table of the groups that recover the secret: bit m is set
+        iff e0 lies in the row span of group m's forms.  Recomputed on
+        every call: a depth-first walk adds one party at a time, above
+        the group's highest, to a copy of the group's elimination basis.
+        Once a group recovers the secret, so does every group the walk
+        grows from it, and the walk marks them without extending."""
+        n, q, secret, rows = self.n, self.q, self.randomness, self._rows
+        table = 0
+        stack = [(0, {}, 0)]  # (group, its basis, first party the walk may add)
+        while stack:
+            mask, basis, first = stack.pop()
+            for j in range(first, n):
+                grown = dict(basis)
+                for row in rows[j]:
+                    if _insert(grown, row, q, secret):
+                        above = (1 << n) - (2 << j)
+                        sub = above
+                        while True:
+                            table |= 1 << (mask | 1 << j | sub)
+                            if not sub:
+                                break
+                            sub = (sub - 1) & above
+                        break
+                else:
+                    stack.append((mask | 1 << j, grown, j + 1))
+        return table
+
+    @cached_property
+    def distributions(self) -> tuple[JointDistribution, JointDistribution]:
+        """The share tables, indexed by the secret bit."""
+        q = self.q
+        sizes = tuple(q ** len(forms) for forms in self.slots)
+        rows = q ** self.randomness
+        shifted = {}  # c -> v -> [v + t*c mod q for t in GF(q)]
+        columns = []
+        for forms in self.slots:
+            packed = [0] * 2 * rows
+            for c0, *coeffs in forms:
+                # column by column over (b, r1, ..., rR), b most significant:
+                # the values for r1..rj are those for r1..r(j-1), each
+                # followed by its q shifts by t*cj
+                values = [0, c0]
+                for c in coeffs:
+                    if c not in shifted:
+                        shifted[c] = [[(v + t * c) % q for t in range(q)] for v in range(q)]
+                    values = list(chain.from_iterable(map(shifted[c].__getitem__, values)))
+                packed = [p * q + v for p, v in zip(packed, values)]
+            columns.append(packed)
+        symbols = list(zip(*columns))
+        # range, weights, sum and distinct tuples hold by construction
+        return tuple(JointDistribution._trusted(self.n, sizes, [(sym, 1) for sym in table], rows)
+                     for table in (symbols[:rows], symbols[rows:]))
 
     def table(self, b: int):
         return self.distributions[b].atoms
@@ -181,7 +273,7 @@ def dnf_scheme(u: UpSet) -> Scheme:
 @dataclass(frozen=True)
 class SubsetFinding:
     mask: int
-    authorized: bool
+    authorized: bool  # whether u says the group is authorized
     detail: str
 
 
@@ -192,28 +284,24 @@ class SchemeAudit:
 
 
 def verify_scheme(s: Scheme, u: UpSet) -> SchemeAudit:
-    """Exhaustive audit of the secret-sharing property for the up-set u
-    of authorized groups.
+    """Check that the groups recovering the secret of s, by rank, are
+    exactly the up-set u of authorized groups.
 
-    For every nonempty group: authorized groups must see disjoint
-    supports for the two secret values, unauthorized groups identical
-    marginal distributions.  Exact rational arithmetic throughout.
+    A linear scheme gives an authorized group disjoint supports for the
+    two secret values and an unauthorized group identical marginals, so
+    this is the secret-sharing property, decided without building a
+    table.
     """
     if s.n != u.n:
         raise ValueError(f"scheme has {s.n} parties but the up-set has {u.n}")
+    recovers = s.authorized()
     failures = []
     for mask in range(1, 1 << s.n):
-        m0, m1 = (marginal(d, mask) for d in s.distributions)
-        if mask in u:
-            overlap = m0.support() & m1.support()
-            if overlap:
-                failures.append(SubsetFinding(
-                    mask, True,
-                    f"authorized group {mask_label(mask)} sees {len(overlap)} shared share tuples"))
-        elif m0 != m1:
-            failures.append(SubsetFinding(
-                mask, False,
-                f"unauthorized group {mask_label(mask)} can distinguish the secret"))
+        authorized = bool(u.table >> mask & 1)
+        if authorized != bool(recovers >> mask & 1):
+            failures.append(SubsetFinding(mask, authorized, (
+                f"authorized group {mask_label(mask)} cannot recover the secret" if authorized
+                else f"unauthorized group {mask_label(mask)} can distinguish the secret")))
     return SchemeAudit(passed=not failures, failures=tuple(failures))
 
 
@@ -228,6 +316,7 @@ def party_digits(layout, flat: int) -> tuple[int, ...]:
 
 
 def scheme_state_pair(s: Scheme, weight=Fraction(1, 2)) -> StatePair:
-    """State pair (table for 0, weight-mix of the two tables)."""
+    """State pair (table for 0, weight-mix of the two tables): the dense
+    form of a ray factor, built from the full tables."""
     rho0, rho1 = s.distributions
     return StatePair(rho0, mix(rho0, rho1, weight))

@@ -7,8 +7,12 @@ over one common denominator.  Probabilities stay exact through
 marginalization, mixing and tensor products, which add and multiply
 integers only; base-2 logs are taken in double precision only at the very
 end, after atoms with identical likelihood ratio have been pooled exactly.
-A ProductPair stands for a tensor product of pairs and builds it only when
-its rho or sigma is read.
+
+A ProductPair stands for a tensor product of ray factors.  A Factor is a
+linear secret-sharing scheme and an exact weight p, standing for the pair
+(table(0), p table(0) + (1 - p) table(1)); its vector comes from the
+scheme's rank, so neither a factor nor the product is built unless its
+rho or sigma is read.
 """
 
 from __future__ import annotations
@@ -19,9 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, contains, itemgetter
+from typing import TYPE_CHECKING
 
 from .cone import REVector
 from .lattice import subsets_in_order, validate_mask
+
+if TYPE_CHECKING:
+    from .schemes import Scheme
 
 
 def _log2_ratio(num: int, den: int) -> float:
@@ -200,19 +208,6 @@ def relative_entropy(P: JointDistribution, Q: JointDistribution) -> float:
     return math.fsum(terms)
 
 
-def shannon_entropy(P: JointDistribution) -> float:
-    """H(P) = -sum p log2 p in bits."""
-    weight_by_value: defaultdict[int, int] = defaultdict(int)
-    for _, w in P.atoms:
-        weight_by_value[w] += w
-    terms = []
-    for v, w in weight_by_value.items():
-        if v != P.denominator:
-            g = math.gcd(v, P.denominator)
-            terms.append(-(w / P.denominator) * _log2_ratio(v // g, P.denominator // g))
-    return math.fsum(terms)
-
-
 @dataclass(frozen=True)
 class StatePair:
     """Two distributions over one product alphabet, the arguments of
@@ -235,51 +230,88 @@ def tensor(a: StatePair, b: StatePair) -> StatePair:
 
 
 @dataclass(frozen=True)
+class Factor:
+    """One ray of a ProductPair: a linear scheme and an exact weight
+    0 < p < 1, standing for rho = table(0) and sigma = the p-mix of
+    table(0) and table(1).  By linearity its relative entropy on a group
+    is exactly -log2(p) where the group recovers the secret and exactly
+    0 elsewhere (see recone.schemes)."""
+
+    scheme: Scheme
+    weight: Fraction
+
+    def __post_init__(self):
+        w = self.weight
+        if not (isinstance(w, Fraction) and 0 < w.numerator < w.denominator):
+            raise ValueError(f"weight must be an exact fraction with 0 < p < 1, got {w}")
+
+    @property
+    def n(self) -> int:
+        return self.scheme.n
+
+
+@dataclass(frozen=True)
 class ProductPair:
-    """The tensor product of state pairs over the same n parties, kept as
+    """The tensor product of ray factors over the same n parties, kept as
     its factors.  Relative entropies add over tensor products, so its
     vector is the sum of the factors' vectors; with no factors it is the
     zero vector.  rho and sigma multiply the product out on every access,
-    with no size check: their supports are the products of the factors'
-    supports, and realize.dense_pair checks that size first."""
+    building every factor's tables, with no size check: their supports
+    are the products of the factors' supports, and realize.dense_pair
+    checks that size first."""
 
     n: int
-    factors: tuple[StatePair, ...]
+    factors: tuple[Factor, ...]
 
     def __post_init__(self):
         factors = tuple(self.factors)
         object.__setattr__(self, "factors", factors)
         for i, f in enumerate(factors, start=1):
+            if not isinstance(f, Factor):
+                raise ValueError(f"factor {i} is a {type(f).__name__}, not a Factor")
             if f.n != self.n:
                 raise ValueError(f"factor {i} has {f.n} parties, the product has {self.n}")
 
-    def _multiply_out(self, side: str) -> JointDistribution:
+    def _multiply_out(self, sides) -> JointDistribution:
         point = JointDistribution._trusted(self.n, (1,) * self.n, (((0,) * self.n, 1),), 1)
-        return reduce(_product, (getattr(f, side) for f in self.factors), point)
+        return reduce(_product, sides, point)
 
     @property
     def rho(self) -> JointDistribution:
-        return self._multiply_out("rho")
+        return self._multiply_out(f.scheme.distributions[0] for f in self.factors)
 
     @property
     def sigma(self) -> JointDistribution:
-        return self._multiply_out("sigma")
+        return self._multiply_out(mix(*f.scheme.distributions, f.weight) for f in self.factors)
 
 
-def re_vector(pair: StatePair | ProductPair) -> REVector:
+def _rank_values(f: Factor, order) -> list[float]:
+    """A factor's entries in the given subset order: -log2(p), the log of
+    the exact ratio 1/p that a dense recomputation pools, on the groups
+    that recover the secret, and 0.0 elsewhere."""
+    recovers = f.scheme.authorized()
+    bits = _log2_ratio(f.weight.denominator, f.weight.numerator)
+    return [bits if recovers >> m & 1 else 0.0 for m in order]
+
+
+def re_vector(pair: StatePair | ProductPair | Factor) -> REVector:
     """All 2^n - 1 relative entropies of the marginal pairs, in bits.
 
-    A ProductPair's vector is the math.fsum, entry by entry, of its
-    factors' vectors.  For a StatePair each proper subset's marginals are
+    A Factor's vector comes from its scheme's rank, and a ProductPair's
+    is the math.fsum, entry by entry, of its factors' vectors; neither
+    builds a table.  For a StatePair each proper subset's marginals are
     summed from those of its parent, the subset plus its lowest missing
     party, so every subset is reached once and the full tables are
     reduced only n times per side.  The walk is depth first, so only one
     chain of marginals is alive at a time.
     """
+    order = subsets_in_order(pair.n)
+    if isinstance(pair, Factor):
+        return REVector(pair.n, _rank_values(pair, order))
     if isinstance(pair, ProductPair):
         if not pair.factors:
-            return REVector(pair.n, (0.0,) * ((1 << pair.n) - 1))
-        columns = zip(*(re_vector(f).values for f in pair.factors))
+            return REVector(pair.n, (0.0,) * len(order))
+        columns = zip(*(_rank_values(f, order) for f in pair.factors))
         return REVector(pair.n, tuple(map(math.fsum, columns)))
     values = {}
 
@@ -293,4 +325,4 @@ def re_vector(pair: StatePair | ProductPair) -> REVector:
                 walk(mask ^ 1 << i, marginal(rho, rest), marginal(sigma, rest))
 
     walk((1 << pair.n) - 1, pair.rho, pair.sigma)
-    return REVector(pair.n, tuple(values[m] for m in subsets_in_order(pair.n)))
+    return REVector(pair.n, tuple(values[m] for m in order))

@@ -6,7 +6,7 @@ import random
 from itertools import product
 
 from recone.cone import REVector
-from recone.lattice import enumerate_upsets, subsets_in_order
+from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure
 from recone.states import JointDistribution, StatePair
 
 
@@ -37,4 +37,18 @@ def random_members(seed, n, count):
         picks = rng.sample(upsets, rng.randint(1, 4))
         coeffs = [rng.uniform(0.1, 3.0) for _ in picks]
         yield REVector(n, tuple(math.fsum(c for c, u in zip(coeffs, picks) if mask in u.members)
+                                for mask in order))
+
+
+def closure_members(seed, n, count):
+    """count cone members at n parties, drawn without enumerating the
+    up-sets, as members are drawn for n >= 6: sums of 1 to 4 upward
+    closures, each of 1 to 4 random seed masks, coefficients U(0.1, 3.0)."""
+    rng = random.Random(seed)
+    order = subsets_in_order(n)
+    for _ in range(count):
+        rays = [upward_closure({rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))}, n)
+                for _ in range(rng.randint(1, 4))]
+        coeffs = [rng.uniform(0.1, 3.0) for _ in rays]
+        yield REVector(n, tuple(math.fsum(c for c, u in zip(coeffs, rays) if mask in u)
                                 for mask in order))

@@ -12,28 +12,15 @@ from fractions import Fraction
 
 from conftest import random_distribution, random_members, random_pair
 from test_lattice import brute_force_upsets
-from test_states import binary_entropy
+from test_schemes import dense_audit
+from test_states import binary_entropy, shannon_entropy
 
 from recone.cli import main as cli_main
 from recone.cone import check_membership
 from recone.lattice import enumerate_upsets, proper_submasks, subsets_in_order
 from recone.realize import realize_ray, synthesize, verify
-from recone.schemes import (
-    Scheme,
-    dnf_scheme,
-    scheme_state_pair,
-    verify_scheme,
-    weighted_threshold_scheme,
-)
-from recone.states import (
-    StatePair,
-    marginal,
-    mix,
-    re_vector,
-    relative_entropy,
-    shannon_entropy,
-    tensor,
-)
+from recone.schemes import Scheme, dnf_scheme, scheme_state_pair, weighted_threshold_scheme
+from recone.states import StatePair, marginal, mix, re_vector, tensor
 
 
 def report(criterion, ok, detail):
@@ -106,7 +93,7 @@ def test_criterion_4_exhaustive_realization_n_up_to_4():
     for n in (1, 2, 3, 4):
         t0 = time.perf_counter()
         for u in enumerate_upsets(n):
-            audit = verify_scheme(dnf_scheme(u), u)
+            audit = dense_audit(dnf_scheme(u), u)
             assert audit.passed, (n, u.minimal_sets(), audit.failures)
             vec = re_vector(realize_ray(u, 1))
             dev = max(abs(a - t) for a, t in zip(vec.values, u.indicator_values()))

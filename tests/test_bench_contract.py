@@ -51,7 +51,8 @@ def test_table_counter_reads_the_atom_count(tracing):
 def test_tracer_wraps_and_restores(tracing, capsys):
     original = realize.dnf_scheme
     with tracing.Tracer() as tracer:
-        realize.realize_ray(upward_closure({0b011}, 2), 1)
+        factor = realize.realize_ray(upward_closure({0b011}, 2), 1)
+        realize.dense_pair(states.ProductPair(2, (factor,)))  # the one caller of scheme_state_pair
     assert "not traced" not in capsys.readouterr().err
     assert realize.dnf_scheme is original
     assert tracer.counters["schemes.table_atoms.max"] == 2

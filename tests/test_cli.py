@@ -8,6 +8,10 @@ import time
 
 import pytest
 
+from conftest import closure_members
+from test_jsonio import DENSE_DOC, MALFORMED_FACTORS, malformed_factor_doc
+
+from recone import schemes
 from recone.cli import main
 from recone.cone import REVector, Violation
 from recone.jsonio import pair_to_json, vector_to_json
@@ -193,6 +197,49 @@ def test_strictly_monotone_target_through_the_cli(n, tmp_path, capsys):
         assert f"budget of {MAX_SIGMA_ATOMS} atoms" in error
 
 
+# the done condition of n = 8 at scale: members drawn without enumerating
+# the up-sets, 12 of the 20 with a dense product above MAX_SIGMA_ATOMS
+N8_MEMBERS = list(closure_members(8, 8, 20))
+
+
+@pytest.mark.parametrize("i", range(len(N8_MEMBERS)))
+def test_n8_member_round_trips_through_the_cli(i, tmp_path, capsys):
+    vec_path = write(tmp_path, "v.json", vector_to_json(N8_MEMBERS[i]))
+    out_path = str(tmp_path / "pair.json")
+    outputs = []
+    start = time.perf_counter()
+    for argv in (["synthesize", vec_path, "-o", out_path],
+                 ["verify", vec_path, out_path],
+                 ["relent", out_path]):
+        assert main(argv) == 0, argv
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert time.perf_counter() - start < 1
+    summary, report, achieved = outputs
+    assert report["passed"] is True
+    assert achieved == summary["achieved"]  # recomputed from the file's forms
+
+
+def test_dense_synthesis_of_an_over_budget_n8_member_builds_no_table(tmp_path, capsys,
+                                                                      monkeypatch):
+    target = next(v for v in N8_MEMBERS if synthesize(v).sigma_atoms > MAX_SIGMA_ATOMS)
+
+    def no_tables(self):
+        raise AssertionError("a share table was built")
+
+    monkeypatch.setattr(schemes.Scheme, "distributions", property(no_tables))
+    vec_path = write(tmp_path, "v.json", vector_to_json(target))
+    out = tmp_path / "pair.json"
+    assert main(["synthesize", vec_path, "-o", str(out), "--dense"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert f"predicted sigma support of {synthesize(target).sigma_atoms} atoms" in error
+    assert f"budget of {MAX_SIGMA_ATOMS} atoms" in error
+    assert not out.exists()
+    # the factored form is written, read back and verified without a table
+    assert main(["synthesize", vec_path, "-o", str(out)]) == 0
+    assert main(["verify", vec_path, str(out)]) == 0
+    assert main(["relent", str(out)]) == 0
+
+
 def test_synthesize_dense_writes_one_pair(tmp_path, capsys):
     target = REVector(3, (0, 0, 0, 2, 2, 2, 3))  # two rays, 80 sigma atoms
     vec_path = write(tmp_path, "v.json", vector_to_json(target))
@@ -209,17 +256,17 @@ def test_synthesize_dense_writes_one_pair(tmp_path, capsys):
 
 
 def _factored_doc(edit):
-    factor = pair_to_json(synthesize(REVector(2, (0, 0, 1))).pair.factors[0])
+    (factor,) = pair_to_json(synthesize(REVector(2, (0, 0, 1))).pair)["factors"]
     doc = {"n": 2, "factors": [factor, copy.deepcopy(factor)]}
     edit(doc)
     return doc
 
 
 @pytest.mark.parametrize("edit,needle", [
-    (lambda d: d.update(n=3), "factor 1 has n = 2"),
+    (lambda d: d.update(n=3), "factor 1: 'slots' must hold one list of forms per party, 3"),
     (lambda d: d.update(factors=d["factors"][0]), "'factors' must be a list"),
-    (lambda d: d.update(rho=d["factors"][0]["rho"]), "exactly 'n' and 'factors'"),
-    (lambda d: d["factors"][1]["rho"][0].update(symbols=[0, 7]), "factor 2: symbol tuple"),
+    (lambda d: d.update(rho=[]), "exactly 'n' and 'factors'"),
+    (lambda d: d["factors"][1]["slots"][0][0].append(0), "factor 2: form"),
 ], ids=["factor-n", "factors-not-list", "factors-and-rho", "bad-atom-in-factor-2"])
 @pytest.mark.parametrize("command", ["relent", "verify"])
 def test_malformed_factored_pair_exits_two(command, edit, needle, tmp_path, capsys):
@@ -257,6 +304,20 @@ def test_verify_refuses_tolerance_outside_zero_to_inf(tol, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "tolerance must be finite and nonnegative" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("edit", list(MALFORMED_FACTORS.values()) + [
+    lambda f: f.clear() or f.update(copy.deepcopy(DENSE_DOC))],
+    ids=list(MALFORMED_FACTORS) + ["dense-pair-object"])
+@pytest.mark.parametrize("command", ["relent", "verify"])
+def test_malformed_scheme_factor_exits_two(command, edit, tmp_path, capsys):
+    pair_path = write(tmp_path, "pair.json", malformed_factor_doc(edit))
+    vec_path = write(tmp_path, "v.json", vector_to_json(REVector(2, (0, 0, 2))))
+    argv = ["relent", pair_path] if command == "relent" else ["verify", vec_path, pair_path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("factor 2: ")
 
 
 def test_factored_pair_file_round_trip(tmp_path, capsys):

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from recone.jsonio import (
     verification_report_to_json,
 )
 from recone.lattice import enumerate_upsets, upward_closure
-from recone.realize import _dyadic_weight, realize_ray, synthesize, verify
+from recone.realize import _dyadic_weight, dense_pair, realize_ray, synthesize, verify
 from recone.schemes import dnf_scheme, scheme_state_pair
 from recone.states import JointDistribution, ProductPair, StatePair
 
@@ -88,36 +89,49 @@ def test_pair_json_golden_digest():
         "3f2ccf7ef0628a61c1ce12468e9f21d9b0bdf38bb7fa26df5851dba804b64949"
 
 
+def planned_pair(u, lam):
+    """realize_ray's factor as the dense pair dense_pair builds from it."""
+    return dense_pair(ProductPair(u.n, (realize_ray(u, lam),)))
+
+
 def test_planned_pair_json_golden_digest():
     # realize_ray's planned bytes: XOR everywhere but 2-of-3, which is Shamir
-    assert _pair_json_digest(realize_ray) == \
+    assert _pair_json_digest(planned_pair) == \
         "1befdcb93f4e5bf40e7ffc9e32e1b95fcffb59a5557b4b26a7aed6ff804df582"
 
 
 def test_realize_ray_keeps_xor_pair_except_two_of_three():
     two_of_three = upward_closure({0b011, 0b101, 0b110}, 3)
     planned = [u for n in (1, 2, 3) for u in enumerate_upsets(n)
-               if realize_ray(u, 1.7) != xor_pair(u, 1.7)]
+               if planned_pair(u, 1.7) != xor_pair(u, 1.7)]
     assert planned == [two_of_three]
 
 
 def test_factored_pair_round_trip():
     result = synthesize(REVector(3, (0, 0, 0, 2, 2, 2, 3)))
     doc = pair_to_json(result.pair)
-    assert sorted(doc) == ["factors", "n"] and doc["n"] == 3
-    assert doc["factors"] == [pair_to_json(f) for f in result.pair.factors]
+    # ABC at 1 bit by XOR, then 2-of-3 at 2 bits by Shamir over GF(5)
+    assert doc == {"n": 3, "factors": [
+        {"q": 2, "slots": [[[0, 1, 0]], [[0, 0, 1]], [[1, 1, 1]]], "randomness": 2,
+         "weight": {"num": "1", "den": "2"}},
+        {"q": 5, "slots": [[[1, 1]], [[1, 2]], [[1, 3]]], "randomness": 1,
+         "weight": {"num": "1", "den": "4"}}]}
     assert pair_from_json(json.loads(json.dumps(doc))) == result.pair
     empty = pair_to_json(ProductPair(2, ()))
     assert empty == {"n": 2, "factors": []}
     assert pair_from_json(empty) == ProductPair(2, ())
 
 
+#: the 2-of-2 XOR factor at 1 bit: A holds r1, B holds b + r1
+SCHEME_FACTOR = {"q": 2, "slots": [[[0, 1]], [[1, 1]]], "randomness": 1,
+                 "weight": {"num": "1", "den": "2"}}
+
+
 def factored(doc, edit):
-    """Turn a dense pair document, in place, into a valid two-factor one,
-    then apply edit to it."""
-    dense = dict(doc)
+    """Replace a dense pair document, in place, by a valid two-factor one
+    of the same n = 2, then apply edit to it."""
     doc.clear()
-    doc.update(n=dense["n"], factors=[dense, copy.deepcopy(dense)])
+    doc.update(n=2, factors=[copy.deepcopy(SCHEME_FACTOR), copy.deepcopy(SCHEME_FACTOR)])
     edit(doc)
 
 
@@ -136,8 +150,8 @@ def factored(doc, edit):
                        sigma=[{"symbols": [0, 0], "p": {"num": "1", "den": "1"}}]),
     lambda d: factored(d, lambda f: f.update(n=3)),  # factors have n = 2
     lambda d: factored(d, lambda f: f.update(factors=f["factors"][0])),
-    lambda d: factored(d, lambda f: f.update(rho=f["factors"][0]["rho"])),
-    lambda d: factored(d, lambda f: f["factors"][1]["rho"][0].update(symbols=[0, 5])),
+    lambda d: factored(d, lambda f: f.update(rho=[])),
+    lambda d: factored(d, lambda f: f["factors"][1]["slots"][0][0].append(0)),
     # JSON numbers and bools are refused, not truncated: int() reads 1.9
     # and true as 1, so rho would pass as a valid table
     lambda d: d["rho"][0].update(p={"num": 1.9, "den": "2"}),
@@ -154,6 +168,60 @@ def test_pair_from_json_rejects_malformed(mutate):
     mutate(doc)
     with pytest.raises(ValueError):
         pair_from_json(doc)
+
+
+DENSE_DOC = pair_to_json(xor_pair(upward_closure({0b11}, 2), 1))
+
+# each edit makes factor 2 of a valid two-factor document malformed
+MALFORMED_FACTORS = {
+    "q-not-prime": lambda f: f.update(q=4),
+    "q-a-float": lambda f: f.update(q=2.0),
+    "form-too-long": lambda f: f["slots"][0][0].append(0),
+    "form-too-short": lambda f: f["slots"][1][0].pop(),
+    "not-injective": lambda f: f.update(slots=[[[0, 0]], [[1, 0]]]),
+    "three-slot-lists": lambda f: f["slots"].append([]),
+    "one-slot-list": lambda f: f["slots"].pop(),
+    "slots-not-a-list": lambda f: f.update(slots={"A": [[0, 1]], "B": [[1, 1]]}),
+    "form-not-a-list": lambda f: f["slots"][0].__setitem__(0, 1),
+    "bool-coefficient": lambda f: f["slots"][0][0].__setitem__(1, True),
+    "float-coefficient": lambda f: f["slots"][0][0].__setitem__(1, 1.0),
+    "negative-coefficient": lambda f: f["slots"][0][0].__setitem__(1, -1),
+    "coefficient-at-q": lambda f: f["slots"][0][0].__setitem__(1, 2),
+    "randomness-a-bool": lambda f: f.update(randomness=True),
+    "num-a-number": lambda f: f.update(weight={"num": 1, "den": "2"}),
+    "den-not-ascii": lambda f: f.update(weight={"num": "1", "den": "\u0662"}),
+    "num-signed": lambda f: f.update(weight={"num": "+1", "den": "2"}),
+    "p-zero": lambda f: f.update(weight={"num": "0", "den": "2"}),
+    "p-one": lambda f: f.update(weight={"num": "2", "den": "2"}),
+    "p-above-one": lambda f: f.update(weight={"num": "3", "den": "2"}),
+    "den-zero": lambda f: f.update(weight={"num": "1", "den": "0"}),
+    "extra-key": lambda f: f.update(n=2),
+    "missing-key": lambda f: f.pop("randomness"),
+}
+
+
+def malformed_factor_doc(edit):
+    doc = {"n": 2, "factors": [copy.deepcopy(SCHEME_FACTOR), copy.deepcopy(SCHEME_FACTOR)]}
+    edit(doc["factors"][1])
+    return doc
+
+
+@pytest.mark.parametrize("edit", MALFORMED_FACTORS.values(), ids=MALFORMED_FACTORS)
+def test_malformed_scheme_factor_names_its_index(edit):
+    assert pair_from_json(malformed_factor_doc(lambda f: None)).factors[1].weight == \
+        Fraction(1, 2)
+    with pytest.raises(ValueError, match="^factor 2: "):
+        pair_from_json(malformed_factor_doc(edit))
+
+
+def test_dense_pair_inside_factors_is_refused():
+    doc = {"n": 2, "factors": [copy.deepcopy(SCHEME_FACTOR), DENSE_DOC]}
+    with pytest.raises(ValueError, match="^factor 2: a dense pair object is not a factor") as err:
+        pair_from_json(doc)
+    assert "single-pair form" in str(err.value)
+    with pytest.raises(ValueError, match="^factor 1: a factor must be an object"):
+        pair_from_json({"n": 2, "factors": [[SCHEME_FACTOR]]})
+    assert pair_from_json(DENSE_DOC) == xor_pair(upward_closure({0b11}, 2), 1)
 
 
 def test_membership_report_serialization():

@@ -11,7 +11,7 @@ from conftest import random_members
 from recone import realize
 from recone.cone import TOL, NotInConeError, REVector
 from recone.jsonio import pair_to_json
-from recone.lattice import enumerate_upsets, mask_label, subsets_in_order, upward_closure
+from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure
 from recone.realize import (
     MAX_SIGMA_ATOMS,
     RealizationError,
@@ -23,7 +23,7 @@ from recone.realize import (
     synthesize,
     verify,
 )
-from recone.schemes import verify_scheme
+from recone.schemes import Scheme, scheme_state_pair, verify_scheme
 from recone.states import JointDistribution, ProductPair, StatePair, re_vector
 
 RAY6 = upward_closure({0b001, 0b110}, 3)
@@ -316,17 +316,19 @@ def test_result_records_each_rays_scheme():
     assert result.sigma_atoms == len(dense_pair(result.pair).sigma.atoms) == 80
 
 
+def no_tables(*args):
+    raise AssertionError("a share table was built")
+
+
 def test_oversized_target_refused_before_building(monkeypatch):
     # strictly monotone at n = 4: fifteen levels, one nested ray each; the
     # factors are small, their product is far above the budget
     target = REVector(4, tuple(range(1, 16)))
     result = synthesize(target)
     assert len(result.pair.factors) == len(result.plans) == 15
-
-    def no_tensor(*args):
-        raise AssertionError("a tensor product was built")
-
-    monkeypatch.setattr(realize, "tensor", no_tensor)
+    monkeypatch.setattr(realize, "tensor", no_tables)
+    monkeypatch.setattr(realize, "scheme_state_pair", no_tables)
+    monkeypatch.setattr(Scheme, "distributions", property(no_tables))
     start = time.perf_counter()
     with pytest.raises(RealizationError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:
         dense_pair(result.pair)
@@ -336,25 +338,21 @@ def test_oversized_target_refused_before_building(monkeypatch):
 
 def test_oversized_ray_refused_before_building(monkeypatch):
     # n = 8, every 4-set plus ABC: not a threshold, and its XOR table has
-    # 2**(65 * 3 + 2) atoms
+    # 2**(65 * 3 + 2) atoms.  Synthesis reads its vector from rank and
+    # builds no table; only the dense product is refused
     n = 8
     u = upward_closure({m for m in range(1 << n) if m.bit_count() == 4} | {0b111}, n)
     assert plan_ray(u).table_atoms == 2 ** 197
-
-    def no_tables(*args):
-        raise AssertionError("a share table was built")
-
-    monkeypatch.setattr(realize, "dnf_scheme", no_tables)
-    monkeypatch.setattr(realize, "weighted_threshold_scheme", no_tables)
+    monkeypatch.setattr(Scheme, "distributions", property(no_tables))
     start = time.perf_counter()
+    result = synthesize(REVector.indicator(u))
+    assert result.achieved.values == tuple(map(float, u.indicator_values()))
+    assert result.sigma_atoms == 2 * 2 ** 197
     with pytest.raises(RealizationError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:
-        synthesize(REVector.indicator(u))
+        dense_pair(result.pair)
     assert time.perf_counter() - start < 1
-    message = str(err.value)
-    assert f"minimal sets {{{', '.join(mask_label(m) for m in u.minimal_sets())}}}" in message
-    assert f"xor table of {2 ** 197} atoms" in message
-    with pytest.raises(RealizationError, match="minimal sets"):
-        realize_ray(u, 1)
+    assert f"predicted sigma support of {2 ** 198} atoms" in str(err.value)
+    assert realize_ray(u, 1).scheme.randomness == 197
 
 
 def predicted_sigma_atoms(decomposition):
@@ -374,8 +372,8 @@ def test_random_members_round_trip_n4():
         assert result.max_abs_error <= 1e-6
         assert verify(target, result.pair, tol=1e-6).passed
         # the planned supports are exact and never above the XOR ones
-        assert [len(f.sigma.atoms) for f in result.pair.factors] == \
-            [2 * plan.table_atoms for plan in result.plans]
+        assert [len(scheme_state_pair(f.scheme, f.weight).sigma.atoms)
+                for f in result.pair.factors] == [2 * plan.table_atoms for plan in result.plans]
         assert result.sigma_atoms <= predicted_sigma_atoms(result.decomposition)
 
 

@@ -1,11 +1,17 @@
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from recone.lattice import UpSet, enumerate_upsets, upward_closure
+from recone import realize
+from recone.lattice import UpSet, enumerate_upsets, mask_label, upward_closure
+from recone.realize import _dyadic_weight
 from recone.schemes import (
     Scheme,
+    SchemeAudit,
+    SubsetFinding,
     dnf_scheme,
     is_prime,
     party_digits,
@@ -14,7 +20,7 @@ from recone.schemes import (
     verify_scheme,
     weighted_threshold_scheme,
 )
-from recone.states import marginal, re_vector
+from recone.states import Factor, marginal, re_vector
 
 A, B, C = 0b001, 0b010, 0b100
 AB, BC = 0b011, 0b110
@@ -63,6 +69,37 @@ class FieldElement:
 
     def __truediv__(self, other):
         return self * other.inverse()
+
+
+def dense_audit(s: Scheme, u: UpSet) -> SchemeAudit:
+    """Exhaustive audit of the secret-sharing property from the share
+    tables, the oracle for verify_scheme's rank test: authorized groups
+    must see disjoint supports for the two secret values, unauthorized
+    groups identical marginal distributions.  Exact arithmetic."""
+    if s.n != u.n:
+        raise ValueError(f"scheme has {s.n} parties but the up-set has {u.n}")
+    failures = []
+    for mask in range(1, 1 << s.n):
+        m0, m1 = (marginal(d, mask) for d in s.distributions)
+        if mask in u:
+            overlap = m0.support() & m1.support()
+            if overlap:
+                failures.append(SubsetFinding(
+                    mask, True,
+                    f"authorized group {mask_label(mask)} sees {len(overlap)} shared share tuples"))
+        elif m0 != m1:
+            failures.append(SubsetFinding(
+                mask, False,
+                f"unauthorized group {mask_label(mask)} can distinguish the secret"))
+    return SchemeAudit(passed=not failures, failures=tuple(failures))
+
+
+def findings(audit):
+    return audit.passed, [(f.mask, f.authorized) for f in audit.failures]
+
+
+SMALL_UPSETS = [u for n in (1, 2, 3, 4) for u in enumerate_upsets(n)]
+CANDIDATES = [(u, kind, build) for u in SMALL_UPSETS for kind, _, build in realize._candidates(u)]
 
 
 def interpolate_at_zero(points, p: int) -> int:
@@ -135,8 +172,26 @@ def test_linear_scheme_rejects_bad_layouts():
     # r2 reaches no slot, so every share tuple comes up twice
     with pytest.raises(ValueError, match="duplicate symbol tuple"):
         Scheme(2, [[(1, 1, 0)], [(1, 0, 0)]], 2)
+    # r1 and r2 reach the slots only as r1 + r2
+    with pytest.raises(ValueError, match="duplicate symbol tuple"):
+        Scheme(3, [[(1, 1, 1)], [(0, 2, 2)]], 2)
     with pytest.raises(ValueError, match="modulus 4 is not prime"):
         Scheme(4, [[(1, 1)], [(1, 3)]], 1)
+    for coefficient in (True, 1.0, -1, 3):
+        with pytest.raises(ValueError, match="integer coefficients in 0..2"):
+            Scheme(3, [[(1, coefficient)]], 1)
+    with pytest.raises(ValueError, match="below 2"):
+        Scheme(2 ** 61 - 1, [[(1, 1)]], 1)
+    with pytest.raises(ValueError, match="party count"):
+        Scheme(2, [[]] * 9, 0)
+
+
+def test_scheme_builds_no_table_until_read():
+    scheme = dnf_scheme(TWO_PAIRS_STRUCTURE)
+    assert "distributions" not in vars(scheme)
+    assert scheme.authorized() == TWO_PAIRS_STRUCTURE.table
+    assert "distributions" not in vars(scheme)
+    assert len(scheme.table(0)) == 4 and "distributions" in vars(scheme)
 
 
 @pytest.mark.parametrize("p,k,m", [(5, 2, 4), (7, 3, 5), (3, 2, 2)])
@@ -203,10 +258,78 @@ def test_single_party_scheme():
 def test_verify_scheme_reports_failure():
     scheme = weighted_threshold_scheme(2, (1, 1), 2, 3)
     wrong = upward_closure({0b01}, 2)  # claims A alone suffices
-    audit = verify_scheme(scheme, wrong)
-    assert not audit.passed
-    assert [f.mask for f in audit.failures] == [0b01]
-    assert audit.failures[0].authorized
+    for audit in (verify_scheme(scheme, wrong), dense_audit(scheme, wrong)):
+        assert not audit.passed
+        assert [f.mask for f in audit.failures] == [0b01]
+        assert audit.failures[0].authorized
+    assert verify_scheme(scheme, wrong).failures[0].detail == \
+        "authorized group A cannot recover the secret"
+    # the other way round: B alone recovers the secret of the 1-of-2 scheme
+    audit = verify_scheme(weighted_threshold_scheme(2, (1, 1), 1, 3), wrong)
+    assert findings(audit) == (False, [(0b10, False)])
+    assert audit.failures[0].detail == "unauthorized group B can distinguish the secret"
+
+
+def test_rank_audit_agrees_with_the_dense_audit():
+    # every candidate scheme of every up-set with n <= 4, against its own
+    # up-set and against every other up-set of its n, which covers both
+    # kinds of failure
+    for u, kind, build in CANDIDATES:
+        scheme = build()
+        for other in enumerate_upsets(u.n) if u.n <= 3 else (u, enumerate_upsets(u.n)[0]):
+            assert findings(verify_scheme(scheme, other)) == findings(dense_audit(scheme, other)), \
+                (kind, u, other)
+        assert verify_scheme(scheme, u).passed
+
+
+@pytest.mark.parametrize("lam", [1, 1.7])
+def test_rank_vector_is_bit_identical_to_the_dense_vector(lam):
+    # every planner candidate, XOR and Shamir, of every up-set with n <= 4
+    weight = _dyadic_weight(lam)
+    for u, kind, build in CANDIDATES:
+        scheme = build()
+        rank = re_vector(Factor(scheme, weight)).values
+        assert repr(rank) == repr(re_vector(scheme_state_pair(scheme, weight)).values), (kind, u)
+        assert rank == tuple(lam if x else 0.0 for x in u.indicator_values())
+
+
+def test_rank_test_finds_every_upset_at_five():
+    # the XOR layout of each of the 7 579 up-sets of five parties
+    upsets = enumerate_upsets(5)
+    assert len(upsets) == 7579
+    for u in upsets:
+        assert dnf_scheme(u).authorized() == u.table, u
+
+
+@st.composite
+def random_layouts(draw):
+    """Injective layouts over GF(q) with arbitrary forms, as a pair file
+    may carry them: q in {2, 3, 5}, n <= 3, R <= 3."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(0, 3))
+    form = st.tuples(*[st.integers(0, q - 1)] * (r + 1))
+    slots = draw(st.lists(st.lists(form, max_size=3), min_size=n, max_size=n))
+    # unit forms make the random columns full rank; they go to random parties
+    for i in range(r):
+        unit = tuple(int(j == i + 1) for j in range(r + 1))
+        slots[draw(st.integers(0, n - 1))].append(unit)
+    den = draw(st.integers(2, 100))
+    weight = Fraction(draw(st.integers(1, den - 1)), den) if draw(st.booleans()) else \
+        _dyadic_weight(draw(st.floats(min_value=0.05, max_value=6)))
+    return Scheme(q, slots, r), weight
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_layouts())
+def test_rank_vector_matches_the_dense_vector_on_any_forms(layout):
+    scheme, weight = layout
+    rank = re_vector(Factor(scheme, weight)).values
+    dense = re_vector(scheme_state_pair(scheme, weight)).values
+    assert repr(rank) == repr(dense)
+    recovers = scheme.authorized()  # a family closed under supersets
+    assert all(recovers >> (m | 1 << j) & 1
+               for m in range(1, 1 << scheme.n) if recovers >> m & 1 for j in range(scheme.n))
 
 
 def test_dnf_scheme_two_pair_clauses():

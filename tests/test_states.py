@@ -7,17 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_distribution, random_pair
 from recone.cone import check_membership
-from recone.lattice import proper_submasks, subsets_in_order, validate_mask
-from recone.realize import dense_pair
+from recone.lattice import enumerate_upsets, proper_submasks, subsets_in_order, validate_mask
+from recone.realize import dense_pair, realize_ray
+from recone.schemes import scheme_state_pair
 from recone.states import (
     JointDistribution,
     ProductPair,
     StatePair,
+    _log2_ratio,
     marginal,
     mix,
     re_vector,
     relative_entropy,
-    shannon_entropy,
     tensor,
 )
 
@@ -26,6 +27,19 @@ def point_pair(n: int) -> StatePair:
     """Deterministic rho = sigma pair, the empty product multiplied out;
     its relative-entropy vector is zero."""
     return dense_pair(ProductPair(n, ()))
+
+
+def shannon_entropy(P: JointDistribution) -> float:
+    """H(P) = -sum p log2 p in bits."""
+    weight_by_value = {}
+    for _, w in P.atoms:
+        weight_by_value[w] = weight_by_value.get(w, 0) + w
+    terms = []
+    for v, w in weight_by_value.items():
+        if v != P.denominator:
+            g = math.gcd(v, P.denominator)
+            terms.append(-(w / P.denominator) * _log2_ratio(v // g, P.denominator // g))
+    return math.fsum(terms)
 
 
 def binary_entropy(p: float) -> float:
@@ -233,38 +247,47 @@ def test_tensor_rejects_party_mismatch():
         tensor(point_pair(3), point_pair(4))
 
 
+def random_factor(rng, n):
+    """The planned factor of a random ray at n parties, at a random level."""
+    return realize_ray(rng.choice(enumerate_upsets(n)), rng.choice([1, 2, rng.uniform(0.1, 3)]))
+
+
+def dense(f):
+    return scheme_state_pair(f.scheme, f.weight)
+
+
 def test_product_pair_vector_is_the_sum_of_its_factors():
     rng = random.Random(17)
     for _ in range(30):
-        a = random_pair(rng, 2, (2, 3))
-        b = random_pair(rng, 2, (3, 2))
+        a, b = random_factor(rng, 2), random_factor(rng, 2)
         factored = re_vector(ProductPair(2, (a, b)))
         expected = [math.fsum(x) for x in zip(re_vector(a).values, re_vector(b).values)]
         assert list(factored.values) == expected
-        for x, y in zip(factored.values, re_vector(tensor(a, b)).values):
-            assert x == y if math.inf in (x, y) else abs(x - y) <= 1e-10
-    pair = example5_pair()
-    assert re_vector(ProductPair(3, (pair,))).values == re_vector(pair).values
+        for x, y in zip(factored.values, re_vector(tensor(dense(a), dense(b))).values):
+            assert abs(x - y) <= 1e-10
+    factor = realize_ray(enumerate_upsets(3)[5], 1)
+    assert re_vector(ProductPair(3, (factor,))).values == re_vector(dense(factor)).values
     assert re_vector(ProductPair(3, ())).values == (0.0,) * 7
 
 
 def test_product_pair_multiplies_out_on_request():
     rng = random.Random(23)
-    a = random_pair(rng, 2, (2, 3))
-    b = random_pair(rng, 2, (3, 2))
-    c = random_pair(rng, 2, (2, 2))
+    a, b, c = (random_factor(rng, 2) for _ in range(3))
     product = ProductPair(2, (a, b, c))
-    dense = tensor(tensor(a, b), c)
-    assert (product.rho, product.sigma) == (dense.rho, dense.sigma)
-    assert ProductPair(2, (a,)).sigma == a.sigma
+    multiplied = tensor(tensor(dense(a), dense(b)), dense(c))
+    assert (product.rho, product.sigma) == (multiplied.rho, multiplied.sigma)
+    assert ProductPair(2, (a,)).sigma == dense(a).sigma
     one = JointDistribution(3, (1, 1, 1), (((0, 0, 0), 1),), 1)
     assert (ProductPair(3, ()).rho, ProductPair(3, ()).sigma) == (one, one)
     assert point_pair(3) == StatePair(one, one)
 
 
 def test_product_pair_rejects_party_mismatch():
+    rng = random.Random(29)
     with pytest.raises(ValueError, match="factor 2 has 4 parties"):
-        ProductPair(3, (point_pair(3), point_pair(4)))
+        ProductPair(3, (random_factor(rng, 3), random_factor(rng, 4)))
+    with pytest.raises(ValueError, match="factor 1 is a StatePair, not a Factor"):
+        ProductPair(3, (point_pair(3),))
 
 
 def test_shannon_entropy_uniform():
