@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import mask_label, parties
-from .schemes import Scheme, party_digits, scheme_state_pair, weighted_threshold_scheme
+from .schemes import Scheme, scheme_state_pair, weighted_threshold_scheme
 from .states import marginal, re_vector
 
 #: name -> (description, scheme builder, masks whose marginals are listed)
@@ -30,12 +30,15 @@ DEMOS = {
 }
 
 
-def _atom_string(registers, mask: int, symbols) -> str:
-    chunks = []
+def _atom_string(scheme: Scheme, mask: int, symbols) -> str:
+    """Each listed party's slot values, decoded from its symbol: one GF(q)
+    digit per slot, first slot most significant, and one 0 for a party
+    with no slot."""
+    q, chunks = scheme.q, []
     for party, flat in zip(parties(mask), symbols):
-        layout = registers[party - 1]
-        sep = "" if all(s <= 10 for s in layout) else "-"
-        chunks.append(sep.join(map(str, party_digits(layout, flat))))
+        width = len(scheme.slots[party - 1]) or 1
+        digits = (flat // q ** i % q for i in reversed(range(width)))
+        chunks.append(("" if q <= 10 else "-").join(map(str, digits)))
     return "".join(chunks)
 
 
@@ -51,7 +54,7 @@ def render_demo(name: str) -> str:
         for label, dist in (("rho", pair.rho), ("sigma", pair.sigma)):
             lines.append(f"{label} marginal on {mask_label(mask)}:")
             part = marginal(dist, mask)
-            rows = sorted((_atom_string(scheme.registers, mask, sym), Fraction(w, part.denominator))
+            rows = sorted((_atom_string(scheme, mask, sym), Fraction(w, part.denominator))
                           for sym, w in part.atoms)
             lines.extend(f"  {text}  {p}" for text, p in rows)
     return "\n".join(lines) + "\n"

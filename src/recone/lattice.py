@@ -158,10 +158,6 @@ class UpSet:
         minimal = self.table & ~_one_party_up(self.table, self.n)
         return tuple(m for m in subsets_in_order(self.n) if minimal >> m & 1)
 
-    def encoding(self) -> int:
-        """Membership bitset: bit mask-1 set iff mask is a member."""
-        return self.table >> 1
-
     def indicator_values(self) -> tuple[int, ...]:
         """0/1 membership per subset, in canonical coordinate order."""
         return tuple(self.table >> m & 1 for m in subsets_in_order(self.n))

@@ -20,8 +20,9 @@ and, when U is the k-of-T threshold up-set (its minimal sets are all
 C(|T|, k) k-subsets of their union T), a Shamir scheme over GF(q), q the
 smallest prime above |T|.  Each candidate's size is q**R, read from the
 same linear layout its builder enumerates; the smaller table is chosen,
-ties going to XOR.  dense_pair refuses, before building any table, when
-the product of the factors' sigma supports exceeds MAX_SIGMA_ATOMS.
+ties going to XOR.  dense_pair, like a ProductPair's rho and sigma,
+refuses before building any table when the product of the factors'
+sigma supports exceeds MAX_SIGMA_ATOMS.
 
 The weight is exact from the start: p = 1 / 2**lam for integer lam, so
 entries come out machine-exact, and otherwise p is the double nearest
@@ -52,7 +53,6 @@ from .cone import (
 )
 from .lattice import UpSet, mask_label, subsets_in_order
 from .schemes import (
-    Scheme,
     dnf_layout,
     dnf_scheme,
     scheme_state_pair,
@@ -60,13 +60,10 @@ from .schemes import (
     threshold_layout,
     weighted_threshold_scheme,
 )
-from .states import Factor, ProductPair, StatePair, re_vector, tensor
+from .states import MAX_SIGMA_ATOMS, Factor, ProductPair, StatePair, re_vector, tensor
 
 #: largest ray coefficient in bits: 2**-1074 is the smallest positive double
 MAX_RAY_BITS = 1074
-#: largest sigma support dense_pair builds.  At about 620 bytes of peak
-#: memory per sigma atom (780 with the pair JSON), some 0.65 to 0.8 GB
-MAX_SIGMA_ATOMS = 1 << 20
 
 
 class RealizationError(ValueError):
@@ -120,18 +117,13 @@ def plan_ray(u: UpSet) -> RayPlan:
     return _plan(u)[0]
 
 
-def ray_scheme(u: UpSet) -> Scheme:
-    """The smallest candidate scheme for u, as plan_ray chooses it."""
-    return _plan(u)[1]()
-
-
 def realize_ray(u: UpSet, lam) -> Factor:
     """Factor, the planned scheme with the exact weight, whose
     relative-entropy vector is lam times the indicator of u, up to the
     rounding of the mixing weight 2**(-lam) to a double.  Builds no
     table, whatever the scheme's size."""
     weight = _dyadic_weight(lam)
-    return Factor(ray_scheme(u), weight)
+    return Factor(_plan(u)[1](), weight)
 
 
 class SubsetDeviation(NamedTuple):
@@ -206,14 +198,7 @@ class RealizationResult:
     def sigma_atoms(self) -> int:
         """Sigma support size of the dense product; equals
         len(dense_pair(pair).sigma.atoms), which need not be built."""
-        return _sigma_support(self.pair)
-
-
-def _sigma_support(pair: ProductPair) -> int:
-    """Sigma support of the dense product, read from the layouts: each
-    factor's sigma covers both tables, 2 * q**R atoms when they are
-    disjoint, as they are for every ray, and fewer otherwise."""
-    return math.prod(2 * f.scheme.q ** f.scheme.randomness for f in pair.factors)
+        return self.pair.sigma_atoms
 
 
 def dense_pair(pair: ProductPair) -> StatePair:
@@ -221,11 +206,8 @@ def dense_pair(pair: ProductPair) -> StatePair:
     built from its share tables and folded with tensor from the first;
     the audit path.  Raises RealizationError before building any table
     when the product's sigma support, the product of the factors',
-    exceeds MAX_SIGMA_ATOMS."""
-    predicted = _sigma_support(pair)
-    if predicted > MAX_SIGMA_ATOMS:
-        raise RealizationError(f"predicted sigma support of {predicted} atoms exceeds "
-                               f"the budget of {MAX_SIGMA_ATOMS} atoms")
+    exceeds MAX_SIGMA_ATOMS (ProductPair.check_budget)."""
+    pair.check_budget(RealizationError)
     if not pair.factors:
         return StatePair(pair.rho, pair.sigma)  # the one-atom pair
     return reduce(tensor, (scheme_state_pair(f.scheme, f.weight) for f in pair.factors))

@@ -31,8 +31,8 @@ Two layouts feed the constructor:
   all-or-nothing additive sharing over GF(2), so 2**sum(|S| - 1) atoms.
 
 Ray realization (recone.realize) reads a candidate's size from its
-layout, and verify_scheme checks a scheme's authorized groups against an
-up-set.
+layout.  A scheme realizes the up-set u exactly when authorized() equals
+u.table, its truth table.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 
-from .lattice import MAX_PARTIES, UpSet, mask_label, parties
+from .lattice import MAX_PARTIES, UpSet, parties
 from .states import JointDistribution, StatePair, mix
 
 #: largest field size a scheme may use; trial division proves primality
@@ -104,9 +104,7 @@ class Scheme:
     random columns have rank below R maps two random choices to one share
     tuple, and is refused as a duplicate.  distributions[b] lists the
     share tuples of all (r1, ..., rR) in GF(q)^R, each with weight 1; it
-    is enumerated on first read.  registers[i] lists the alphabet sizes
-    of party i+1's slots, one degenerate (1,) register for a party with
-    no slot.
+    is enumerated on first read.
     """
 
     q: int
@@ -152,10 +150,6 @@ class Scheme:
     @property
     def n(self) -> int:
         return len(self.slots)
-
-    @property
-    def registers(self) -> tuple[tuple[int, ...], ...]:
-        return tuple((self.q,) * len(forms) or (1,) for forms in self.slots)
 
     def authorized(self) -> int:
         """Truth table of the groups that recover the secret: bit m is set
@@ -268,51 +262,6 @@ def dnf_scheme(u: UpSet) -> Scheme:
     minimal authorized set.  Realizes exactly the given up-set.
     """
     return Scheme(*dnf_layout(u))
-
-
-@dataclass(frozen=True)
-class SubsetFinding:
-    mask: int
-    authorized: bool  # whether u says the group is authorized
-    detail: str
-
-
-@dataclass(frozen=True)
-class SchemeAudit:
-    passed: bool
-    failures: tuple[SubsetFinding, ...]
-
-
-def verify_scheme(s: Scheme, u: UpSet) -> SchemeAudit:
-    """Check that the groups recovering the secret of s, by rank, are
-    exactly the up-set u of authorized groups.
-
-    A linear scheme gives an authorized group disjoint supports for the
-    two secret values and an unauthorized group identical marginals, so
-    this is the secret-sharing property, decided without building a
-    table.
-    """
-    if s.n != u.n:
-        raise ValueError(f"scheme has {s.n} parties but the up-set has {u.n}")
-    recovers = s.authorized()
-    failures = []
-    for mask in range(1, 1 << s.n):
-        authorized = bool(u.table >> mask & 1)
-        if authorized != bool(recovers >> mask & 1):
-            failures.append(SubsetFinding(mask, authorized, (
-                f"authorized group {mask_label(mask)} cannot recover the secret" if authorized
-                else f"unauthorized group {mask_label(mask)} can distinguish the secret")))
-    return SchemeAudit(passed=not failures, failures=tuple(failures))
-
-
-def party_digits(layout, flat: int) -> tuple[int, ...]:
-    """Slot values of a party's mixed-radix symbol, first slot most
-    significant."""
-    digits = []
-    for size in reversed(layout):
-        digits.append(flat % size)
-        flat //= size
-    return tuple(reversed(digits))
 
 
 def scheme_state_pair(s: Scheme, weight=Fraction(1, 2)) -> StatePair:

@@ -12,7 +12,7 @@ A ProductPair stands for a tensor product of ray factors.  A Factor is a
 linear secret-sharing scheme and an exact weight p, standing for the pair
 (table(0), p table(0) + (1 - p) table(1)); its vector comes from the
 scheme's rank, so neither a factor nor the product is built unless its
-rho or sigma is read.
+rho or sigma is read, and then only within the MAX_SIGMA_ATOMS budget.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ from .lattice import subsets_in_order, validate_mask
 
 if TYPE_CHECKING:
     from .schemes import Scheme
+
+#: largest sigma support a product is multiplied out to.  At about 620
+#: bytes of peak memory per sigma atom (780 with the pair JSON), some 0.65
+#: to 0.8 GB
+MAX_SIGMA_ATOMS = 1 << 20
 
 
 def _log2_ratio(num: int, den: int) -> float:
@@ -125,9 +130,6 @@ class JointDistribution:
         den = math.lcm(*(p.denominator for _, p in probs))
         return cls(n, tuple(alphabet_sizes),
                    tuple((sym, p.numerator * (den // p.denominator)) for sym, p in probs), den)
-
-    def support(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(sym for sym, _ in self.atoms)
 
 
 def marginal(d: JointDistribution, mask: int) -> JointDistribution:
@@ -256,9 +258,8 @@ class ProductPair:
     its factors.  Relative entropies add over tensor products, so its
     vector is the sum of the factors' vectors; with no factors it is the
     zero vector.  rho and sigma multiply the product out on every access,
-    building every factor's tables, with no size check: their supports
-    are the products of the factors' supports, and realize.dense_pair
-    checks that size first."""
+    building every factor's tables, unless check_budget refuses the size
+    with a ValueError first."""
 
     n: int
     factors: tuple[Factor, ...]
@@ -272,7 +273,23 @@ class ProductPair:
             if f.n != self.n:
                 raise ValueError(f"factor {i} has {f.n} parties, the product has {self.n}")
 
+    @property
+    def sigma_atoms(self) -> int:
+        """Sigma support of the multiplied-out product, read from the
+        layouts: each factor's sigma covers both tables, 2 * q**R atoms
+        when they are disjoint, as they are for every ray, and fewer
+        otherwise."""
+        return math.prod(2 * f.scheme.q ** f.scheme.randomness for f in self.factors)
+
+    def check_budget(self, error=ValueError) -> None:
+        """Raise error, naming both sizes and building nothing, when
+        sigma_atoms exceeds MAX_SIGMA_ATOMS."""
+        if self.sigma_atoms > MAX_SIGMA_ATOMS:
+            raise error(f"predicted sigma support of {self.sigma_atoms} atoms "
+                        f"exceeds the budget of {MAX_SIGMA_ATOMS} atoms")
+
     def _multiply_out(self, sides) -> JointDistribution:
+        self.check_budget()
         point = JointDistribution._trusted(self.n, (1,) * self.n, (((0,) * self.n, 1),), 1)
         return reduce(_product, sides, point)
 

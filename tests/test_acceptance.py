@@ -12,14 +12,14 @@ from fractions import Fraction
 
 from conftest import random_distribution, random_members, random_pair
 from test_lattice import brute_force_upsets
-from test_schemes import dense_audit
+from test_schemes import dense_authorized
 from test_states import binary_entropy, shannon_entropy
 
 from recone.cli import main as cli_main
 from recone.cone import check_membership
 from recone.lattice import enumerate_upsets, proper_submasks, subsets_in_order
-from recone.realize import realize_ray, synthesize, verify
-from recone.schemes import Scheme, dnf_scheme, scheme_state_pair, weighted_threshold_scheme
+from recone.realize import _candidates, realize_ray, synthesize, verify
+from recone.schemes import Scheme, scheme_state_pair, weighted_threshold_scheme
 from recone.states import StatePair, marginal, mix, re_vector, tensor
 
 
@@ -93,8 +93,10 @@ def test_criterion_4_exhaustive_realization_n_up_to_4():
     for n in (1, 2, 3, 4):
         t0 = time.perf_counter()
         for u in enumerate_upsets(n):
-            audit = dense_audit(dnf_scheme(u), u)
-            assert audit.passed, (n, u.minimal_sets(), audit.failures)
+            for kind, _, build in _candidates(u):  # every scheme the planner weighs
+                scheme = build()
+                assert dense_authorized(scheme) == scheme.authorized() == u.table, \
+                    (kind, u.minimal_sets())
             vec = re_vector(realize_ray(u, 1))
             dev = max(abs(a - t) for a, t in zip(vec.values, u.indicator_values()))
             worst = max(worst, dev)
@@ -103,7 +105,7 @@ def test_criterion_4_exhaustive_realization_n_up_to_4():
             elapsed_n4 = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed_n4 < 30
     report(4, ok,
-           f"{checked} up-sets at n <= 4: every XOR scheme audit exact, "
+           f"{checked} up-sets at n <= 4: every candidate scheme audit exact, "
            f"worst ray deviation {worst:.2e} (tol 1e-9), n=4 stage {elapsed_n4:.1f} s (< 30 s)")
 
 

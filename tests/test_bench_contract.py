@@ -1,6 +1,7 @@
 """The benchmark's tracer patches library functions by name and reads a
-scheme's table size; these tests fail when a refactor moves either, which
-would otherwise silently zero the benchmark's per-layer metrics."""
+scheme's table size, and its self-tests read a ProductPair's sigma; these
+tests fail when a refactor moves any of them, which would otherwise
+silently zero the benchmark's per-layer metrics or break its self-tests."""
 
 import importlib
 import importlib.util
@@ -14,6 +15,7 @@ import pytest
 import recone.jsonio  # noqa: F401  (the tracer patches loaded modules only)
 from conftest import random_pair
 from recone import realize, states
+from recone.cone import REVector
 from recone.lattice import upward_closure
 from recone.schemes import dnf_scheme
 
@@ -46,6 +48,14 @@ def test_table_counter_reads_the_atom_count(tracing):
     counters = defaultdict(int)
     tracing._count_table(counters, (two_of_five,), scheme)
     assert counters["schemes.table_atoms.max"] == 1024
+
+
+def test_product_pair_sigma_is_the_dense_sigma():
+    # the self-tests size their members by len(synthesize(v).pair.sigma.atoms)
+    result = realize.synthesize(REVector(3, (0, 0, 0, 2, 2, 2, 3)))
+    sigma = result.pair.sigma
+    assert len(sigma.atoms) == result.sigma_atoms == 80
+    assert sigma == realize.dense_pair(result.pair).sigma
 
 
 def test_tracer_wraps_and_restores(tracing, capsys):

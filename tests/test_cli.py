@@ -14,6 +14,7 @@ from test_jsonio import DENSE_DOC, MALFORMED_FACTORS, malformed_factor_doc
 from recone import schemes
 from recone.cli import main
 from recone.cone import REVector, Violation
+from recone.demos import _atom_string
 from recone.jsonio import pair_to_json, vector_to_json
 from recone.lattice import subsets_in_order
 from recone.realize import MAX_SIGMA_ATOMS, VerificationReport, dense_pair, synthesize
@@ -416,6 +417,15 @@ def test_demo_example6_atom_listings(capsys):
     assert rho_bc == [f"{a}{b}  1/9" for a in range(3) for b in range(3)]
     sigma_bc = [l.strip() for l in bc[1].strip().splitlines()]
     assert sigma_bc == rho_bc
+
+
+def test_demo_atom_strings_decode_one_digit_per_slot():
+    # A holds two GF(5) slots, B one and C none, so C's register is degenerate
+    scheme = schemes.weighted_threshold_scheme(3, (2, 1, 0), 2, 5)
+    assert _atom_string(scheme, 0b111, (7, 3, 0)) == "1230"
+    assert _atom_string(scheme, 0b101, (24, 0)) == "440"
+    # past ten symbols per slot the digits are set apart
+    assert _atom_string(schemes.Scheme(11, [[(1, 1), (0, 1)]], 1), 0b1, (87,)) == "7-10"
 
 
 DEMO_SHA256 = {

@@ -63,9 +63,9 @@ def relabel(u, perm):
 
 
 def brute_force_representative(u):
-    """Oracle: the smallest encoding over every relabelling of the parties."""
+    """Oracle: the smallest truth table over every relabelling of the parties."""
     return min((relabel(u, p) for p in permutations(range(1, u.n + 1))),
-               key=UpSet.encoding)
+               key=lambda v: v.table)
 
 
 def random_upset(rng, n):
@@ -184,7 +184,7 @@ def test_members_and_truth_table_agree():
         assert u.minimal_sets() == tuple(
             m for m in order if m in members and not any(s in members for s in proper_submasks(m)))
         assert u.indicator_values() == tuple(1 if m in members else 0 for m in order)
-        assert u.encoding() == sum(1 << (m - 1) for m in members)
+        assert u.table == sum(1 << m for m in members)
         assert all((m in u) == (m in members) for m in range(1, 1 << u.n))
         # no mask, no member, and no exception for a non-int
         for probe in (0, -1, 1 << u.n, "a", 1.0):
@@ -239,7 +239,7 @@ def test_enumerate_no_duplicates_and_valid():
 
 def test_enumerate_deterministic_order():
     upsets = enumerate_upsets(3)
-    keys = [(len(u.members), u.encoding()) for u in upsets]
+    keys = [(len(u.members), u.table) for u in upsets]
     assert keys == sorted(keys)
     assert upsets[0].members == frozenset({ABC})
     assert enumerate_upsets(3) == upsets
@@ -273,7 +273,7 @@ def test_lattice_counts(n, upsets, classes):
 
 def test_classes_n5_digest_and_order():
     upsets = enumerate_upsets(5)
-    keys = [(len(u.members), u.encoding()) for u in upsets]
+    keys = [(len(u.members), u.table) for u in upsets]
     assert keys == sorted(set(keys))
     reps = [c.representative.members for c in permutation_classes(upsets, 5)]
     digest = hashlib.sha256(repr(sorted(sorted(m) for m in reps)).encode()).hexdigest()
@@ -344,7 +344,7 @@ def test_permutation_classes_n3_table():
 
 def test_permutation_classes_orbit_sizes():
     ray5 = upward_closure({A}, 3)
-    orbit = {canonical_representative(ray5).encoding()}
+    orbit = {canonical_representative(ray5).table}
     images = set()
     for p in permutations((1, 2, 3)):
         images.add(frozenset(apply_permutation(m, p) for m in ray5.members))

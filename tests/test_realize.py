@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_members
+from conftest import closure_members, random_members
 from recone import realize
 from recone.cone import TOL, NotInConeError, REVector
 from recone.jsonio import pair_to_json
@@ -18,12 +18,11 @@ from recone.realize import (
     dense_pair,
     describe_deviation,
     plan_ray,
-    ray_scheme,
     realize_ray,
     synthesize,
     verify,
 )
-from recone.schemes import Scheme, scheme_state_pair, verify_scheme
+from recone.schemes import Scheme, scheme_state_pair
 from recone.states import JointDistribution, ProductPair, StatePair, re_vector
 
 RAY6 = upward_closure({0b001, 0b110}, 3)
@@ -242,7 +241,7 @@ def _threshold_oracle(u):
     return (k, group) if meets == set(u.members) else None
 
 
-@pytest.mark.parametrize("u", SMALL_UPSETS + K_OF_5, ids=lambda u: f"n{u.n}-{u.encoding():x}")
+@pytest.mark.parametrize("u", SMALL_UPSETS + K_OF_5, ids=lambda u: f"n{u.n}-{u.table >> 1:x}")
 def test_planned_scheme_is_the_smallest_exact_scheme(u):
     plan = plan_ray(u)
     sizes = dict(plan.candidates)
@@ -257,9 +256,9 @@ def test_planned_scheme_is_the_smallest_exact_scheme(u):
     # the smallest candidate, ties to XOR
     assert plan.table_atoms == min(sizes.values())
     assert plan.kind == ("xor" if sizes["xor"] == plan.table_atoms else "shamir")
-    scheme = ray_scheme(u)
+    scheme = realize_ray(u, 1).scheme
     assert len(scheme.table(0)) == plan.table_atoms
-    assert verify_scheme(scheme, u).passed
+    assert scheme.authorized() == u.table
     for lam in (1, 1.7):
         assert re_vector(realize_ray(u, lam)).values == \
             tuple(lam if x else 0.0 for x in u.indicator_values())
@@ -353,6 +352,20 @@ def test_oversized_ray_refused_before_building(monkeypatch):
     assert time.perf_counter() - start < 1
     assert f"predicted sigma support of {2 ** 198} atoms" in str(err.value)
     assert realize_ray(u, 1).scheme.randomness == 197
+
+
+def test_multiplying_out_an_over_budget_product_is_refused(monkeypatch):
+    # member 1 of the n = 8 command line members: three small factors
+    # whose product has a 2**43-atom sigma
+    pair = synthesize(list(closure_members(8, 8, 2))[1]).pair
+    assert len(pair.factors) == 3 and pair.sigma_atoms == 2 ** 43
+    monkeypatch.setattr(Scheme, "distributions", property(no_tables))
+    start = time.perf_counter()
+    for side in ("rho", "sigma"):
+        with pytest.raises(ValueError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:
+            getattr(pair, side)
+        assert str(err.value).startswith(f"predicted sigma support of {2 ** 43} atoms exceeds")
+    assert time.perf_counter() - start < 1
 
 
 def predicted_sigma_atoms(decomposition):

@@ -10,14 +10,10 @@ from recone.lattice import UpSet, enumerate_upsets, mask_label, upward_closure
 from recone.realize import _dyadic_weight
 from recone.schemes import (
     Scheme,
-    SchemeAudit,
-    SubsetFinding,
     dnf_scheme,
     is_prime,
-    party_digits,
     scheme_state_pair,
     smallest_prime_above,
-    verify_scheme,
     weighted_threshold_scheme,
 )
 from recone.states import Factor, marginal, re_vector
@@ -71,31 +67,20 @@ class FieldElement:
         return self * other.inverse()
 
 
-def dense_audit(s: Scheme, u: UpSet) -> SchemeAudit:
-    """Exhaustive audit of the secret-sharing property from the share
-    tables, the oracle for verify_scheme's rank test: authorized groups
-    must see disjoint supports for the two secret values, unauthorized
-    groups identical marginal distributions.  Exact arithmetic."""
-    if s.n != u.n:
-        raise ValueError(f"scheme has {s.n} parties but the up-set has {u.n}")
-    failures = []
+def dense_authorized(s: Scheme) -> int:
+    """Truth table of the groups that recover the secret, read from the
+    share tables, the oracle for Scheme.authorized's rank test: bit m is
+    set iff group m's marginals for the two secret values have disjoint
+    supports.  Asserts the rest of the secret-sharing property, that
+    every other group sees identical marginals.  Exact arithmetic."""
+    table = 0
     for mask in range(1, 1 << s.n):
         m0, m1 = (marginal(d, mask) for d in s.distributions)
-        if mask in u:
-            overlap = m0.support() & m1.support()
-            if overlap:
-                failures.append(SubsetFinding(
-                    mask, True,
-                    f"authorized group {mask_label(mask)} sees {len(overlap)} shared share tuples"))
-        elif m0 != m1:
-            failures.append(SubsetFinding(
-                mask, False,
-                f"unauthorized group {mask_label(mask)} can distinguish the secret"))
-    return SchemeAudit(passed=not failures, failures=tuple(failures))
-
-
-def findings(audit):
-    return audit.passed, [(f.mask, f.authorized) for f in audit.failures]
+        if {sym for sym, _ in m0.atoms}.isdisjoint(sym for sym, _ in m1.atoms):
+            table |= 1 << mask
+        else:
+            assert m0 == m1, f"group {mask_label(mask)} sees the secret only in part"
+    return table
 
 
 SMALL_UPSETS = [u for n in (1, 2, 3, 4) for u in enumerate_upsets(n)]
@@ -233,17 +218,15 @@ def test_xor_share_table():
 
 def test_weighted_scheme_matches_ray6_structure():
     scheme = weighted_threshold_scheme(3, (2, 1, 1), 2, 5)
-    assert scheme.registers == ((5, 5), (5,), (5,))
+    assert scheme.q == 5 and [len(forms) for forms in scheme.slots] == [2, 1, 1]
     assert len(scheme.table(0)) == scheme.distributions[0].denominator == 5
     assert all(w == 1 for _, w in scheme.table(0))
-    audit = verify_scheme(scheme, RAY6_STRUCTURE)
-    assert audit.passed, audit.failures
+    assert scheme.authorized() == RAY6_STRUCTURE.table
 
 
 def test_two_of_two_scheme_realizes_pair_only():
     scheme = weighted_threshold_scheme(2, (1, 1), 2, 3)
-    audit = verify_scheme(scheme, UpSet(2, frozenset({0b11})))
-    assert audit.passed
+    assert scheme.authorized() == UpSet(2, frozenset({0b11})).table
 
 
 def test_single_party_scheme():
@@ -251,35 +234,30 @@ def test_single_party_scheme():
     assert scheme.table(0) == (((0,), 1),)
     assert scheme.table(1) == (((1,), 1),)
     assert [d.denominator for d in scheme.distributions] == [1, 1]
-    audit = verify_scheme(scheme, UpSet(1, frozenset({1})))
-    assert audit.passed
+    assert scheme.authorized() == UpSet(1, frozenset({1})).table
 
 
-def test_verify_scheme_reports_failure():
+def test_authorized_table_names_the_groups_an_upset_gets_wrong():
     scheme = weighted_threshold_scheme(2, (1, 1), 2, 3)
     wrong = upward_closure({0b01}, 2)  # claims A alone suffices
-    for audit in (verify_scheme(scheme, wrong), dense_audit(scheme, wrong)):
-        assert not audit.passed
-        assert [f.mask for f in audit.failures] == [0b01]
-        assert audit.failures[0].authorized
-    assert verify_scheme(scheme, wrong).failures[0].detail == \
-        "authorized group A cannot recover the secret"
+    for recovers in (scheme.authorized(), dense_authorized(scheme)):
+        # A is the one group the up-set gets wrong, and A cannot recover
+        assert recovers ^ wrong.table == 1 << 0b01
+        assert not recovers >> 0b01 & 1
     # the other way round: B alone recovers the secret of the 1-of-2 scheme
-    audit = verify_scheme(weighted_threshold_scheme(2, (1, 1), 1, 3), wrong)
-    assert findings(audit) == (False, [(0b10, False)])
-    assert audit.failures[0].detail == "unauthorized group B can distinguish the secret"
+    scheme = weighted_threshold_scheme(2, (1, 1), 1, 3)
+    for recovers in (scheme.authorized(), dense_authorized(scheme)):
+        assert recovers ^ wrong.table == 1 << 0b10
+        assert recovers >> 0b10 & 1
 
 
 def test_rank_audit_agrees_with_the_dense_audit():
-    # every candidate scheme of every up-set with n <= 4, against its own
-    # up-set and against every other up-set of its n, which covers both
-    # kinds of failure
+    # every candidate scheme of every up-set with n <= 4: the rank test,
+    # the dense tables and the up-set give one truth table, so every
+    # other up-set is told apart from it on the same groups
     for u, kind, build in CANDIDATES:
         scheme = build()
-        for other in enumerate_upsets(u.n) if u.n <= 3 else (u, enumerate_upsets(u.n)[0]):
-            assert findings(verify_scheme(scheme, other)) == findings(dense_audit(scheme, other)), \
-                (kind, u, other)
-        assert verify_scheme(scheme, u).passed
+        assert dense_authorized(scheme) == scheme.authorized() == u.table, (kind, u)
 
 
 @pytest.mark.parametrize("lam", [1, 1.7])
@@ -334,10 +312,10 @@ def test_rank_vector_matches_the_dense_vector_on_any_forms(layout):
 
 def test_dnf_scheme_two_pair_clauses():
     scheme = dnf_scheme(TWO_PAIRS_STRUCTURE)
-    assert scheme.registers == ((2,), (2,), (2,), (2,))
+    assert scheme.q == 2 and [len(forms) for forms in scheme.slots] == [1, 1, 1, 1]
     atoms0 = {sym for sym, _ in scheme.table(0)}
     assert atoms0 == {(0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)}
-    assert verify_scheme(scheme, TWO_PAIRS_STRUCTURE).passed
+    assert scheme.authorized() == TWO_PAIRS_STRUCTURE.table
 
 
 def test_dnf_scheme_single_party():
@@ -350,30 +328,30 @@ def test_dnf_scheme_single_party():
 def test_dnf_scheme_ray6_clause_layout():
     scheme = dnf_scheme(RAY6_STRUCTURE)
     # clause one: A alone holds the bit; clause two: B free share, C parity
-    assert scheme.registers == ((2,), (2,), (2,))
+    assert scheme.q == 2 and [len(forms) for forms in scheme.slots] == [1, 1, 1]
     atoms1 = {sym for sym, _ in scheme.table(1)}
     assert atoms1 == {(1, 0, 1), (1, 1, 0)}
-    assert verify_scheme(scheme, RAY6_STRUCTURE).passed
+    assert scheme.authorized() == RAY6_STRUCTURE.table
 
 
 def test_dnf_scheme_party_outside_all_clauses():
-    # only AB is ever authorized at n=3, so C gets a degenerate register
+    # only AB is ever authorized at n=3, so C holds no slot and its
+    # register is degenerate
     structure = upward_closure({AB}, 3)
     scheme = dnf_scheme(structure)
-    assert scheme.registers[2] == (1,)
-    assert verify_scheme(scheme, structure).passed
+    assert scheme.slots[2] == () and scheme.distributions[0].alphabet_sizes[2] == 1
+    assert scheme.authorized() == structure.table
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dnf_scheme_exhaustive_small(n):
     for u in enumerate_upsets(n):
-        audit = verify_scheme(dnf_scheme(u), u)
-        assert audit.passed, (u, audit.failures)
+        assert dnf_scheme(u).authorized() == u.table, u
 
 
 def test_threshold_clause_scheme_matches_printed_tables():
     scheme = Scheme(3, TWO_GF3_CLAUSES, 2)
-    assert scheme.registers == ((3,), (3,), (3,), (3,))
+    assert [len(forms) for forms in scheme.slots] == [1, 1, 1, 1]
     atoms0 = sorted(sym for sym, _ in scheme.table(0))
     assert atoms0 == [
         (0, 0, 0, 0), (0, 0, 1, 2), (0, 0, 2, 1),
@@ -386,7 +364,7 @@ def test_threshold_clause_scheme_matches_printed_tables():
         (2, 0, 0, 2), (2, 0, 1, 1), (2, 0, 2, 0)]
     assert scheme.distributions[0].denominator == 9
     assert all(w == 1 for _, w in scheme.table(0))
-    assert verify_scheme(scheme, TWO_PAIRS_STRUCTURE).passed
+    assert scheme.authorized() == TWO_PAIRS_STRUCTURE.table
 
 
 def test_threshold_clause_scheme_vector():
@@ -407,16 +385,11 @@ def test_scheme_distribution_flattening():
     scheme = weighted_threshold_scheme(3, (2, 1, 1), 2, 5)
     dist = scheme.distributions[0]
     assert dist.alphabet_sizes == (25, 5, 5)
-    assert dist.support() == {(0, 0, 0), (7, 3, 4), (14, 1, 3), (16, 4, 2), (23, 2, 1)}
-    assert party_digits((5, 5), 7) == (1, 2)
-    assert party_digits((1,), 0) == (0,)
+    # A's two GF(5) slots pack into one symbol, first slot most significant
+    assert {sym for sym, _ in dist.atoms} == \
+        {(0, 0, 0), (7, 3, 4), (14, 1, 3), (16, 4, 2), (23, 2, 1)}
 
 
 def test_weighted_scheme_vector_is_ray6():
     pair = scheme_state_pair(weighted_threshold_scheme(3, (2, 1, 1), 2, 5))
     assert re_vector(pair).values == (1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
-
-
-def test_scheme_validation():
-    with pytest.raises(ValueError):
-        verify_scheme(weighted_threshold_scheme(2, (1, 1), 2, 3), RAY6_STRUCTURE)
