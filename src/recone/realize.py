@@ -154,14 +154,11 @@ class VerificationReport:
 def _compare(v: REVector, achieved: REVector, tol: float) -> VerificationReport:
     """Per-subset deviations of achieved from v, and the monotonicity
     recheck of achieved under the cone's tolerance policy."""
-    deviations = []
-    for mask, t, a in zip(subsets_in_order(v.n), v.values, achieved.values):
-        if t == math.inf or a == math.inf:
-            dev = 0.0 if t == a else math.inf
-        else:
-            dev = abs(float(a) - float(t))
-        deviations.append(SubsetDeviation(mask, t, a, dev))
-    max_err = max(d.deviation for d in deviations)
+    inf = math.inf
+    devs = [abs(float(a) - float(t)) if t != inf != a else 0.0 if t == a else inf
+            for t, a in zip(v.values, achieved.values)]
+    deviations = map(SubsetDeviation, subsets_in_order(v.n), v.values, achieved.values, devs)
+    max_err = max(devs)
     recheck = check_membership(achieved)
     return VerificationReport(n=v.n, tol=tol, deviations=tuple(deviations),
                               max_abs_error=max_err, monotone_ok=recheck.member,

@@ -74,23 +74,26 @@ def _insert(basis: dict[int, dict[int, int]], row: dict[int, int], q: int,
     column first, and enter what is left as a new basis row.  The secret
     column comes last, so True, with the basis unchanged, means that
     only the secret column was left: then e0 lies in the span."""
-    row = dict(row)
-    while row:
-        col = min(row)
+    reduced = row  # shared with the caller and with other bases: copied before a change
+    while reduced:
+        col = min(reduced)
         pivot_row = basis.get(col)
         if pivot_row is None:
             if col == secret:
                 return True
-            inverse = pow(row[col], -1, q)
-            basis[col] = {c: x * inverse % q for c, x in row.items()}
+            inverse = pow(reduced[col], -1, q)
+            basis[col] = reduced if inverse == 1 else {
+                c: x * inverse % q for c, x in reduced.items()}
             return False
-        f = row[col]
+        if reduced is row:
+            reduced = dict(row)
+        f = reduced[col]
         for c, x in pivot_row.items():
-            y = (row.get(c, 0) - f * x) % q
+            y = (reduced.get(c, 0) - f * x) % q
             if y:
-                row[c] = y
+                reduced[c] = y
             else:
-                del row[c]
+                del reduced[c]
     return False
 
 

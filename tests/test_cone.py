@@ -146,6 +146,13 @@ def test_layer_cake_decomposes_monotone_hull():
     assert [sorted(u.members) for _, u in d.terms] == [[0b11], [0b01, 0b11]]
 
 
+def test_layer_cake_level_keeps_its_first_entry():
+    # C's int 1 lifts BC and ABC onto the level AC's float 1.0 also sits
+    # on; the level's coefficient is C's entry, the first on the level
+    d = layer_cake_decompose(REVector(3, (0, 0, 1, 0, 1.0, 1 - 0.5e-9, 1 - 0.5e-9)))
+    assert d.terms == ((1, upward_closure({C}, 3)),) and type(d.terms[0][0]) is int
+
+
 def test_layer_cake_moves_no_entry_beyond_tol():
     # AB is lifted 0.9e-9 onto A's level, which sits 0.9e-9 below the top
     # group: joining that group would move AB by 1.8e-9, so A's level stays apart

@@ -222,6 +222,18 @@ def test_verify_infinite_target_mismatch():
     assert report.max_abs_error == math.inf
 
 
+def test_deviations_of_exact_and_infinite_entries():
+    third = Fraction(1, 3)
+    report = realize._compare(REVector(2, (third, math.inf, 1)),
+                              REVector(2, (0.5, 2.0, math.inf)), TOL)
+    assert report.deviations == ((0b01, third, 0.5, abs(0.5 - float(third))),
+                                 (0b10, math.inf, 2.0, math.inf),
+                                 (0b11, 1, math.inf, math.inf))
+    assert report.max_abs_error == math.inf and report.monotone_ok
+    both = realize._compare(REVector(1, (math.inf,)), REVector(1, (math.inf,)), 0.0)
+    assert both.deviations == ((0b1, math.inf, math.inf, 0.0),) and both.passed
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_every_ray_realizes_at_unit_level(n):
     for u in enumerate_upsets(n):

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -177,6 +178,19 @@ def test_scheme_builds_no_table_until_read():
     assert scheme.authorized() == TWO_PAIRS_STRUCTURE.table
     assert "distributions" not in vars(scheme)
     assert len(scheme.table(0)) == 4 and "distributions" in vars(scheme)
+
+
+def test_authorized_leaves_the_forms_unchanged():
+    # the elimination enters a form that needs no scaling into the basis
+    # as it is and copies it before reducing it, so no walk may change it
+    two_of_three = upward_closure({AB, 0b101, BC}, 3)  # A and B each sit in two clauses
+    shares_of_three = upward_closure({AB, 0b101}, 3)  # A holds two of four shares
+    for scheme, u in ((weighted_threshold_scheme(3, [2, 1, 1], 3, 5), shares_of_three),
+                      (dnf_scheme(TWO_PAIRS_STRUCTURE), TWO_PAIRS_STRUCTURE),
+                      (dnf_scheme(two_of_three), two_of_three)):
+        rows = copy.deepcopy(scheme._rows)
+        assert scheme.authorized() == scheme.authorized() == u.table
+        assert scheme._rows == rows
 
 
 @pytest.mark.parametrize("p,k,m", [(5, 2, 4), (7, 3, 5), (3, 2, 2)])
