@@ -3,8 +3,11 @@
 The cone consists of all vectors, indexed by the nonempty subsets of [n],
 that are nonnegative and monotone under restriction (v_S >= v_S' whenever
 S contains S').  Its extremal rays are the 0/1 indicator vectors of
-up-sets, so every member splits canonically into a positive combination of
-nested up-set indicators: the layer cake over its level sets.
+up-sets, so a vector is a member iff each level set {S : v_S >= t} is an
+up-set, and every member splits canonically into a positive combination
+of nested up-set indicators: the layer cake over its level sets.  Both
+are read from one sweep over the distinct values, from the top, on truth
+tables; the 3^n comparable pairs are walked only to list violations.
 
 Values are in bits.  Entries may be ints, Fractions or floats; +inf (as
 math.inf) is allowed for membership checks but not for decomposition.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .lattice import UpSet, is_upset, subset_index, subsets_in_order
+from .lattice import UpSet, _without, is_upset, subset_index, subsets_in_order
 
 #: bits by which float entries may differ and still count as equal
 TOL = 1e-9
@@ -98,6 +101,9 @@ class MembershipReport:
     infinite_part_ok: bool
 
 
+_MEMBER = MembershipReport(member=True, violations=(), infinite_part_ok=True)
+
+
 def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
@@ -108,15 +114,60 @@ def _slack(values):
     return 0 if all(map(_is_exact, values)) else TOL
 
 
+def _first(v: REVector, table: int):
+    """The entry of the table's first mask in canonical order."""
+    return next(val for m, val in v.entries() if table >> m & 1)
+
+
+def _sweep(v: REVector, slack):
+    """The layer cake's groups from the top, [top, H at the group's lowest
+    level] each, or None when v is not a member: some hull level H_t, the
+    upward closure of the entries at t or above, holds an entry below
+    t - slack.  The +inf entries sort first and fail unless closed."""
+    at = {}  # value -> truth table; equal values keep the first key in canonical order
+    for m, val in zip(subsets_in_order(v.n), v.values):
+        at[val] = at.get(val, 0) | 1 << m
+    levels = sorted(at, reverse=True)
+    without = _without(v.n)
+    groups = []
+    hull = reach = j = 0
+    for i, t in enumerate(levels):
+        if not (up := at[t] & ~hull):  # the entries at t that no higher level lifts
+            continue
+        name = t if up == at[t] else _first(v, up)
+        for k, w in enumerate(without):
+            up |= (up & w) << (1 << k)
+        layer, hull = up & ~hull, hull | up
+        while j < len(levels) and levels[j] >= t - slack:
+            reach |= at[levels[j]]
+            j += 1
+        if hull & ~reach:
+            return None
+        if groups and not groups[-1][0] - name > slack:
+            lowest = name  # the smallest entry lifted here; none is below t - slack
+            for k in range(j - 1, i, -1):
+                if lifted := at[levels[k]] & layer:
+                    lowest = levels[k] if lifted == at[levels[k]] else _first(v, lifted)
+                    break
+            if not groups[-1][0] - lowest > slack:
+                groups[-1][1] = hull
+                continue
+        groups.append([name, hull])
+    return groups
+
+
 def check_membership(v: REVector) -> MembershipReport:
     """Test cone membership, listing every failed comparable pair.
 
     A pair (S, S') with S' a proper subset of S violates monotonicity when
     v_S < v_S' - slack, with the slack of the tolerance policy; only
     finite entries are compared.  The subsets carrying +inf must
-    themselves form an up-set (vacuously fine when there are none).
+    themselves form an up-set (vacuously fine when there are none).  The
+    level-set sweep decides; the pairs are walked only when v fails.
     """
     slack = _slack(v.values)
+    if _sweep(v, slack) is not None:
+        return _MEMBER
     value = dict(v.entries())
     infinite = {m for m, val in value.items() if val == math.inf}
     infinite_ok = not infinite or is_upset(infinite, v.n)
@@ -124,15 +175,14 @@ def check_membership(v: REVector) -> MembershipReport:
     for mask, vs in value.items():
         if vs == math.inf:
             continue
-        sub = (mask - 1) & mask  # proper_submasks inlined: the hottest loop of synthesize
+        sub = (mask - 1) & mask
         while sub:
             vsub = value[sub]
             if vsub != math.inf and vs < vsub - slack:
                 violations.append(Violation(mask, sub, vs, vsub))
             sub = (sub - 1) & mask
     violations.sort(key=lambda x: (x.superset, x.subset))
-    return MembershipReport(member=not violations and infinite_ok,
-                            violations=tuple(violations),
+    return MembershipReport(member=False, violations=tuple(violations),
                             infinite_part_ok=infinite_ok)
 
 
@@ -160,46 +210,24 @@ def layer_cake_decompose(v: REVector) -> RayDecomposition:
     """Split a finite cone member over the level sets of its monotone hull.
 
     The hull raises each entry to the largest entry on its subsets, so a
-    member moves by at most the slack and every level set is an up-set.
+    member moves by at most the slack, and the sweep builds its level sets.
     Hull levels are grouped from the top, and each group stands for its
-    largest level.  A hull level joins the group above only if every
-    original entry on it lies within the slack of that group's top, so no
-    entry moves by more than the slack in all; a group within the slack of
-    0 is dropped.  With t_1 > ... > t_k the group levels, the i-th term is
-    (t_i - t_{i+1}) times the indicator of the subsets in groups 1..i.  The
-    zero vector decomposes into no terms.
+    largest level, named by its first entry not lifted above it.  A hull
+    level joins the group above only if every original entry on it lies
+    within the slack of that group's top, so no entry moves by more than
+    the slack in all; a group within the slack of 0 is dropped.  With
+    t_1 > ... > t_k the group tops, the i-th term is (t_i - t_{i+1}) times
+    the indicator of the subsets in groups 1..i.  The zero vector
+    decomposes into no terms.  NotInConeError precedes InfiniteEntryError.
     """
-    report = check_membership(v)
-    if not report.member:
-        raise NotInConeError(report)
+    slack = _slack(v.values)
+    groups = _sweep(v, slack)
+    if groups is None:
+        raise NotInConeError(check_membership(v))
     if not v.is_finite():
         raise InfiniteEntryError("decomposition is defined for finite vectors only")
-    slack = _slack(v.values)
-    value = dict(v.entries())
-    hull = {}  # subsets first: a running maximum over m less one party
-    for m, val in value.items():
-        top, rest = val, m
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if m != bit and hull[m ^ bit] > top:
-                top = hull[m ^ bit]
-        hull[m] = top
-    lowest = {}  # hull level -> smallest original entry lifted onto it
-    for m, h in hull.items():
-        lowest[h] = min(lowest.get(h, h), value[m])
-    levels = []  # group tops, descending
-    top_of = {}
-    for level in sorted(lowest, reverse=True):
-        if not levels or levels[-1] - lowest[level] > slack:
-            levels.append(level)
-        top_of[level] = levels[-1]
-    if levels and levels[-1] <= slack:
-        levels.pop()
-    terms = []
-    table = 0
-    for i, t in enumerate(levels):
-        table |= sum(1 << m for m, h in hull.items() if top_of[h] == t)
-        t_next = levels[i + 1] if i + 1 < len(levels) else 0
-        terms.append((t - t_next, UpSet._from_table(v.n, table)))
-    return RayDecomposition(v.n, tuple(terms))
+    if groups and groups[-1][0] <= slack:
+        groups.pop()
+    nexts = [top for top, _ in groups[1:]] + [0]
+    return RayDecomposition(v.n, tuple([(top - t_next, UpSet._from_table(v.n, table))
+                                        for (top, table), t_next in zip(groups, nexts)]))

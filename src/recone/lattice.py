@@ -74,14 +74,6 @@ def subset_index(n: int) -> dict[int, int]:
     return {mask: i for i, mask in enumerate(subsets_in_order(n))}
 
 
-def proper_submasks(mask: int):
-    """Proper nonempty submasks of a mask."""
-    sub = (mask - 1) & mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
-
-
 def _table_of(family, n: int) -> int:
     """Truth table of a family of masks, each one validated."""
     table = 0

@@ -1,12 +1,20 @@
 """Shared generators for exact random distributions, state pairs and
-cone members."""
+cone members, and the direct cone algorithms kept as test oracles."""
 
 import math
 import random
 from itertools import product
 
-from recone.cone import REVector
-from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure
+from recone.cone import (
+    InfiniteEntryError,
+    MembershipReport,
+    NotInConeError,
+    RayDecomposition,
+    REVector,
+    Violation,
+    _slack,
+)
+from recone.lattice import UpSet, enumerate_upsets, is_upset, subsets_in_order, upward_closure
 from recone.states import JointDistribution, StatePair
 
 
@@ -52,3 +60,69 @@ def closure_members(seed, n, count):
         coeffs = [rng.uniform(0.1, 3.0) for _ in rays]
         yield REVector(n, tuple(math.fsum(c for c, u in zip(coeffs, rays) if mask in u)
                                 for mask in order))
+
+
+def proper_submasks(mask):
+    """Proper nonempty submasks of a mask."""
+    sub = (mask - 1) & mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+def pair_walk_report(v):
+    """Oracle for check_membership: walk all 3^n comparable pairs."""
+    slack = _slack(v.values)
+    value = dict(v.entries())
+    infinite = {m for m, val in value.items() if val == math.inf}
+    infinite_ok = not infinite or is_upset(infinite, v.n)
+    violations = []
+    for mask, vs in value.items():
+        if vs == math.inf:
+            continue
+        for sub in proper_submasks(mask):
+            vsub = value[sub]
+            if vsub != math.inf and vs < vsub - slack:
+                violations.append(Violation(mask, sub, vs, vsub))
+    violations.sort(key=lambda x: (x.superset, x.subset))
+    return MembershipReport(member=not violations and infinite_ok,
+                            violations=tuple(violations), infinite_part_ok=infinite_ok)
+
+
+def hull_decompose(v):
+    """Oracle for layer_cake_decompose: the per-mask monotone hull, its
+    levels keyed by value, grouped from the top."""
+    report = pair_walk_report(v)
+    if not report.member:
+        raise NotInConeError(report)
+    if not v.is_finite():
+        raise InfiniteEntryError("decomposition is defined for finite vectors only")
+    slack = _slack(v.values)
+    value = dict(v.entries())
+    hull = {}  # subsets first: a running maximum over m less one party
+    for m, val in value.items():
+        top, rest = val, m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if m != bit and hull[m ^ bit] > top:
+                top = hull[m ^ bit]
+        hull[m] = top
+    lowest = {}  # hull level -> smallest original entry lifted onto it
+    for m, h in hull.items():
+        lowest[h] = min(lowest.get(h, h), value[m])
+    levels = []  # group tops, descending
+    top_of = {}
+    for level in sorted(lowest, reverse=True):
+        if not levels or levels[-1] - lowest[level] > slack:
+            levels.append(level)
+        top_of[level] = levels[-1]
+    if levels and levels[-1] <= slack:
+        levels.pop()
+    terms = []
+    table = 0
+    for i, t in enumerate(levels):
+        table |= sum(1 << m for m, h in hull.items() if top_of[h] == t)
+        t_next = levels[i + 1] if i + 1 < len(levels) else 0
+        terms.append((t - t_next, UpSet._from_table(v.n, table)))
+    return RayDecomposition(v.n, tuple(terms))

@@ -10,14 +10,14 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_distribution, random_members, random_pair
+from conftest import proper_submasks, random_distribution, random_members, random_pair
 from test_lattice import brute_force_upsets
 from test_schemes import dense_authorized
 from test_states import binary_entropy, shannon_entropy
 
 from recone.cli import main as cli_main
 from recone.cone import check_membership
-from recone.lattice import enumerate_upsets, proper_submasks, subsets_in_order
+from recone.lattice import enumerate_upsets, subsets_in_order
 from recone.realize import _candidates, realize_ray, synthesize, verify
 from recone.schemes import Scheme, scheme_state_pair, weighted_threshold_scheme
 from recone.states import StatePair, marginal, mix, re_vector, tensor

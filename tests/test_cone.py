@@ -3,7 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from conftest import closure_members, hull_decompose, pair_walk_report
+from hypothesis import given, seed, settings, strategies as st
 
 from recone.cone import (
     TOL,
@@ -250,3 +251,92 @@ def test_exact_decomposition_round_trips(raw):
         v = REVector.from_mapping(2, {0b01: min(va, vab), 0b10: min(vb, vab), 0b11: vab})
     d = layer_cake_decompose(v)
     assert recompose(d).values == v.values
+
+
+def _outcome(decompose, v):
+    """Term tables, coefficients and their types, or the error and its report."""
+    try:
+        d = decompose(v)
+    except (NotInConeError, InfiniteEntryError) as err:
+        return type(err), getattr(err, "report", None)
+    return [(c, type(c), u.table) for c, u in d.terms]
+
+
+def assert_agrees_with_oracles(v):
+    assert check_membership(v) == pair_walk_report(v)
+    assert _outcome(layer_cake_decompose, v) == _outcome(hull_decompose, v)
+
+
+def test_layer_cake_names_levels_by_entries_not_lifted():
+    # A lifts AB's float 1.0 onto its level, so BC's int 1 names the level
+    # below, the last group, and its coefficient stays an int
+    h = 1 + 0.6e-9
+    v = REVector(4, (h, 0, 0, 0, 1.0, h, h, 1, 0, 0, h, h, h, 1 - 0.6e-9, h))
+    assert_agrees_with_oracles(v)
+    assert type(layer_cake_decompose(v).terms[-1][0]) is int
+
+
+def test_layer_cake_compares_the_lowest_entry_of_its_own_level():
+    # BC's float 1.0, lifted onto B's level, is that level's lowest entry;
+    # C's int 1 is equal but on another level.  A is 1 + d with d just under
+    # TOL, but float(A) - 1.0 rounds above it, so B's level starts a group
+    d = Fraction(45035995, 10) / 2**52
+    v = REVector(3, (1 + d, 1 + d / 2, 1, 1 + d, 1 + d, 1.0, 1 + d))
+    assert_agrees_with_oracles(v)
+    assert len(layer_cake_decompose(v).terms) == 2
+
+
+def test_layer_cake_compares_the_smallest_lifted_entry():
+    # A's level, 0.45e-9 below C's, lifts AB (0.4e-9 below A) and AD and ABD
+    # (0.7e-9 below): AD is 1.15e-9 below C's level, so A's level stays apart
+    top = 1 + 0.45e-9
+    v = REVector(4, (1.0, 0, top, 0, 1 - 0.4e-9, top, 1 - 0.7e-9, top, 0, top, top,
+                     1 - 0.7e-9, top, top, top))
+    assert_agrees_with_oracles(v)
+    assert len(layer_cake_decompose(v).terms) == 2
+
+
+def _near(b, kind, k):
+    """Base value b as an exact int, or shifted by k quarters of TOL as a
+    Fraction or a float."""
+    if kind is float:
+        return abs(b + k * TOL / 4)
+    return abs(b + Fraction(k, 4 * 10**9)) if kind is Fraction else b
+
+
+@st.composite
+def near_tie_vectors(draw):
+    """n <= 5 vectors whose entries mix ints, Fractions and floats within
+    a few TOL of the values of a small random vector, often made monotone
+    first; its top value sometimes becomes +inf, an up-set only when the
+    vector was monotone."""
+    n = draw(st.integers(1, 5))
+    order = subsets_in_order(n)
+    entries = st.lists(st.integers(0, 3), min_size=len(order), max_size=len(order))
+    base = dict(zip(order, draw(entries)))
+    if draw(st.booleans()):
+        for m in order:  # subsets first: a running maximum over m less one party
+            base[m] = max([base[m]] + [base[m & ~(1 << j)] for j in range(n) if m & ~(1 << j)])
+    top = max(base.values()) if draw(st.booleans()) else None
+    kinds = draw(st.lists(st.sampled_from((int, Fraction, float)), min_size=len(order),
+                          max_size=len(order)))
+    shifts = draw(st.lists(st.integers(-5, 5), min_size=len(order), max_size=len(order)))
+    return REVector(n, tuple(math.inf if base[m] == top else _near(base[m], kind, k)
+                             for m, kind, k in zip(order, kinds, shifts)))
+
+
+@seed(1)
+@settings(max_examples=600, deadline=None)
+@given(near_tie_vectors())
+def test_sweep_agrees_with_pair_walk_and_hull(v):
+    assert_agrees_with_oracles(v)
+
+
+def test_sweep_agrees_with_oracles_at_n8():
+    # the seeded n = 8 members, and each with its full-set entry lowered to 0
+    for v in closure_members(8, 8, 20):
+        assert check_membership(v).member
+        assert_agrees_with_oracles(v)
+        lowered = REVector(8, v.values[:-1] + (0,))
+        assert check_membership(lowered).violations
+        assert_agrees_with_oracles(lowered)

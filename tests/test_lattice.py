@@ -19,7 +19,6 @@ from recone.lattice import (
     mask_of,
     parties,
     permutation_classes,
-    proper_submasks,
     subsets_in_order,
     upward_closure,
     validate_mask,
@@ -182,7 +181,7 @@ def test_members_and_truth_table_agree():
         order = subsets_in_order(u.n)
         assert u.sorted_members() == tuple(m for m in order if m in members)
         assert u.minimal_sets() == tuple(
-            m for m in order if m in members and not any(s in members for s in proper_submasks(m)))
+            m for m in order if m in members and not any(s != m and s & m == s for s in members))
         assert u.indicator_values() == tuple(1 if m in members else 0 for m in order)
         assert u.table == sum(1 << m for m in members)
         assert all((m in u) == (m in members) for m in range(1, 1 << u.n))

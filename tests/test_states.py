@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_distribution, random_pair
+from conftest import proper_submasks, random_distribution, random_pair
 from recone.cone import check_membership
-from recone.lattice import enumerate_upsets, proper_submasks, subsets_in_order, validate_mask
+from recone.lattice import enumerate_upsets, subsets_in_order, validate_mask
 from recone.realize import dense_pair, realize_ray
 from recone.schemes import scheme_state_pair
 from recone.states import (
