@@ -59,7 +59,11 @@ def test_rays_classes_n5_scale(capsys):
     start = time.perf_counter()
     assert main(["rays", "--n", "5", "--classes"]) == 0
     assert time.perf_counter() - start < 2
-    assert capsys.readouterr().out.splitlines()[-1] == "208 classes, 7579 up-sets in total"
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "208 classes, 7579 up-sets in total"
+    # the whole table, rows in class order included
+    digest = "b1c2d64d8f96b33f721294943abf5bf79c8bf316fa4bcdbda9a2110a5c9ac83b"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_rays_rejects_big_n(capsys):
@@ -189,7 +193,8 @@ def test_strictly_monotone_target_through_the_cli(n, tmp_path, capsys):
         assert time.perf_counter() - start < 1, argv
     out = capsys.readouterr().out
     assert out.endswith(json.dumps(doc, indent=2) + "\n")  # relent gives v back exactly
-    assert len(json.load(open(out_path))["factors"]) == (1 << n) - 1
+    with open(out_path) as f:
+        assert len(json.load(f)["factors"]) == (1 << n) - 1
     if n == 4:
         assert main(["synthesize", vec_path, "-o", out_path, "--dense"]) == 1
         error = json.loads(capsys.readouterr().err)["error"]

@@ -3,6 +3,7 @@ import hashlib
 import random
 import re
 import time
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -351,6 +352,44 @@ def test_permutation_classes_orbit_sizes():
     classes = permutation_classes(enumerate_upsets(3), 3)
     by_rep = {c.representative.members: c.size for c in classes}
     assert by_rep[ray5.members] == 3
+
+
+@pytest.mark.parametrize("n,batch", [
+    *((n, enumerate_upsets(n)) for n in (1, 2, 3, 4)),
+    (5, random.Random(5).sample(enumerate_upsets(5), 60)),
+    (6, [random_upset(random.Random(6), 6) for _ in range(12)]),
+])
+def test_batch_canonical_forms_match_oracle(n, batch):
+    # the batch kernel gives every member's own least relabelling, lane by lane
+    oracle = [brute_force_representative(u) for u in batch]
+    reps = recone.lattice._canonical_tables([u.table for u in batch], n)
+    assert reps == [rep.table for rep in oracle]
+    assert {c.representative: c.size for c in permutation_classes(batch, n)} == Counter(oracle)
+
+
+def test_permutation_classes_takes_any_iterable():
+    upsets = enumerate_upsets(3)
+    assert permutation_classes((u for u in upsets), 3) == permutation_classes(upsets, 3)
+    assert permutation_classes(iter(()), 3) == []
+    assert permutation_classes([], 8) == []
+
+
+def test_permutation_classes_rejects_mixed_party_counts():
+    mixed = [upward_closure({A}, 3), upward_closure({A}, 4), upward_closure({B}, 3)]
+    for order in (mixed, mixed[::-1]):
+        with pytest.raises(ValueError, match="same party count"):
+            permutation_classes(order, 3)
+    with pytest.raises(ValueError, match="same party count"):
+        permutation_classes((u for u in mixed[:1]), 4)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_permutation_classes_one_orbit(n):
+    rng = random.Random(n)
+    u = random_upset(rng, n)
+    batch = [u, u] + [relabel(u, tuple(rng.sample(range(1, n + 1), n))) for _ in range(5)] + [u]
+    rng.shuffle(batch)
+    assert permutation_classes(batch, n) == [OrbitClass(brute_force_representative(u), 8)]
 
 
 def test_permutation_classes_n1():
