@@ -36,7 +36,7 @@ def _atom_string(scheme: Scheme, mask: int, symbols) -> str:
     with no slot."""
     q, chunks = scheme.q, []
     for party, flat in zip(parties(mask), symbols):
-        width = len(scheme.slots[party - 1]) or 1
+        width = len(scheme.forms[party - 1]) or 1
         digits = (flat // q ** i % q for i in reversed(range(width)))
         chunks.append(("" if q <= 10 else "-").join(map(str, digits)))
     return "".join(chunks)

@@ -21,8 +21,10 @@ vector):
     {"n": 2, "factors": [{"q": 2, "slots": [[[0, 1]], [[1, 1]]], "randomness": 1,
                           "weight": {"num": "1", "den": "2"}}, ...]}
 
-A factor is checked by the Scheme constructor, with one slot list per
-party, and by 0 < p < 1; no table is built.  A dense pair object inside
+A factor is checked by the Scheme constructor, which packs each form's
+coefficient list into one int as it checks it, with one slot list per
+party, and by 0 < p < 1; no table is built, and a form is written back
+from its packed int.  A dense pair object inside
 "factors" is refused.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .cone import MembershipReport, RayDecomposition, REVector, Violation
 from .lattice import mask_label, mask_of, parties, subsets_in_order
@@ -145,8 +148,7 @@ def pair_to_json(pair: StatePair | ProductPair) -> dict:
 
 def _factor_to_json(f: Factor) -> dict:
     s, p = f.scheme, f.weight
-    return {"q": s.q, "slots": [list(map(list, forms)) for forms in s.slots],
-            "randomness": s.randomness,
+    return {"q": s.q, "slots": s.coefficient_lists(), "randomness": s.randomness,
             "weight": {"num": str(p.numerator), "den": str(p.denominator)}}
 
 
@@ -183,6 +185,9 @@ def _factor_from_json(doc, n: int) -> Factor:
     slots = doc["slots"]
     if not (isinstance(slots, list) and len(slots) == n):
         raise ValueError(f"'slots' must hold one list of forms per party, {n} in all")
+    # the constructor packs each list as it checks it; a JSON number is no form
+    if not (set(map(type, slots)) <= {list} and set(map(type, chain.from_iterable(slots))) <= {list}):
+        raise ValueError("slots must list each party's forms as lists of coefficients")
     num, den = _probability_from_json(doc["weight"])
     return Factor(Scheme(doc["q"], slots, doc["randomness"]), Fraction(num, den))
 

@@ -8,7 +8,9 @@ slot values in mixed radix, first slot most significant.
 
 Every scheme here is linear (a monotone span program): each slot holds a
 linear form c0*b + c1*r1 + ... + cR*rR over GF(q) in the secret and R
-uniform random symbols.  A Scheme is these forms, its generator rows.
+uniform random symbols.  A Scheme is these forms, its generator rows,
+each held once as one int: digit c in base q (bit c when q = 2) is the
+coefficient of r(c+1), and the secret's coefficient is digit R, on top.
 The constructor checks that the random columns have rank R, so that the
 table of each secret is the injective image of GF(q)^R with exactly
 q**R atoms; the tables themselves are enumerated only when read.
@@ -20,6 +22,11 @@ column e0 = (1, 0, ..., 0) lies in the row span of S's forms, and are
 disjoint when it does: then S recovers b, otherwise its view does not
 depend on b.  Scheme.authorized finds these groups by one GF(q)
 elimination basis, extended party by party along a walk of the subsets.
+Elimination reduces the lowest column first and the secret's last.  Over
+GF(2) a row is the packed int itself, reduced by XOR against a basis
+keyed by lowest set bit, Gaussian elimination on machine words as in
+M4RI (Albrecht and Bard).  Base-q digits do not add digit by digit in an
+int, so over q > 2 each call decodes the forms into digit lists once.
 
 Two layouts feed the constructor:
 
@@ -42,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 
-from .lattice import MAX_PARTIES, UpSet, parties
+from .lattice import MAX_PARTIES, UpSet
 from .states import JointDistribution, StatePair, mix
 
 #: largest field size a scheme may use; trial division proves primality
@@ -67,60 +74,80 @@ def smallest_prime_above(m: int) -> int:
     return p
 
 
-def _insert(basis: dict[int, dict[int, int]], row: dict[int, int], q: int,
-            secret: int) -> bool:
-    """Reduce a sparse row {column: nonzero coefficient} over GF(q) by the
-    echelon basis {pivot: row with 1 at its pivot and 0 before it}, lowest
-    column first, and enter what is left as a new basis row.  The secret
-    column comes last, so True, with the basis unchanged, means that
-    only the secret column was left: then e0 lies in the span."""
-    reduced = row  # shared with the caller and with other bases: copied before a change
-    while reduced:
-        col = min(reduced)
-        pivot_row = basis.get(col)
-        if pivot_row is None:
-            if col == secret:
-                return True
-            inverse = pow(reduced[col], -1, q)
-            basis[col] = reduced if inverse == 1 else {
-                c: x * inverse % q for c, x in reduced.items()}
-            return False
-        if reduced is row:
-            reduced = dict(row)
-        f = reduced[col]
-        for c, x in pivot_row.items():
-            y = (reduced.get(c, 0) - f * x) % q
-            if y:
-                reduced[c] = y
-            else:
-                del reduced[c]
-    return False
+_NOT_LISTS = "slots must list each party's forms as lists of coefficients"
+_NOT_INJECTIVE = ("duplicate symbol tuple in the table for b = 0: "
+                  "two random choices give the same shares")
 
 
-@dataclass(frozen=True)
+def _extend_gf2(basis: dict[int, int], rows, secret: int) -> bool:
+    """Reduce each packed GF(2) row by the echelon basis {lowest set bit:
+    row with that lowest bit}, lowest column first, and enter what is
+    left.  The secret's bit is the highest, so a row reduced to that bit
+    alone is not entered, and True, when some row was, means that e0
+    lies in the span."""
+    recovers = False
+    for row in rows:
+        while row:
+            low = row & -row
+            pivot = basis.get(low)
+            if pivot is None:
+                if low == secret:
+                    recovers = True
+                else:
+                    basis[low] = row
+                break
+            row ^= pivot
+    return recovers
+
+
+def _extend_gfq(basis: dict[int, list[int]], rows, q: int) -> bool:
+    """_extend_gf2 over GF(q), on digit lists: basis rows are kept with 1
+    at their pivot, and a row is replaced, never changed, so the rows may
+    be shared between bases."""
+    recovers = False
+    for row in rows:
+        secret = len(row) - 1
+        for col in range(secret + 1):
+            f = row[col]
+            if f:
+                pivot = basis.get(col)
+                if pivot is not None:
+                    row = [(x - f * y) % q for x, y in zip(row, pivot)]
+                    continue
+                if col == secret:
+                    recovers = True
+                else:
+                    inverse = pow(f, -1, q)
+                    basis[col] = [x * inverse % q for x in row]
+                break
+    return recovers
+
+
+@dataclass(frozen=True, init=False)
 class Scheme:
     """Scheme given by its generator rows, linear forms over GF(q), q prime.
 
-    slots[i] lists party i+1's slots, each a coefficient tuple
-    (c0, c1, ..., cR), integers in range(q), for the slot value
-    c0*b + c1*r1 + ... + cR*rR mod q, R = randomness.  A layout whose
-    random columns have rank below R maps two random choices to one share
-    tuple, and is refused as a duplicate.  distributions[b] lists the
-    share tuples of all (r1, ..., rR) in GF(q)^R, each with weight 1; it
-    is enumerated on first read.
+    Scheme(q, slots, R): slots[i] lists party i+1's slots, each the form
+    c0*b + c1*r1 + ... + cR*rR mod q, R = randomness, given either as its
+    coefficient sequence (c0, c1, ..., cR), integers in range(q), or
+    packed into one int: digit c in base q is the coefficient of r(c+1)
+    and digit R the secret's.  A scheme holds its forms once, packed, per
+    party in forms; slots derives the coefficient tuples on every read.
+    A layout whose random columns have rank below R maps two random
+    choices to one share tuple, and is refused as a duplicate.
+    distributions[b] lists the share tuples of all (r1, ..., rR) in
+    GF(q)^R, each with weight 1; it is enumerated on first read.
     """
 
     q: int
-    slots: tuple[tuple[tuple[int, ...], ...], ...]
+    forms: tuple[tuple[int, ...], ...]
     randomness: int
 
-    def __post_init__(self):
-        q, randomness = self.q, self.randomness
+    def __init__(self, q: int, slots, randomness: int):
         try:
-            slots = tuple(tuple(map(tuple, forms)) for forms in self.slots)
+            slots = tuple(map(tuple, slots))
         except TypeError:
-            raise ValueError("slots must list each party's forms as lists of coefficients") from None
-        object.__setattr__(self, "slots", slots)
+            raise ValueError(_NOT_LISTS) from None
         if type(q) is not int or not q < MAX_MODULUS:
             raise ValueError(f"modulus must be an integer below 2**31, got {q!r}")
         if not is_prime(q):
@@ -129,30 +156,73 @@ class Scheme:
             raise ValueError(f"randomness must be a nonnegative integer, got {randomness!r}")
         if not 1 <= len(slots) <= MAX_PARTIES:
             raise ValueError(f"party count must be in 1..{MAX_PARTIES}, got {len(slots)}")
-        for form in chain.from_iterable(slots):
-            if len(form) != randomness + 1:
-                raise ValueError(f"form {form} needs {randomness + 1} coefficients")
-        coefficients = list(chain.from_iterable(chain.from_iterable(slots)))
-        if coefficients and not (set(map(type, coefficients)) <= {int}
-                                 and min(coefficients) >= 0 and max(coefficients) < q):
-            form = next(f for f in chain.from_iterable(slots)
-                        if not all(type(c) is int and 0 <= c < q for c in f))
-            raise ValueError(f"form {form} needs integer coefficients in 0..{q - 1}")
-        # per party, its forms as sparse rows {column: coefficient}, r1..rR
-        # in columns 0..R-1 and the secret last, in column R
-        rows = tuple([{c: x for c, x in enumerate(form[1:] + form[:1]) if x} for form in forms]
-                     for forms in slots)
+        forms, flat = [], []  # one pass: each coefficient sequence is packed as it is checked
+        for party in slots:
+            start = len(flat)
+            for form in party:
+                if type(form) is not int:
+                    if type(form) is not list and type(form) is not tuple:
+                        raise ValueError(_NOT_LISTS)
+                    if len(form) != randomness + 1:
+                        raise ValueError(f"form {tuple(form)} needs {randomness + 1} coefficients")
+                    value = 0
+                    for c in form[:1] + form[:0:-1]:  # c0, cR, ..., c1: digit R down to 0
+                        if type(c) is not int or not 0 <= c < q:
+                            raise ValueError(f"form {tuple(form)} needs integer coefficients "
+                                             f"in 0..{q - 1}")
+                        value = value * q + c
+                    form = value
+                flat.append(form)
+            forms.append(tuple(flat[start:]))
+        if len(flat) < randomness:  # fewer forms than R cannot have rank R
+            raise ValueError(_NOT_INJECTIVE)
+        if flat and not (min(flat) >= 0 and max(flat) < q ** (randomness + 1)):
+            form = next(f for f in flat if not 0 <= f < q ** (randomness + 1))
+            raise ValueError(f"packed form {form} needs {randomness + 1} digits in base {q}")
+        vars(self).update(q=q, forms=tuple(forms), randomness=randomness)  # frozen: no __setattr__
         basis = {}
-        for row in chain.from_iterable(rows):
-            _insert(basis, row, q, randomness)
+        if q == 2:  # the rows are the packed forms
+            _extend_gf2(basis, flat, 1 << randomness)
+        else:
+            rows, extend, key = self._elimination()
+            extend(basis, chain.from_iterable(rows), key)
         if len(basis) < randomness:  # no pivot but on a random column
-            raise ValueError("duplicate symbol tuple in the table for b = 0: "
-                             "two random choices give the same shares")
-        object.__setattr__(self, "_rows", rows)
+            raise ValueError(_NOT_INJECTIVE)
 
     @property
     def n(self) -> int:
-        return len(self.slots)
+        return len(self.forms)
+
+    @property
+    def slots(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each party's forms as coefficient tuples (c0, c1, ..., cR)."""
+        return tuple(tuple(map(tuple, forms)) for forms in self.coefficient_lists())
+
+    def coefficient_lists(self) -> list[list[list[int]]]:
+        """Each party's forms as coefficient lists [c0, c1, ..., cR], as a
+        pair file holds them: the base-q digits of each packed form."""
+        q, r = self.q, self.randomness
+        out = []
+        for forms in self.forms:
+            lists = []
+            for form in forms:
+                coefficients = [0] * (r + 1)
+                for i in range(1, r + 1):
+                    form, coefficients[i] = divmod(form, q)
+                coefficients[0] = form
+                lists.append(coefficients)
+            out.append(lists)
+        return out
+
+    def _elimination(self):
+        """Per party its rows, the elimination kernel and the kernel's last
+        argument: the packed forms themselves over GF(2), their digit
+        lists, lowest first, over GF(q)."""
+        if self.q == 2:
+            return self.forms, _extend_gf2, 1 << self.randomness
+        q = self.q
+        powers = [q ** i for i in range(self.randomness + 1)]
+        return [[[f // p % q for p in powers] for f in party] for party in self.forms], _extend_gfq, q
 
     def authorized(self) -> int:
         """Truth table of the groups that recover the secret: bit m is set
@@ -161,23 +231,22 @@ class Scheme:
         the group's highest, to a copy of the group's elimination basis.
         Once a group recovers the secret, so does every group the walk
         grows from it, and the walk marks them without extending."""
-        n, q, secret, rows = self.n, self.q, self.randomness, self._rows
+        n = self.n
+        rows, extend, key = self._elimination()
         table = 0
         stack = [(0, {}, 0)]  # (group, its basis, first party the walk may add)
         while stack:
             mask, basis, first = stack.pop()
             for j in range(first, n):
                 grown = dict(basis)
-                for row in rows[j]:
-                    if _insert(grown, row, q, secret):
-                        above = (1 << n) - (2 << j)
-                        sub = above
-                        while True:
-                            table |= 1 << (mask | 1 << j | sub)
-                            if not sub:
-                                break
-                            sub = (sub - 1) & above
-                        break
+                if extend(grown, rows[j], key):
+                    above = (1 << n) - (2 << j)
+                    sub = above
+                    while True:
+                        table |= 1 << (mask | 1 << j | sub)
+                        if not sub:
+                            break
+                        sub = (sub - 1) & above
                 else:
                     stack.append((mask | 1 << j, grown, j + 1))
         return table
@@ -185,12 +254,12 @@ class Scheme:
     @cached_property
     def distributions(self) -> tuple[JointDistribution, JointDistribution]:
         """The share tables, indexed by the secret bit."""
-        q = self.q
-        sizes = tuple(q ** len(forms) for forms in self.slots)
+        q, slots = self.q, self.slots
+        sizes = tuple(q ** len(forms) for forms in slots)
         rows = q ** self.randomness
         shifted = {}  # c -> v -> [v + t*c mod q for t in GF(q)]
         columns = []
-        for forms in self.slots:
+        for forms in slots:
             packed = [0] * 2 * rows
             for c0, *coeffs in forms:
                 # column by column over (b, r1, ..., rR), b most significant:
@@ -215,7 +284,9 @@ class Scheme:
 def threshold_layout(allocation, k: int, q: int):
     """(q, slots, R) of the k-out-of-m Shamir scheme over GF(q) whose
     m = sum(allocation) shares go to the parties in consecutive runs:
-    share x = 1..m holds b + r1*x + ... + r(k-1)*x**(k-1)."""
+    share x = 1..m holds b + r1*x + ... + r(k-1)*x**(k-1), its form
+    packed as in Scheme, so x**j mod q is digit j - 1 and b's 1 digit
+    k - 1."""
     m = sum(allocation)
     if any(a < 0 for a in allocation):
         raise ValueError(f"need nonnegative share counts, got {tuple(allocation)}")
@@ -224,8 +295,8 @@ def threshold_layout(allocation, k: int, q: int):
     if not 1 <= k <= m:
         raise ValueError(f"threshold must satisfy 1 <= k <= {m}, got {k}")
     points = iter(range(1, m + 1))
-    slots = [[tuple(pow(x, j, q) for j in range(k)) for x in islice(points, a)]
-             for a in allocation]
+    slots = [[q ** (k - 1) + sum(pow(x, j, q) * q ** (j - 1) for j in range(1, k))
+              for x in islice(points, a)] for a in allocation]
     return q, slots, k - 1
 
 
@@ -241,22 +312,23 @@ def weighted_threshold_scheme(n: int, allocation, k: int, q: int) -> Scheme:
 
 
 def dnf_layout(u: UpSet):
-    """(2, slots, R) of the XOR construction: per minimal set, its members
-    but the last, in ascending party order, each hold a fresh bit, and the
-    last holds the secret plus those bits.  A party outside every clause
-    holds no slot."""
-    clauses = [parties(m) for m in u.minimal_sets()]
-    randomness = sum(len(c) - 1 for c in clauses)
+    """(2, slots, R) of the XOR construction, forms packed as in Scheme:
+    per minimal set, its members but the last, in ascending party order,
+    each hold a fresh bit, and the last holds the secret, bit R, plus
+    those bits.  A party outside every clause holds no slot."""
+    minimal = u.minimal_sets()
+    randomness = sum(m.bit_count() for m in minimal) - len(minimal)
     slots = [[] for _ in range(u.n)]
     used = 0
-    for *free, last in clauses:
-        parity = [1] + [0] * randomness
-        for party in free:
-            used += 1
-            form = [0] * (randomness + 1)
-            form[used] = parity[used] = 1
-            slots[party - 1].append(form)
-        slots[last - 1].append(parity)
+    for m in minimal:
+        last = m.bit_length() - 1
+        parity = 1 << randomness
+        for party in range(last):
+            if m >> party & 1:
+                slots[party].append(1 << used)
+                parity |= 1 << used
+                used += 1
+        slots[last].append(parity)
     return 2, slots, randomness
 
 

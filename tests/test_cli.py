@@ -326,6 +326,17 @@ def test_malformed_scheme_factor_exits_two(command, edit, tmp_path, capsys):
     assert json.loads(captured.err)["error"].startswith("factor 2: ")
 
 
+def test_too_few_forms_for_the_randomness_exit_two_at_once(tmp_path, capsys):
+    # no form, so no rank: refused before any q ** (R + 1) is built
+    factor = {"q": 2, "slots": [[], []], "randomness": 10 ** 9, "weight": {"num": "1", "den": "2"}}
+    pair_path = write(tmp_path, "pair.json", {"n": 2, "factors": [factor]})
+    vec_path = write(tmp_path, "v.json", vector_to_json(REVector(2, (0, 0, 1))))
+    assert main(["verify", vec_path, pair_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("factor 1: duplicate symbol tuple")
+
+
 def test_factored_pair_file_round_trip(tmp_path, capsys):
     vec_path = write(tmp_path, "v.json", vector_to_json(REVector(2, (0, 0, 1))))
     pair_path = write(tmp_path, "pair.json", _factored_doc(lambda d: None))

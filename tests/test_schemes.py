@@ -1,4 +1,5 @@
-import copy
+import hashlib
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -180,17 +181,57 @@ def test_scheme_builds_no_table_until_read():
     assert len(scheme.table(0)) == 4 and "distributions" in vars(scheme)
 
 
-def test_authorized_leaves_the_forms_unchanged():
-    # the elimination enters a form that needs no scaling into the basis
-    # as it is and copies it before reducing it, so no walk may change it
-    two_of_three = upward_closure({AB, 0b101, BC}, 3)  # A and B each sit in two clauses
-    shares_of_three = upward_closure({AB, 0b101}, 3)  # A holds two of four shares
-    for scheme, u in ((weighted_threshold_scheme(3, [2, 1, 1], 3, 5), shares_of_three),
-                      (dnf_scheme(TWO_PAIRS_STRUCTURE), TWO_PAIRS_STRUCTURE),
-                      (dnf_scheme(two_of_three), two_of_three)):
-        rows = copy.deepcopy(scheme._rows)
-        assert scheme.authorized() == scheme.authorized() == u.table
-        assert scheme._rows == rows
+def test_packed_forms_are_read_as_their_base_q_digits():
+    # digit c in base q is the coefficient of r(c+1), digit R the secret's
+    packed = Scheme(3, [[1 * 9 + 1], [1 * 9 + 2], [1 * 9 + 1 * 3], [1 * 9 + 2 * 3]], 2)
+    assert packed == Scheme(3, TWO_GF3_CLAUSES, 2) and packed.forms == ((10,), (11,), (12,), (15,))
+    assert packed.slots == tuple(map(tuple, TWO_GF3_CLAUSES))
+    for form in (27, -1):
+        with pytest.raises(ValueError, match=f"packed form {form} needs 3 digits in base 3"):
+            Scheme(3, [[form], [1], [3]], 2)
+    with pytest.raises(ValueError, match="as lists of coefficients"):
+        Scheme(2, [[True]], 0)
+
+
+def test_too_few_forms_are_refused_before_any_size_r_work():
+    # fewer forms than R cannot have rank R; q ** (R + 1) would not fit in memory
+    for q, slots, randomness in ((2, [[], []], 10 ** 9), (3, [[]] * 3, 10 ** 12)):
+        with pytest.raises(ValueError, match="duplicate symbol tuple"):
+            Scheme(q, slots, randomness)
+
+
+def test_a_large_scheme_holds_its_forms_once():
+    # R = 197 random bits: all 4-sets of eight parties plus ABC
+    u = upward_closure({0b111} | {m for m in range(1 << 8) if m.bit_count() == 4}, 8)
+    dnf_scheme(u)  # fills the lattice's caches first
+    tracemalloc.start()
+    try:
+        scheme = dnf_scheme(u)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scheme.randomness == 197
+    assert retained < 128 * 1024
+
+
+#: SHA-256 of the repr of every CANDIDATES scheme's slots, as the layouts
+#: gave them when a Scheme kept each form as its coefficient tuple
+CANDIDATE_SLOTS_SHA256 = "e2aa7d2f2c50f63f0e9671e4086fb526bd481f81b8f8e53780774033cd1718dc"
+
+
+def assert_rebuilds_from_its_slots(scheme):
+    again = Scheme(scheme.q, scheme.slots, scheme.randomness)
+    assert again == scheme and hash(again) == hash(scheme)
+    assert scheme.authorized() == scheme.authorized()
+
+
+def test_candidates_rebuild_from_their_slots():
+    slots = []
+    for u, kind, build in CANDIDATES:
+        scheme = build()
+        assert_rebuilds_from_its_slots(scheme)
+        slots.append(scheme.slots)
+    assert hashlib.sha256(repr(slots).encode()).hexdigest() == CANDIDATE_SLOTS_SHA256
 
 
 @pytest.mark.parametrize("p,k,m", [(5, 2, 4), (7, 3, 5), (3, 2, 2)])
@@ -294,10 +335,11 @@ def test_rank_test_finds_every_upset_at_five():
 
 
 @st.composite
-def random_layouts(draw):
-    """Injective layouts over GF(q) with arbitrary forms, as a pair file
-    may carry them: q in {2, 3, 5}, n <= 3, R <= 3."""
-    q = draw(st.sampled_from([2, 3, 5]))
+def random_forms(draw):
+    """(q, slots, R) of an injective layout over GF(q) with arbitrary
+    forms, as a pair file may carry them: q in {2, 3, 5, 7, 11}, n <= 3,
+    R <= 3."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 11]))
     n = draw(st.integers(1, 3))
     r = draw(st.integers(0, 3))
     form = st.tuples(*[st.integers(0, q - 1)] * (r + 1))
@@ -306,10 +348,27 @@ def random_layouts(draw):
     for i in range(r):
         unit = tuple(int(j == i + 1) for j in range(r + 1))
         slots[draw(st.integers(0, n - 1))].append(unit)
+    return q, slots, r
+
+
+@st.composite
+def random_layouts(draw):
+    """A scheme of random_forms and a weight, exact or dyadic."""
+    q, slots, r = draw(random_forms())
     den = draw(st.integers(2, 100))
     weight = Fraction(draw(st.integers(1, den - 1)), den) if draw(st.booleans()) else \
         _dyadic_weight(draw(st.floats(min_value=0.05, max_value=6)))
     return Scheme(q, slots, r), weight
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_forms())
+def test_random_forms_rebuild_from_their_slots(layout):
+    q, slots, r = layout
+    scheme = Scheme(q, slots, r)
+    assert scheme.slots == tuple(tuple(map(tuple, forms)) for forms in slots)
+    assert_rebuilds_from_its_slots(scheme)
+    assert Scheme(q, scheme.forms, r) == scheme
 
 
 @settings(max_examples=150, deadline=None)
