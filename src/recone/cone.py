@@ -168,6 +168,12 @@ def check_membership(v: REVector) -> MembershipReport:
     slack = _slack(v.values)
     if _sweep(v, slack) is not None:
         return _MEMBER
+    return _pair_walk(v, slack)
+
+
+def _pair_walk(v: REVector, slack) -> MembershipReport:
+    """The report on a vector the sweep refused: every failed comparable
+    pair, and whether the +inf entries form an up-set."""
     value = dict(v.entries())
     infinite = {m for m, val in value.items() if val == math.inf}
     infinite_ok = not infinite or is_upset(infinite, v.n)
@@ -223,11 +229,12 @@ def layer_cake_decompose(v: REVector) -> RayDecomposition:
     slack = _slack(v.values)
     groups = _sweep(v, slack)
     if groups is None:
-        raise NotInConeError(check_membership(v))
+        raise NotInConeError(_pair_walk(v, slack))
     if not v.is_finite():
         raise InfiniteEntryError("decomposition is defined for finite vectors only")
     if groups and groups[-1][0] <= slack:
         groups.pop()
     nexts = [top for top, _ in groups[1:]] + [0]
-    return RayDecomposition(v.n, tuple([(top - t_next, UpSet._from_table(v.n, table))
-                                        for (top, table), t_next in zip(groups, nexts)]))
+    upsets = UpSet._from_tables(v.n, [table for _, table in groups])
+    return RayDecomposition(v.n, tuple([(top - t_next, u)
+                                        for (top, _), t_next, u in zip(groups, nexts, upsets)]))

@@ -1,5 +1,6 @@
 """Shared generators for exact random distributions, state pairs and
-cone members, and the direct cone algorithms kept as test oracles."""
+cone members, and the direct lattice and cone algorithms kept as test
+oracles."""
 
 import math
 import random
@@ -14,7 +15,14 @@ from recone.cone import (
     Violation,
     _slack,
 )
-from recone.lattice import UpSet, enumerate_upsets, is_upset, subsets_in_order, upward_closure
+from recone.lattice import (
+    UpSet,
+    _without,
+    enumerate_upsets,
+    is_upset,
+    subsets_in_order,
+    upward_closure,
+)
 from recone.states import JointDistribution, StatePair
 
 
@@ -60,6 +68,15 @@ def closure_members(seed, n, count):
         coeffs = [rng.uniform(0.1, 3.0) for _ in rays]
         yield REVector(n, tuple(math.fsum(c for c, u in zip(coeffs, rays) if mask in u)
                                 for mask in order))
+
+
+def is_closed(table, n):
+    """Oracle for the batch closure check: one truth table at a time, true
+    iff it is a nonempty up-set of nonempty masks of [n]."""
+    up = 0
+    for j, without_j in enumerate(_without(n)):
+        up |= (table & without_j) << (1 << j)
+    return table > 0 and not table & 1 and not table >> (1 << n) and not up & ~table
 
 
 def proper_submasks(mask):

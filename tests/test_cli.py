@@ -66,6 +66,15 @@ def test_rays_classes_n5_scale(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_rays_n5_output_is_byte_stable(capsys):
+    assert main(["rays", "--n", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "7579 up-sets"
+    # every row in enumeration order
+    digest = "09cad991fed7ab3c5bb74d954f1ce587665af60e15343a171e742e75966ebc52"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_rays_rejects_big_n(capsys):
     assert main(["rays", "--n", "6"]) == 2
     assert "error" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from conftest import closure_members, hull_decompose, pair_walk_report
 from hypothesis import given, seed, settings, strategies as st
 
+import recone.cone
 from recone.cone import (
     TOL,
     InfiniteEntryError,
@@ -122,6 +123,34 @@ def test_layer_cake_rejects_nonmember():
         layer_cake_decompose(REVector(2, (1, 0, 0.5)))
     assert isinstance(err.value.report, MembershipReport)
     assert err.value.report.violations
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_layer_cake_error_carries_the_membership_report(n, monkeypatch):
+    # seeded members with their first entry raised above the rest, at n = 3
+    # also +inf entries that are not an up-set; one sweep decides and the
+    # pair walk writes the report, as check_membership would
+    members = closure_members(n, n, 5)
+    nonmembers = [REVector(n, (max(v.values) + 1,) + v.values[1:]) for v in members]
+    if n == 3:
+        nonmembers.append(REVector(3, (math.inf, 0, 0, 1, math.inf, 0, math.inf)))
+    sweep = recone.cone._sweep
+    sweeps = []
+
+    def counted(v, slack):
+        sweeps.append(v)
+        return sweep(v, slack)
+
+    for v in nonmembers:
+        report = check_membership(v)
+        assert not report.member
+        monkeypatch.setattr(recone.cone, "_sweep", counted)
+        sweeps.clear()
+        with pytest.raises(NotInConeError) as err:
+            layer_cake_decompose(v)
+        monkeypatch.undo()
+        assert err.value.report == report
+        assert sweeps == [v]
 
 
 def test_layer_cake_rejects_infinite():

@@ -1,12 +1,13 @@
 import doctest
 import hashlib
+import math
 import random
 import re
-import time
 from collections import Counter
 from itertools import permutations
 
 import pytest
+from conftest import is_closed
 
 import recone.lattice
 from recone.cone import REVector, layer_cake_decompose
@@ -198,14 +199,24 @@ def test_lattice_builds_upsets_without_validating_masks(monkeypatch):
         calls.append(mask)
         validate_mask(mask, n)
 
+    check = recone.lattice._check_closed
+    batches = []
+
+    def counted_check(tables, n):
+        batches.append(len(tables))
+        check(tables, n)
+
     monkeypatch.setattr(recone.lattice, "validate_mask", counted)
-    # up-sets built from truth tables the lattice knows to be monotone
+    monkeypatch.setattr(recone.lattice, "_check_closed", counted_check)
+    # up-sets built from truth tables the lattice knows to be monotone,
+    # each batch under one closure check
     upsets = enumerate_upsets(5)
     assert len(permutation_classes(upsets, 5)) == 208
     indicators = [u.indicator_values() for u in (upsets[0], upsets[500], upsets[-1])]
     member = REVector(5, tuple(2 * a + 0.5 * b + c for a, b, c in zip(*indicators)))
     assert len(layer_cake_decompose(member).terms) == 3
     assert calls == []
+    assert batches == [7579, 208, 3]
     # the ways in from masks check each one
     UpSet(3, {AB, ABC})
     is_upset({AB, ABC}, 3)
@@ -218,6 +229,53 @@ def test_upset_validation():
         UpSet(3, frozenset({A}))  # not closed
     with pytest.raises(ValueError):
         UpSet(3, frozenset())
+
+
+NOT_UPSET = "family is not a nonempty upward-closed set of valid masks"
+FAULTS = ("empty table", "empty set", "beyond 2^n", "missing superset", "negative")
+
+
+def faulty_table(rng, n, kind):
+    """A truth table on [n] that is not an up-set, in the given way."""
+    table = random_upset(rng, n).table
+    if kind == "empty table":
+        return 0
+    if kind == "empty set":
+        return table | 1
+    if kind == "beyond 2^n":  # the guard bit of a packed lane, or far above it
+        return table | 1 << rng.choice([1 << n, (1 << n) + rng.randrange(1, 300)])
+    if kind == "negative":
+        return -table
+    # missing superset: the closure of a mask short of [n], less one member
+    # that has a member below it
+    table = upward_closure({rng.randrange(1, (1 << n) - 1)}, n).table
+    above = [m for m in range(1, 1 << n) if table >> m & 1
+             and any(table >> (m ^ 1 << j) & 1 for j in range(n) if m >> j & 1 and m != 1 << j)]
+    return table & ~(1 << rng.choice(above))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batch_closure_check_agrees_with_oracle(n):
+    # batches of up-set tables with at most one faulty lane; n < 3 packs
+    # lanes narrower than a byte.  At n = 1 every nonempty table of
+    # nonempty masks is closed, so no superset can be missing.
+    rng = random.Random(n)
+    kinds = [kind for kind in FAULTS if n > 1 or kind != "missing superset"]
+    for kind in kinds + [None]:
+        for size in (1, 2, 7, rng.randint(8, 100)):
+            tables = [random_upset(rng, n).table for _ in range(size)]
+            if kind:
+                tables[rng.randrange(size)] = faulty_table(rng, n, kind)
+            refused = not all(is_closed(t, n) for t in tables)
+            assert refused == (kind is not None), (n, kind)
+            if refused:
+                with pytest.raises(ValueError, match=re.escape(NOT_UPSET)):
+                    UpSet._from_tables(n, tables)
+            else:
+                built = UpSet._from_tables(n, tables)
+                assert built == [UpSet(n, {m for m in range(1, 1 << n) if t >> m & 1})
+                                 for t in tables]
+    assert UpSet._from_tables(n, []) == []
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 18), (4, 166)])
@@ -294,22 +352,32 @@ def test_canonical_representative_matches_oracle_sampled():
 
 
 @pytest.mark.parametrize("n", [7, 8])
-def test_canonical_representative_is_relabelling_invariant(n):
+def test_canonical_representative_is_relabelling_invariant(n, monkeypatch):
+    # the work is bounded by a count, not a clock: Heap's walk over parties
+    # 0..n-2 is (n-1)! - 1 swaps, and each form is one batch kernel call
+    assert len(recone.lattice._heap_walk(n)) == math.factorial(n - 1) - 1
+    kernel = recone.lattice._canonical_tables
+    calls = []
+
+    def counted(tables, n):
+        calls.append(len(tables))
+        return kernel(tables, n)
+
+    monkeypatch.setattr(recone.lattice, "_canonical_tables", counted)
     rng = random.Random(n)
 
-    def timed_representative(u):
-        start = time.perf_counter()
+    def representative(u):
+        calls.clear()
         rep = canonical_representative(u)
-        if n == 8:
-            assert time.perf_counter() - start < 0.1
+        assert calls == [1]
         return rep
 
     for _ in range(2):
         u = random_upset(rng, n)
-        rep = timed_representative(u)
+        rep = representative(u)
         for _ in range(3):
             perm = tuple(rng.sample(range(1, n + 1), n))
-            assert timed_representative(relabel(u, perm)) == rep
+            assert representative(relabel(u, perm)) == rep
 
 
 def test_apply_permutation():
