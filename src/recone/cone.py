@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .lattice import UpSet, _without, is_upset, subset_index, subsets_in_order
+from .lattice import UpSet, _closure, is_upset, subset_index, subsets_in_order
 
 #: bits by which float entries may differ and still count as equal
 TOL = 1e-9
@@ -128,15 +128,13 @@ def _sweep(v: REVector, slack):
     for m, val in zip(subsets_in_order(v.n), v.values):
         at[val] = at.get(val, 0) | 1 << m
     levels = sorted(at, reverse=True)
-    without = _without(v.n)
     groups = []
     hull = reach = j = 0
     for i, t in enumerate(levels):
         if not (up := at[t] & ~hull):  # the entries at t that no higher level lifts
             continue
         name = t if up == at[t] else _first(v, up)
-        for k, w in enumerate(without):
-            up |= (up & w) << (1 << k)
+        up = _closure(up, v.n)
         layer, hull = up & ~hull, hull | up
         while j < len(levels) and levels[j] >= t - slack:
             reach |= at[levels[j]]

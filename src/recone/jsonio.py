@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .cone import MembershipReport, RayDecomposition, REVector, Violation
-from .lattice import mask_label, mask_of, parties, subsets_in_order
+from .lattice import MAX_PARTIES, mask_label, mask_of, parties, subsets_in_order
 from .realize import RealizationResult, VerificationReport
 from .schemes import Scheme
 from .states import Factor, JointDistribution, ProductPair, StatePair
@@ -51,8 +51,8 @@ def _require(condition: bool, message: str) -> None:
 def _party_count(doc) -> int:
     _require(isinstance(doc, dict), "top-level JSON value must be an object")
     n = doc.get("n")
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-             f"'n' must be a positive integer, got {n!r}")
+    _require(isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= MAX_PARTIES,
+             f"'n' must be an integer in 1..{MAX_PARTIES}, got {n!r}")
     return n
 
 

@@ -8,10 +8,11 @@ at n = 5 (the counts grow like Dedekind numbers).
 The lattice works on one representation of a family: its truth table, an
 int with bit m set iff mask m is a member.  An UpSet holds only n and its
 table (bit 0, the empty set, clear); masks are validated only where they
-come in, as members or seeds.  Closure is n shifted masks of the table, a
-monotone table on k + 1 parties is a pair lo <= hi of monotone tables on
-k parties, and relabelling the parties by a transposition is one delta
-swap of the table.
+come in, as members or seeds.  Upward closure is one pass of n shifts of
+the table (_closure, for upward_closure, the layer-cake sweep and
+Scheme.authorized), a monotone table on k + 1 parties is a pair lo <= hi
+of monotone tables on k parties, and relabelling the parties by a
+transposition is one delta swap of the table.
 
 Batches of tables share one layout: each table is a lane of whole bytes
 of one int.  Closure is checked a batch at a time: every UpSet built from
@@ -100,6 +101,16 @@ def _table_of(family, n: int) -> int:
 def _without(n: int) -> tuple[int, ...]:
     """Per party j (0-based), the truth table of the masks that lack j."""
     return tuple(sum(1 << m for m in range(1 << n) if not m >> j & 1) for j in range(n))
+
+
+def _closure(table: int, n: int) -> int:
+    """Truth table of the upward closure of a family on [n]: each party j
+    in turn joins every member that lacks it.  After party j the family
+    is {m | T : m a member, T a subset of parties 0..j}, so one pass is
+    exact."""
+    for j, without_j in enumerate(_without(n)):
+        table |= (table & without_j) << (1 << j)
+    return table
 
 
 def _one_party_up(table: int, without) -> int:
@@ -237,10 +248,7 @@ def upward_closure(seed, n: int) -> UpSet:
     table = _table_of(seed, n)
     if not table:
         raise ValueError("seed must be nonempty")
-    without = _without(n)
-    while (closed := table | _one_party_up(table, without)) != table:
-        table = closed
-    return UpSet._from_table(n, table)
+    return UpSet._from_table(n, _closure(table, n))
 
 
 def enumerate_upsets(n: int) -> list[UpSet]:

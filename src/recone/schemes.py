@@ -20,8 +20,9 @@ uniform on a coset of the image of S's random columns, shifted by b
 times S's secret column.  The two cosets coincide unless the secret
 column e0 = (1, 0, ..., 0) lies in the row span of S's forms, and are
 disjoint when it does: then S recovers b, otherwise its view does not
-depend on b.  Scheme.authorized finds these groups by one GF(q)
-elimination basis, extended party by party along a walk of the subsets.
+depend on b.  Scheme.authorized extends one GF(q) elimination basis
+party by party along a walk of the subsets, records each group where the
+walk first finds the secret, and closes those groups upward.
 Elimination reduces the lowest column first and the secret's last.  Over
 GF(2) a row is the packed int itself, reduced by XOR against a basis
 keyed by lowest set bit, Gaussian elimination on machine words as in
@@ -49,7 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 
-from .lattice import MAX_PARTIES, UpSet
+from .lattice import MAX_PARTIES, UpSet, _closure
 from .states import JointDistribution, StatePair, mix
 
 #: largest field size a scheme may use; trial division proves primality
@@ -181,11 +182,8 @@ class Scheme:
             raise ValueError(f"packed form {form} needs {randomness + 1} digits in base {q}")
         vars(self).update(q=q, forms=tuple(forms), randomness=randomness)  # frozen: no __setattr__
         basis = {}
-        if q == 2:  # the rows are the packed forms
-            _extend_gf2(basis, flat, 1 << randomness)
-        else:
-            rows, extend, key = self._elimination()
-            extend(basis, chain.from_iterable(rows), key)
+        rows, extend, key = self._elimination()
+        extend(basis, chain.from_iterable(rows), key)
         if len(basis) < randomness:  # no pivot but on a random column
             raise ValueError(_NOT_INJECTIVE)
 
@@ -228,28 +226,23 @@ class Scheme:
         """Truth table of the groups that recover the secret: bit m is set
         iff e0 lies in the row span of group m's forms.  Recomputed on
         every call: a depth-first walk adds one party at a time, above
-        the group's highest, to a copy of the group's elimination basis.
-        Once a group recovers the secret, so does every group the walk
-        grows from it, and the walk marks them without extending."""
+        the group's highest, to a copy of the group's elimination basis,
+        and records, without extending, each group that first recovers
+        the secret.  Every recovering group holds the first recovering
+        prefix of its parties, so the table is the closure of the records."""
         n = self.n
         rows, extend, key = self._elimination()
-        table = 0
+        found = 0
         stack = [(0, {}, 0)]  # (group, its basis, first party the walk may add)
         while stack:
             mask, basis, first = stack.pop()
             for j in range(first, n):
                 grown = dict(basis)
                 if extend(grown, rows[j], key):
-                    above = (1 << n) - (2 << j)
-                    sub = above
-                    while True:
-                        table |= 1 << (mask | 1 << j | sub)
-                        if not sub:
-                            break
-                        sub = (sub - 1) & above
+                    found |= 1 << (mask | 1 << j)
                 else:
                     stack.append((mask | 1 << j, grown, j + 1))
-        return table
+        return _closure(found, n)
 
     @cached_property
     def distributions(self) -> tuple[JointDistribution, JointDistribution]:

@@ -40,8 +40,6 @@ MAX_SIGMA_ATOMS = 1 << 20
 def _log2_ratio(num: int, den: int) -> float:
     """log2(num / den) for a ratio in lowest terms; exact when both sides
     are powers of 2."""
-    if num == den:
-        return 0.0
     if num & (num - 1) == 0 and den & (den - 1) == 0:
         return float(num.bit_length() - den.bit_length())
     try:
@@ -314,17 +312,17 @@ def _rank_values(f: Factor, order) -> list[float]:
 def re_vector(pair: StatePair | ProductPair | Factor) -> REVector:
     """All 2^n - 1 relative entropies of the marginal pairs, in bits.
 
-    A Factor's vector comes from its scheme's rank, and a ProductPair's
-    is the math.fsum, entry by entry, of its factors' vectors; neither
-    builds a table.  For a StatePair each proper subset's marginals are
-    summed from those of its parent, the subset plus its lowest missing
-    party, so every subset is reached once and the full tables are
-    reduced only n times per side.  The walk is depth first, so only one
-    chain of marginals is alive at a time.
+    A ProductPair's vector is the math.fsum of its factors' vectors, entry
+    by entry, each from rank, and a Factor's is that of its one-factor
+    ProductPair; neither builds a table.  For a StatePair each proper
+    subset's marginals are summed from those of its parent, the subset plus
+    its lowest missing party, so every subset is reached once and the full
+    tables are reduced only n times per side.  The walk is depth first, so
+    only one chain of marginals is alive at a time.
     """
     order = subsets_in_order(pair.n)
     if isinstance(pair, Factor):
-        return REVector(pair.n, _rank_values(pair, order))
+        pair = ProductPair(pair.n, (pair,))
     if isinstance(pair, ProductPair):
         if not pair.factors:
             return REVector(pair.n, (0.0,) * len(order))

@@ -1,6 +1,6 @@
 """Shared generators for exact random distributions, state pairs and
-cone members, and the direct lattice and cone algorithms kept as test
-oracles."""
+cone members, and the direct lattice, cone and scheme algorithms kept as
+test oracles."""
 
 import math
 import random
@@ -17,6 +17,7 @@ from recone.cone import (
 )
 from recone.lattice import (
     UpSet,
+    _one_party_up,
     _without,
     enumerate_upsets,
     is_upset,
@@ -77,6 +78,41 @@ def is_closed(table, n):
     for j, without_j in enumerate(_without(n)):
         up |= (table & without_j) << (1 << j)
     return table > 0 and not table & 1 and not table >> (1 << n) and not up & ~table
+
+
+def fixpoint_closure(table, n):
+    """Oracle for lattice._closure: add every member plus one party until
+    nothing changes."""
+    without = _without(n)
+    while (closed := table | _one_party_up(table, without)) != table:
+        table = closed
+    return table
+
+
+def submask_walk_authorized(s):
+    """Oracle for Scheme.authorized: the same depth-first walk of the
+    groups, but once a group recovers the secret, every group the walk
+    would grow from it is marked by enumerating the submasks of the
+    parties above the one just added."""
+    n = s.n
+    rows, extend, key = s._elimination()
+    table = 0
+    stack = [(0, {}, 0)]  # (group, its basis, first party the walk may add)
+    while stack:
+        mask, basis, first = stack.pop()
+        for j in range(first, n):
+            grown = dict(basis)
+            if extend(grown, rows[j], key):
+                above = (1 << n) - (2 << j)
+                sub = above
+                while True:
+                    table |= 1 << (mask | 1 << j | sub)
+                    if not sub:
+                        break
+                    sub = (sub - 1) & above
+            else:
+                stack.append((mask | 1 << j, grown, j + 1))
+    return table
 
 
 def proper_submasks(mask):

@@ -4,9 +4,14 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import closure_members
 from test_jsonio import DENSE_DOC, MALFORMED_FACTORS, malformed_factor_doc
@@ -473,3 +478,93 @@ def test_module_invocation_smoke():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "4 up-sets" in proc.stdout
+
+
+# Exit codes under mutated documents: two members, a non-member and a
+# vector with +inf on an up-set; the first member's factored pair, over
+# GF(5) and GF(2), and a dense pair.  DEEP stands for 100 000 nested
+# lists, spliced into the file text.
+FUZZ_TARGET = REVector(3, (0, 0, 0, 1, 1, 1, 2.5))
+FUZZ_VECTORS = [vector_to_json(FUZZ_TARGET), RAY6_DOC, BAD_DOC,
+                vector_to_json(REVector(2, (math.inf, 0.0, math.inf)))]
+FUZZ_PAIRS = [pair_to_json(synthesize(FUZZ_TARGET).pair), DENSE_DOC]
+DEEP = "<deeply nested>"
+BAD_VALUES = [None, True, 1.5, -1, 0, 9, "", "x", "inf", "-inf", "NaN", 2 ** 64, 10 ** 400,
+              -10 ** 400, [], {}, [[[[0]]]], {"num": "1", "den": "2"}, DEEP]
+# values that are wrong in one place only: a party count, a modulus, a weight
+BAD_BY_KEY = {"n": [0, 9], "q": [0, 1, 4, 9, 2 ** 31, 2 ** 61 - 1], "randomness": [-1, 10 ** 400],
+              "num": ["0", "2", "3", "-1", "1.5", "1" * 5000], "den": ["0", "1", "+2", "1" * 5000],
+              "value": ["inf", 1e308, 10 ** 400], "parties": [[0], [9], [1, 1], [2, 1]]}
+
+
+def _nodes(doc, path=()):
+    """(path, node) for every node of a JSON document, the root first."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, child in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw, bases):
+    """The JSON text of a base document after one to three edits: a keyed
+    value set to one that is wrong in its place, or any node replaced by
+    a wrong value, deleted, or, for a list, given one more item."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        keyed = [path for path, _ in nodes if path and path[-1] in BAD_BY_KEY]
+        if keyed and draw(st.booleans()):
+            path, op = draw(st.sampled_from(keyed)), "replace"
+            value = draw(st.sampled_from(BAD_BY_KEY[path[-1]]))
+        else:
+            path, node = draw(st.sampled_from(nodes))
+            op = draw(st.sampled_from(["replace", "delete", "append"]))
+            value = draw(st.sampled_from(BAD_VALUES))
+        value = copy.deepcopy(value)  # later edits may change it in place
+        if not path:
+            doc = value if op == "replace" else doc
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "replace":
+            parent[path[-1]] = value
+        elif op == "delete":
+            del parent[path[-1]]
+        elif isinstance(node, list):
+            node.append(draw(st.sampled_from(node)) if node else value)
+    return json.dumps(doc).replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000)
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "synthesize", "relent", "verify"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_get_a_documented_exit_code(command, data):
+    vector = data.draw(mutated_documents(FUZZ_VECTORS) if command != "relent" else st.just(""))
+    pair = data.draw(mutated_documents(FUZZ_PAIRS) if command in ("relent", "verify")
+                     else st.just(""))
+    if command == "verify" and data.draw(st.booleans()):  # one document left intact
+        if data.draw(st.booleans()):
+            vector = json.dumps(data.draw(st.sampled_from(FUZZ_VECTORS)))
+        else:
+            pair = json.dumps(data.draw(st.sampled_from(FUZZ_PAIRS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        v_path, pair_path, out_path = (str(Path(tmp) / name)
+                                       for name in ("v.json", "pair.json", "out.json"))
+        Path(v_path).write_text(vector)
+        Path(pair_path).write_text(pair)
+        args = {"relent": [pair_path], "verify": [v_path, pair_path],
+                "synthesize": [v_path, "-o", out_path]}.get(command, [v_path])
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command] + args)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    elif code == 1 and command == "check":  # a non-member's report is the result, on stdout
+        assert err == "" and json.loads(out)["member"] is False
+    else:
+        assert isinstance(json.loads(err), dict) and "error" in json.loads(err)
+        assert code == 1 or out == ""

@@ -45,6 +45,9 @@ def test_revector_validation():
     with pytest.raises(ValueError):
         REVector(2, (1, math.nan, 2))
     REVector(2, (1, 0, math.inf))  # inf is a value, not an error
+    for mapping in ({0b01: 1, 0b10: 0}, {0b01: 1, 0b10: 0, 0b11: 1, 0b100: 1}):
+        with pytest.raises(ValueError, match="every nonempty subset exactly once"):
+            REVector.from_mapping(2, mapping)
 
 
 def test_revector_accessors():
@@ -221,6 +224,8 @@ def test_decomposition_validation():
         RayDecomposition(2, ((0, inner),))
     with pytest.raises(ValueError):
         RayDecomposition(2, ((1, outer), (1, inner)))  # not nested inner-first
+    with pytest.raises(ValueError, match="up-set party count mismatch"):
+        RayDecomposition(3, ((1, inner),))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

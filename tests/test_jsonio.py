@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,8 @@ def test_vector_round_trip_infinite():
     lambda d: d["entries"][0].update(parties=[9]),
     lambda d: d.update(n="three"),
     lambda d: d["entries"][0].update(parties=[True]),  # a bool is not party 1
+    # a party count past 8 would let party 2^64 through to a 2^64-bit shift
+    lambda d: d.update(n=2 ** 64) or d["entries"][0].update(parties=[2 ** 64]),
 ])
 def test_vector_from_json_rejects_malformed(mutate):
     doc = vector_to_json(REVector(2, (1.0, 0.0, 1.0)))
@@ -167,6 +170,20 @@ def test_pair_from_json_rejects_malformed(mutate):
     doc = pair_to_json(StatePair(rho, rho))
     mutate(doc)
     with pytest.raises(ValueError):
+        pair_from_json(doc)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda atom: atom.update(weight=1), "each atom needs exactly 'symbols' and 'p'"),
+    (lambda atom: atom.pop("p"), "each atom needs exactly 'symbols' and 'p'"),
+    (lambda atom: atom["p"].pop("den"), "a probability needs exactly 'num' and 'den'"),
+    (lambda atom: atom.update(p="1/2"), "a probability needs exactly 'num' and 'den'"),
+])
+def test_pair_file_atoms_and_probabilities_need_their_exact_keys(edit, message):
+    rho = JointDistribution(2, (2, 2), (((0, 0), 1), ((1, 1), 1)), 2)
+    doc = pair_to_json(StatePair(rho, rho))
+    edit(doc["sigma"][1])
+    with pytest.raises(ValueError, match=re.escape(message)):
         pair_from_json(doc)
 
 

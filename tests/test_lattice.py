@@ -7,13 +7,14 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
-from conftest import is_closed
+from conftest import fixpoint_closure, is_closed
 
 import recone.lattice
 from recone.cone import REVector, layer_cake_decompose
 from recone.lattice import (
     OrbitClass,
     UpSet,
+    _closure,
     canonical_representative,
     enumerate_upsets,
     is_upset,
@@ -93,6 +94,13 @@ def test_invalid_masks_rejected(mask, n):
         is_upset({mask}, n)
 
 
+@pytest.mark.parametrize("n", [0, 9])
+def test_party_count_outside_one_to_eight_rejected(n):
+    for call in (lambda: validate_mask(1, n), lambda: subsets_in_order(n)):
+        with pytest.raises(ValueError, match=re.escape(f"party count must be in 1..8, got {n}")):
+            call()
+
+
 @pytest.mark.parametrize("mask,message", [
     ("a", "subset mask must be an int, got 'a'"),
     (1.0, "subset mask must be an int, got 1.0"),
@@ -147,6 +155,17 @@ def test_upward_closure_examples():
     assert u.members == frozenset({0b0011, 0b1100, 0b0111, 0b1011, 0b1101, 0b1110, 0b1111})
     with pytest.raises(ValueError):
         upward_closure(set(), 3)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_pass_closure_agrees_with_the_fixpoint(n):
+    # sparse seeds to dense tables, the empty set's bit 0 included
+    rng = random.Random(1900 + n)
+    for _ in range(100):
+        density = rng.choice((0.01, 0.05, 0.2, 0.5))
+        table = sum(1 << m for m in range(1 << n) if rng.random() < density)
+        assert _closure(table, n) == fixpoint_closure(table, n), (n, table)
+    assert _closure(0, n) == 0 and _closure(1, n) == (1 << (1 << n)) - 1
 
 
 def test_upward_closure_idempotent():

@@ -5,9 +5,11 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from conftest import closure_members, submask_walk_authorized
 from hypothesis import given, settings, strategies as st
 
 from recone import realize
+from recone.cone import layer_cake_decompose
 from recone.lattice import UpSet, enumerate_upsets, mask_label, upward_closure
 from recone.realize import _dyadic_weight
 from recone.schemes import (
@@ -171,6 +173,9 @@ def test_linear_scheme_rejects_bad_layouts():
         Scheme(2 ** 61 - 1, [[(1, 1)]], 1)
     with pytest.raises(ValueError, match="party count"):
         Scheme(2, [[]] * 9, 0)
+    for slots in (5, [1]):  # not a list of parties, or a party not a list of forms
+        with pytest.raises(ValueError, match="as lists of coefficients"):
+            Scheme(2, slots, 0)
 
 
 def test_scheme_builds_no_table_until_read():
@@ -369,6 +374,20 @@ def test_random_forms_rebuild_from_their_slots(layout):
     assert scheme.slots == tuple(tuple(map(tuple, forms)) for forms in slots)
     assert_rebuilds_from_its_slots(scheme)
     assert Scheme(q, scheme.forms, r) == scheme
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_forms())
+def test_authorized_closes_what_the_submask_walk_marks_on_any_forms(layout):
+    scheme = Scheme(*layout)
+    assert scheme.authorized() == submask_walk_authorized(scheme)
+
+
+def test_authorized_closes_what_the_submask_walk_marks_on_every_n8_ray():
+    for v in closure_members(8, 8, 20):
+        for coeff, u in layer_cake_decompose(v).terms:
+            scheme = realize.realize_ray(u, coeff).scheme
+            assert scheme.authorized() == submask_walk_authorized(scheme) == u.table, u
 
 
 @settings(max_examples=150, deadline=None)

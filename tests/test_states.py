@@ -107,6 +107,11 @@ def test_distribution_validation():
         JointDistribution(2, (2, 2), (((0, 0), 0),), 0)
     with pytest.raises(ValueError):  # from_mapping scales to lcm 6, then validates the sum
         JointDistribution.from_mapping(1, (2,), {(0,): Fraction(1, 2), (1,): Fraction(1, 3)})
+    for n, sizes in ((0, ()), (2, (2,))):
+        with pytest.raises(ValueError, match="need one alphabet size per party"):
+            JointDistribution(n, sizes, (((0,) * n, 1),), 1)
+    with pytest.raises(ValueError, match="alphabet sizes must be positive"):
+        JointDistribution(2, (2, 0), (((0, 0), 1),), 1)
 
 
 def test_atoms_sorted_and_exact():
