@@ -3,7 +3,9 @@
 Exit codes: 0 when the command succeeds (and any predicate holds), 1 when
 a predicate fails (non-member, failed verification, refused synthesis),
 2 on usage or input errors.  Results go to stdout as JSON or plain text;
-diagnostics go to stderr as one JSON object.
+diagnostics go to stderr as one JSON object.  The command handlers return
+nothing and raise on every refusal, after printing any report; main alone
+maps each outcome to its exit code and its stderr object.
 """
 
 from __future__ import annotations
@@ -41,12 +43,6 @@ def _emit(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _fail(message: str, **extra) -> None:
-    doc = {"error": message}
-    doc.update(extra)
-    print(json.dumps(doc, indent=2), file=sys.stderr)
-
-
 def _indicator_table(rows, n: int, sizes=None) -> str:
     labels = [mask_label(m) for m in subsets_in_order(n)]
     widths = [max(len(x), 1) for x in labels]
@@ -63,7 +59,7 @@ def _indicator_table(rows, n: int, sizes=None) -> str:
     return "\n".join(lines)
 
 
-def _cmd_rays(args) -> int:
+def _cmd_rays(args) -> None:
     upsets = enumerate_upsets(args.n)
     if args.classes:
         classes = permutation_classes(upsets, args.n)
@@ -74,24 +70,23 @@ def _cmd_rays(args) -> int:
         rows = [u.indicator_values() for u in upsets]
         print(_indicator_table(rows, args.n))
         print(f"{len(upsets)} up-sets")
-    return 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> None:
     vector = vector_from_json(_load_json(args.file))
     report = check_membership(vector)
     _emit(membership_report_to_json(report))
-    return 0 if report.member else 1
+    if not report.member:
+        raise NotInConeError(report)
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> None:
     vector = vector_from_json(_load_json(args.file))
     decomposition = layer_cake_decompose(vector)
     _emit(decomposition_to_json(decomposition))
-    return 0
 
 
-def _cmd_synthesize(args) -> int:
+def _cmd_synthesize(args) -> None:
     vector = vector_from_json(_load_json(args.file))
     result = synthesize(vector)
     pair = dense_pair(result.pair) if args.dense else result.pair
@@ -99,29 +94,24 @@ def _cmd_synthesize(args) -> int:
         json.dump(pair_to_json(pair), handle, indent=2)
         handle.write("\n")
     _emit(realization_to_json(result))
-    return 0
 
 
-def _cmd_relent(args) -> int:
+def _cmd_relent(args) -> None:
     pair = pair_from_json(_load_json(args.file))
     _emit(vector_to_json(re_vector(pair)))
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     vector = vector_from_json(_load_json(args.vector))
     pair = pair_from_json(_load_json(args.pair))
     report = verify(vector, pair, tol=args.tol)
     _emit(verification_report_to_json(report))
-    if report.passed:
-        return 0
-    _fail(describe_deviation(report))
-    return 1
+    if not report.passed:
+        raise RealizationError(describe_deviation(report))
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> None:
     print(render_demo(args.name), end="")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,16 +164,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except NotInConeError as err:
-        _fail(str(err), report=membership_report_to_json(err.report))
-        return 1
-    except RealizationError as err:
-        _fail(str(err))
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as err:
-        _fail(str(err))
-        return 2
+        args.handler(args)
+    except (ValueError, OSError) as err:
+        doc = {"error": str(err)}
+        if isinstance(err, NotInConeError):
+            doc["report"] = membership_report_to_json(err.report)
+        print(json.dumps(doc, indent=2), file=sys.stderr)
+        return 1 if isinstance(err, (NotInConeError, RealizationError)) else 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -60,21 +60,24 @@ from .schemes import (
     threshold_layout,
     weighted_threshold_scheme,
 )
-from .states import MAX_SIGMA_ATOMS, Factor, ProductPair, StatePair, re_vector, tensor
+from .states import (
+    MAX_SIGMA_ATOMS,
+    Factor,
+    ProductPair,
+    RealizationError,
+    StatePair,
+    re_vector,
+    tensor,
+)
 
 #: largest ray coefficient in bits: 2**-1074 is the smallest positive double
 MAX_RAY_BITS = 1074
 
 
-class RealizationError(ValueError):
-    """Refused: the dense product's predicted sigma support exceeds the
-    budget, or the pair missed the target beyond the allowed tolerance."""
-
-
 def _dyadic_weight(lam) -> Fraction:
     if not 0 < lam <= MAX_RAY_BITS:
-        raise ValueError(
-            f"ray coefficient must be a number of bits in (0, {MAX_RAY_BITS}], got {lam}")
+        error = RealizationError if lam > MAX_RAY_BITS else ValueError
+        raise error(f"ray coefficient must be a number of bits in (0, {MAX_RAY_BITS}], got {lam}")
     if lam == int(lam):
         return Fraction(1, 1 << int(lam))
     return Fraction(2.0 ** -float(lam))
@@ -204,7 +207,7 @@ def dense_pair(pair: ProductPair) -> StatePair:
     the audit path.  Raises RealizationError before building any table
     when the product's sigma support, the product of the factors',
     exceeds MAX_SIGMA_ATOMS (ProductPair.check_budget)."""
-    pair.check_budget(RealizationError)
+    pair.check_budget()
     if not pair.factors:
         return StatePair(pair.rho, pair.sigma)  # the one-atom pair
     return reduce(tensor, (scheme_state_pair(f.scheme, f.weight) for f in pair.factors))

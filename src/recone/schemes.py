@@ -133,7 +133,7 @@ class Scheme:
     coefficient sequence (c0, c1, ..., cR), integers in range(q), or
     packed into one int: digit c in base q is the coefficient of r(c+1)
     and digit R the secret's.  A scheme holds its forms once, packed, per
-    party in forms; slots derives the coefficient tuples on every read.
+    party in forms; coefficient_lists unpacks them on every call.
     A layout whose random columns have rank below R maps two random
     choices to one share tuple, and is refused as a duplicate.
     distributions[b] lists the share tuples of all (r1, ..., rR) in
@@ -191,11 +191,6 @@ class Scheme:
     def n(self) -> int:
         return len(self.forms)
 
-    @property
-    def slots(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Each party's forms as coefficient tuples (c0, c1, ..., cR)."""
-        return tuple(tuple(map(tuple, forms)) for forms in self.coefficient_lists())
-
     def coefficient_lists(self) -> list[list[list[int]]]:
         """Each party's forms as coefficient lists [c0, c1, ..., cR], as a
         pair file holds them: the base-q digits of each packed form."""
@@ -247,7 +242,7 @@ class Scheme:
     @cached_property
     def distributions(self) -> tuple[JointDistribution, JointDistribution]:
         """The share tables, indexed by the secret bit."""
-        q, slots = self.q, self.slots
+        q, slots = self.q, self.coefficient_lists()
         sizes = tuple(q ** len(forms) for forms in slots)
         rows = q ** self.randomness
         shifted = {}  # c -> v -> [v + t*c mod q for t in GF(q)]

@@ -37,6 +37,12 @@ if TYPE_CHECKING:
 MAX_SIGMA_ATOMS = 1 << 20
 
 
+class RealizationError(ValueError):
+    """Refused: a product's predicted sigma support exceeds
+    MAX_SIGMA_ATOMS, a ray's coefficient exceeds the bits a weight can
+    carry, or a pair missed its target beyond the allowed tolerance."""
+
+
 def _log2_ratio(num: int, den: int) -> float:
     """log2(num / den) for a ratio in lowest terms; exact when both sides
     are powers of 2."""
@@ -257,7 +263,7 @@ class ProductPair:
     vector is the sum of the factors' vectors; with no factors it is the
     zero vector.  rho and sigma multiply the product out on every access,
     building every factor's tables, unless check_budget refuses the size
-    with a ValueError first."""
+    first."""
 
     n: int
     factors: tuple[Factor, ...]
@@ -279,12 +285,12 @@ class ProductPair:
         otherwise."""
         return math.prod(2 * f.scheme.q ** f.scheme.randomness for f in self.factors)
 
-    def check_budget(self, error=ValueError) -> None:
-        """Raise error, naming both sizes and building nothing, when
-        sigma_atoms exceeds MAX_SIGMA_ATOMS."""
+    def check_budget(self) -> None:
+        """Raise RealizationError, naming both sizes and building nothing,
+        when sigma_atoms exceeds MAX_SIGMA_ATOMS."""
         if self.sigma_atoms > MAX_SIGMA_ATOMS:
-            raise error(f"predicted sigma support of {self.sigma_atoms} atoms "
-                        f"exceeds the budget of {MAX_SIGMA_ATOMS} atoms")
+            raise RealizationError(f"predicted sigma support of {self.sigma_atoms} atoms "
+                                   f"exceeds the budget of {MAX_SIGMA_ATOMS} atoms")
 
     def _multiply_out(self, sides) -> JointDistribution:
         self.check_budget()

@@ -96,9 +96,12 @@ def test_check_member(tmp_path, capsys):
 def test_check_nonmember(tmp_path, capsys):
     path = write(tmp_path, "v.json", BAD_DOC)
     assert main(["check", path]) == 1
-    doc = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
     assert doc["member"] is False
     assert doc["violations"]
+    err = json.loads(captured.err)
+    assert "error" in err and err["report"] == doc
 
 
 def test_check_infinite_vector(tmp_path, capsys):
@@ -169,6 +172,13 @@ def test_verify_names_failed_monotonicity_recheck(tmp_path, capsys, monkeypatch)
     assert "AB = 0.5 < B = 1" in error  # the pair that drops the most
     assert json.loads(captured.out)["worst_violation"] == {
         "superset": [1, 2], "subset": [2], "v_superset": 0.5, "v_subset": 1.0}
+    # no pair to name when only +inf entries fail to form an up-set
+    report = VerificationReport(n=2, tol=1e-9, deviations=(), max_abs_error=0.0,
+                                monotone_ok=False, violations=(), passed=False)
+    assert main(["verify", vec_path, pair_path]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "achieved vector fails the monotonicity recheck"
+    assert "worst_violation" not in json.loads(captured.out)
 
 
 def test_synthesize_says_which_scheme_realized_each_ray(tmp_path, capsys):
@@ -404,6 +414,17 @@ def test_huge_level_exits_two(command, tmp_path, capsys):
     assert "parties [1]" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_level_above_max_ray_bits_exits_one(tmp_path, capsys):
+    # a member whose one ray needs a weight below the smallest double
+    path = write(tmp_path, "v.json", {"n": 1, "entries": [{"parties": [1], "value": 5000}]})
+    out = tmp_path / "pair.json"
+    assert main(["synthesize", path, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err)["error"] == (
+        "ray coefficient must be a number of bits in (0, 1074], got 5000")
+
+
 def test_dimension_mismatch_exits_two(tmp_path, capsys):
     result = synthesize(REVector(2, (0, 0, 1)))
     pair_path = write(tmp_path, "pair.json", pair_to_json(result.pair))
@@ -563,8 +584,6 @@ def test_mutated_documents_get_a_documented_exit_code(command, data):
     assert code in (0, 1, 2)
     if code == 0:
         assert err == ""
-    elif code == 1 and command == "check":  # a non-member's report is the result, on stdout
-        assert err == "" and json.loads(out)["member"] is False
     else:
         assert isinstance(json.loads(err), dict) and "error" in json.loads(err)
         assert code == 1 or out == ""

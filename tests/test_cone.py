@@ -55,6 +55,11 @@ def test_revector_accessors():
     assert v.value(0b10) == 2
     assert list(v.entries()) == [(0b01, 1), (0b10, 2), (0b11, 3)]
     assert REVector.indicator(RAY6).values == (1, 0, 0, 1, 1, 1, 1)
+    assert (v + v).values == (2, 4, 6)
+    for other in ((1, 2, 3), REVector(1, (1,))):  # not a vector, or another n
+        assert v.__add__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            v + other
 
 
 def test_membership_ray6():

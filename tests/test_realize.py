@@ -374,7 +374,7 @@ def test_multiplying_out_an_over_budget_product_is_refused(monkeypatch):
     monkeypatch.setattr(Scheme, "distributions", property(no_tables))
     start = time.perf_counter()
     for side in ("rho", "sigma"):
-        with pytest.raises(ValueError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:
+        with pytest.raises(RealizationError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:
             getattr(pair, side)
         assert str(err.value).startswith(f"predicted sigma support of {2 ** 43} atoms exceeds")
     assert time.perf_counter() - start < 1

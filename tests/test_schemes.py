@@ -190,7 +190,7 @@ def test_packed_forms_are_read_as_their_base_q_digits():
     # digit c in base q is the coefficient of r(c+1), digit R the secret's
     packed = Scheme(3, [[1 * 9 + 1], [1 * 9 + 2], [1 * 9 + 1 * 3], [1 * 9 + 2 * 3]], 2)
     assert packed == Scheme(3, TWO_GF3_CLAUSES, 2) and packed.forms == ((10,), (11,), (12,), (15,))
-    assert packed.slots == tuple(map(tuple, TWO_GF3_CLAUSES))
+    assert coefficient_tuples(packed) == tuple(map(tuple, TWO_GF3_CLAUSES))
     for form in (27, -1):
         with pytest.raises(ValueError, match=f"packed form {form} needs 3 digits in base 3"):
             Scheme(3, [[form], [1], [3]], 2)
@@ -224,8 +224,13 @@ def test_a_large_scheme_holds_its_forms_once():
 CANDIDATE_SLOTS_SHA256 = "e2aa7d2f2c50f63f0e9671e4086fb526bd481f81b8f8e53780774033cd1718dc"
 
 
+def coefficient_tuples(scheme):
+    """Each party's forms as coefficient tuples (c0, c1, ..., cR)."""
+    return tuple(tuple(map(tuple, forms)) for forms in scheme.coefficient_lists())
+
+
 def assert_rebuilds_from_its_slots(scheme):
-    again = Scheme(scheme.q, scheme.slots, scheme.randomness)
+    again = Scheme(scheme.q, coefficient_tuples(scheme), scheme.randomness)
     assert again == scheme and hash(again) == hash(scheme)
     assert scheme.authorized() == scheme.authorized()
 
@@ -235,7 +240,7 @@ def test_candidates_rebuild_from_their_slots():
     for u, kind, build in CANDIDATES:
         scheme = build()
         assert_rebuilds_from_its_slots(scheme)
-        slots.append(scheme.slots)
+        slots.append(coefficient_tuples(scheme))
     assert hashlib.sha256(repr(slots).encode()).hexdigest() == CANDIDATE_SLOTS_SHA256
 
 
@@ -278,7 +283,7 @@ def test_xor_share_table():
 
 def test_weighted_scheme_matches_ray6_structure():
     scheme = weighted_threshold_scheme(3, (2, 1, 1), 2, 5)
-    assert scheme.q == 5 and [len(forms) for forms in scheme.slots] == [2, 1, 1]
+    assert scheme.q == 5 and [len(forms) for forms in scheme.forms] == [2, 1, 1]
     assert len(scheme.table(0)) == scheme.distributions[0].denominator == 5
     assert all(w == 1 for _, w in scheme.table(0))
     assert scheme.authorized() == RAY6_STRUCTURE.table
@@ -320,15 +325,19 @@ def test_rank_audit_agrees_with_the_dense_audit():
         assert dense_authorized(scheme) == scheme.authorized() == u.table, (kind, u)
 
 
-@pytest.mark.parametrize("lam", [1, 1.7])
+@pytest.mark.parametrize("lam", [1, 1.7, 1050.5])
 def test_rank_vector_is_bit_identical_to_the_dense_vector(lam):
-    # every planner candidate, XOR and Shamir, of every up-set with n <= 4
+    # every planner candidate, XOR and Shamir, of every up-set with n <= 4.
+    # At 1050.5 bits p is a subnormal double, not a power of 2, whose 1/p
+    # overflows a float, so both sides take log2 of each side of the ratio;
+    # p's 24 significant bits put -log2(p) 2.47e-8 above lam
     weight = _dyadic_weight(lam)
+    bits = {1050.5: 1050.5000000246907}.get(lam, lam)
     for u, kind, build in CANDIDATES:
         scheme = build()
         rank = re_vector(Factor(scheme, weight)).values
         assert repr(rank) == repr(re_vector(scheme_state_pair(scheme, weight)).values), (kind, u)
-        assert rank == tuple(lam if x else 0.0 for x in u.indicator_values())
+        assert rank == tuple(bits if x else 0.0 for x in u.indicator_values())
 
 
 def test_rank_test_finds_every_upset_at_five():
@@ -371,7 +380,7 @@ def random_layouts(draw):
 def test_random_forms_rebuild_from_their_slots(layout):
     q, slots, r = layout
     scheme = Scheme(q, slots, r)
-    assert scheme.slots == tuple(tuple(map(tuple, forms)) for forms in slots)
+    assert coefficient_tuples(scheme) == tuple(tuple(map(tuple, forms)) for forms in slots)
     assert_rebuilds_from_its_slots(scheme)
     assert Scheme(q, scheme.forms, r) == scheme
 
@@ -404,7 +413,7 @@ def test_rank_vector_matches_the_dense_vector_on_any_forms(layout):
 
 def test_dnf_scheme_two_pair_clauses():
     scheme = dnf_scheme(TWO_PAIRS_STRUCTURE)
-    assert scheme.q == 2 and [len(forms) for forms in scheme.slots] == [1, 1, 1, 1]
+    assert scheme.q == 2 and [len(forms) for forms in scheme.forms] == [1, 1, 1, 1]
     atoms0 = {sym for sym, _ in scheme.table(0)}
     assert atoms0 == {(0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)}
     assert scheme.authorized() == TWO_PAIRS_STRUCTURE.table
@@ -420,7 +429,7 @@ def test_dnf_scheme_single_party():
 def test_dnf_scheme_ray6_clause_layout():
     scheme = dnf_scheme(RAY6_STRUCTURE)
     # clause one: A alone holds the bit; clause two: B free share, C parity
-    assert scheme.q == 2 and [len(forms) for forms in scheme.slots] == [1, 1, 1]
+    assert scheme.q == 2 and [len(forms) for forms in scheme.forms] == [1, 1, 1]
     atoms1 = {sym for sym, _ in scheme.table(1)}
     assert atoms1 == {(1, 0, 1), (1, 1, 0)}
     assert scheme.authorized() == RAY6_STRUCTURE.table
@@ -431,7 +440,7 @@ def test_dnf_scheme_party_outside_all_clauses():
     # register is degenerate
     structure = upward_closure({AB}, 3)
     scheme = dnf_scheme(structure)
-    assert scheme.slots[2] == () and scheme.distributions[0].alphabet_sizes[2] == 1
+    assert scheme.forms[2] == () and scheme.distributions[0].alphabet_sizes[2] == 1
     assert scheme.authorized() == structure.table
 
 
@@ -443,7 +452,7 @@ def test_dnf_scheme_exhaustive_small(n):
 
 def test_threshold_clause_scheme_matches_printed_tables():
     scheme = Scheme(3, TWO_GF3_CLAUSES, 2)
-    assert [len(forms) for forms in scheme.slots] == [1, 1, 1, 1]
+    assert [len(forms) for forms in scheme.forms] == [1, 1, 1, 1]
     atoms0 = sorted(sym for sym, _ in scheme.table(0))
     assert atoms0 == [
         (0, 0, 0, 0), (0, 0, 1, 2), (0, 0, 2, 1),
