@@ -3,7 +3,8 @@
 Exit codes: 0 when the command succeeds (and any predicate holds), 1 when
 a predicate fails (non-member, failed verification, refused synthesis),
 2 on usage or input errors.  Results go to stdout as JSON or plain text;
-diagnostics go to stderr as one JSON object.  The command handlers return
+diagnostics go to stderr as one JSON object, usage errors included.  The
+parser raises a usage error as ValueError, and the command handlers return
 nothing and raise on every refusal, after printing any report; main alone
 maps each outcome to its exit code and its stderr object.
 """
@@ -114,8 +115,16 @@ def _cmd_demo(args) -> None:
     print(render_demo(args.name), end="")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so main reports it like any
+    other input error; the subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recone",
         description="monotonicity-cone toolkit for relative-entropy vectors")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -161,9 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.handler(args)
     except (ValueError, OSError) as err:
         doc = {"error": str(err)}

@@ -8,6 +8,8 @@ up-set, and every member splits canonically into a positive combination
 of nested up-set indicators: the layer cake over its level sets.  Both
 are read from one sweep over the distinct values, from the top, on truth
 tables; the 3^n comparable pairs are walked only to list violations.
+Those tables are a vector's level map, REVector.levels, built once per
+vector, or kept from a vector built level by level, as rank vectors are.
 
 Values are in bits.  Entries may be ints, Fractions or floats; +inf (as
 math.inf) is allowed for membership checks but not for decomposition.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .lattice import UpSet, _closure, is_upset, subset_index, subsets_in_order
@@ -42,10 +45,19 @@ class InfiniteEntryError(ValueError):
     """Operation requires a finite vector."""
 
 
+def _check_entries(values) -> None:
+    for v in values:
+        if isinstance(v, float) and math.isnan(v):
+            raise ValueError("NaN entry")
+        if v < 0:
+            raise ValueError(f"negative entry {v}")
+
+
 @dataclass(frozen=True)
 class REVector:
     """One extended nonnegative real per nonempty subset, in canonical
-    coordinate order (cardinality, then party tuple)."""
+    coordinate order (cardinality, then party tuple); values is the
+    public form and levels the working one."""
 
     n: int
     values: tuple
@@ -55,11 +67,39 @@ class REVector:
         expected = (1 << self.n) - 1
         if len(self.values) != expected:
             raise ValueError(f"need {expected} entries for n={self.n}, got {len(self.values)}")
-        for v in self.values:
-            if isinstance(v, float) and math.isnan(v):
-                raise ValueError("NaN entry")
-            if v < 0:
-                raise ValueError(f"negative entry {v}")
+        _check_entries(self.values)
+
+    @classmethod
+    def _from_levels(cls, n: int, levels: dict) -> "REVector":
+        """The vector holding each key of levels on the masks of its truth
+        table; the tables must split the nonempty subsets.  Each distinct
+        value is checked as an entry is, and levels is kept as the level
+        map, so the vector's entries are never grouped again."""
+        _check_entries(levels)
+        index = subset_index(n)
+        fill = max(levels, key=lambda t: levels[t].bit_count())  # the level with most masks
+        values = [fill] * len(index)
+        for val, table in levels.items():
+            if val is not fill:
+                while table:
+                    low = table & -table
+                    values[index[low.bit_length() - 1]] = val
+                    table ^= low
+        v = object.__new__(cls)
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "values", tuple(values))
+        v.__dict__["levels"] = levels
+        return v
+
+    @cached_property
+    def levels(self) -> dict:
+        """Each distinct entry mapped to the truth table of the subsets
+        holding it.  Keys are first seen in canonical order, so equal
+        entries (an int 1 and a float 1.0, say) share the first one's key."""
+        at = {}
+        for m, val in zip(subsets_in_order(self.n), self.values):
+            at[val] = at.get(val, 0) | 1 << m
+        return at
 
     @classmethod
     def from_mapping(cls, n: int, mapping) -> "REVector":
@@ -79,7 +119,7 @@ class REVector:
         return zip(subsets_in_order(self.n), self.values)
 
     def is_finite(self) -> bool:
-        return all(v != math.inf for v in self.values)
+        return math.inf not in self.levels
 
     def __add__(self, other: "REVector") -> "REVector":
         if not isinstance(other, REVector) or other.n != self.n:
@@ -124,9 +164,7 @@ def _sweep(v: REVector, slack):
     level] each, or None when v is not a member: some hull level H_t, the
     upward closure of the entries at t or above, holds an entry below
     t - slack.  The +inf entries sort first and fail unless closed."""
-    at = {}  # value -> truth table; equal values keep the first key in canonical order
-    for m, val in zip(subsets_in_order(v.n), v.values):
-        at[val] = at.get(val, 0) | 1 << m
+    at = v.levels
     levels = sorted(at, reverse=True)
     groups = []
     hull = reach = j = 0

@@ -31,7 +31,8 @@ significant bits down to 2**-1022, so achieved values match targets
 well within the cone's TOL for lam from 1e-9 up to 1022 bits.  Past 1022
 bits the double is subnormal and coarser, and synthesis reports any
 miss; MAX_RAY_BITS bounds lam for both kinds of weight.  Synthesis
-accepts its pair by the same report as verify, with tolerance TOL.
+accepts its pair by the same test as verify, with tolerance TOL, taken
+over level sets, and builds the per-subset report only to refuse.
 """
 
 from __future__ import annotations
@@ -154,12 +155,22 @@ class VerificationReport:
         return max(self.violations, key=lambda x: x.v_subset - x.v_superset, default=None)
 
 
+def _deviation(t, a) -> float:
+    """|a - t| in floats; matching +inf entries are exact."""
+    return abs(float(a) - float(t)) if t != math.inf != a else 0.0 if t == a else math.inf
+
+
+def _max_deviation(v: REVector, achieved: REVector) -> float:
+    """The largest per-subset deviation, taken once per pair of
+    intersecting level sets of v and achieved."""
+    return max(_deviation(t, a) for t, t_table in v.levels.items()
+               for a, a_table in achieved.levels.items() if t_table & a_table)
+
+
 def _compare(v: REVector, achieved: REVector, tol: float) -> VerificationReport:
     """Per-subset deviations of achieved from v, and the monotonicity
     recheck of achieved under the cone's tolerance policy."""
-    inf = math.inf
-    devs = [abs(float(a) - float(t)) if t != inf != a else 0.0 if t == a else inf
-            for t, a in zip(v.values, achieved.values)]
+    devs = list(map(_deviation, v.values, achieved.values))
     deviations = map(SubsetDeviation, subsets_in_order(v.n), v.values, achieved.values, devs)
     max_err = max(devs)
     recheck = check_membership(achieved)
@@ -219,19 +230,23 @@ def synthesize(v: REVector) -> RealizationResult:
     Decomposes v over its level sets, plans a scheme per nested ray,
     realizes each ray as one factor of a ProductPair and sums the factors'
     vectors, from rank, into the achieved vector; no share table is
-    built.  Raises RealizationError, naming the worst subset, unless the
-    achieved vector passes verification against v with tolerance TOL.
+    built.  The achieved vector is compared with v once per pair of
+    intersecting level sets and rechecked for membership.  Raises
+    RealizationError, naming the worst subset, unless it passes as
+    verify's report would with tolerance TOL; that report is built only
+    to name what failed.
     """
     decomposition = layer_cake_decompose(v)  # also enforces membership
     plans = tuple(plan_ray(upset) for _, upset in decomposition.terms)
     pair = ProductPair(v.n, tuple(realize_ray(upset, coeff)
                                   for coeff, upset in decomposition.terms))
     achieved = re_vector(pair)
-    report = _compare(v, achieved, TOL)
-    if not report.passed:
+    max_err = _max_deviation(v, achieved)
+    if not (max_err <= TOL and check_membership(achieved).member):
+        report = _compare(v, achieved, TOL)
         raise RealizationError(f"synthesized pair fails verification: {describe_deviation(report)}")
     return RealizationResult(target=v, decomposition=decomposition, plans=plans, pair=pair,
-                             achieved=achieved, max_abs_error=report.max_abs_error)
+                             achieved=achieved, max_abs_error=max_err)
 
 
 def describe_deviation(report: VerificationReport) -> str:

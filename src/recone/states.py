@@ -306,34 +306,43 @@ class ProductPair:
         return self._multiply_out(mix(*f.scheme.distributions, f.weight) for f in self.factors)
 
 
-def _rank_values(f: Factor, order) -> list[float]:
-    """A factor's entries in the given subset order: -log2(p), the log of
-    the exact ratio 1/p that a dense recomputation pools, on the groups
-    that recover the secret, and 0.0 elsewhere."""
-    recovers = f.scheme.authorized()
-    bits = _log2_ratio(f.weight.denominator, f.weight.numerator)
-    return [bits if recovers >> m & 1 else 0.0 for m in order]
-
-
 def re_vector(pair: StatePair | ProductPair | Factor) -> REVector:
     """All 2^n - 1 relative entropies of the marginal pairs, in bits.
 
-    A ProductPair's vector is the math.fsum of its factors' vectors, entry
-    by entry, each from rank, and a Factor's is that of its one-factor
-    ProductPair; neither builds a table.  For a StatePair each proper
-    subset's marginals are summed from those of its parent, the subset plus
-    its lowest missing party, so every subset is reached once and the full
-    tables are reduced only n times per side.  The walk is depth first, so
-    only one chain of marginals is alive at a time.
+    A ProductPair's vector is built level by level, from rank, with no
+    table: each factor's authorized() table splits the cells of subsets
+    that share their factors, and a cell's value is the math.fsum of
+    -log2(p), the log of the exact ratio 1/p a dense recomputation pools,
+    over its factors.  fsum rounds once, so this is the per-subset sum bit
+    for bit; equal cells form one level.  A Factor's vector is that of its
+    one-factor ProductPair.
+
+    For a StatePair each proper subset's marginals are summed from those
+    of its parent, the subset plus its lowest missing party, so every
+    subset is reached once and the full tables are reduced only n times
+    per side.  The walk is depth first, so only one chain of marginals is
+    alive at a time.
     """
     order = subsets_in_order(pair.n)
     if isinstance(pair, Factor):
         pair = ProductPair(pair.n, (pair,))
     if isinstance(pair, ProductPair):
-        if not pair.factors:
-            return REVector(pair.n, (0.0,) * len(order))
-        columns = zip(*(_rank_values(f, order) for f in pair.factors))
-        return REVector(pair.n, tuple(map(math.fsum, columns)))
+        cells = {(1 << (1 << pair.n)) - 2: []}  # truth table -> the bits of its factors
+        for f in pair.factors:
+            recovers = f.scheme.authorized()
+            bits = _log2_ratio(f.weight.denominator, f.weight.numerator)
+            split = {}
+            for table, terms in cells.items():
+                if inside := table & recovers:
+                    split[inside] = terms + [bits]
+                if outside := table & ~recovers:
+                    split[outside] = terms
+            cells = split
+        levels = {}
+        for table, terms in cells.items():
+            value = math.fsum(terms)
+            levels[value] = levels.get(value, 0) | table
+        return REVector._from_levels(pair.n, levels)
     values = {}
 
     def walk(mask: int, rho: JointDistribution, sigma: JointDistribution) -> None:

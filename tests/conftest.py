@@ -24,7 +24,7 @@ from recone.lattice import (
     subsets_in_order,
     upward_closure,
 )
-from recone.states import JointDistribution, StatePair
+from recone.states import JointDistribution, StatePair, _log2_ratio
 
 
 def random_distribution(rng, n, sizes, full_support=False):
@@ -121,6 +121,32 @@ def proper_submasks(mask):
     while sub:
         yield sub
         sub = (sub - 1) & mask
+
+
+def grouped_levels(v):
+    """Oracle for REVector.levels: (key, truth table) pairs in first-seen
+    canonical order, each entry compared with the keys seen so far."""
+    levels = []
+    for m, val in v.entries():
+        for i, (key, table) in enumerate(levels):
+            if key == val:
+                levels[i] = (key, table | 1 << m)
+                break
+        else:
+            levels.append((val, 1 << m))
+    return levels
+
+
+def fsum_columns(pair):
+    """Oracle for re_vector of a ProductPair: one column per factor,
+    -log2(p) on the groups its scheme authorizes and 0.0 elsewhere, summed
+    subset by subset with math.fsum."""
+    order = subsets_in_order(pair.n)
+    columns = [[_log2_ratio(f.weight.denominator, f.weight.numerator)
+                if f.scheme.authorized() >> m & 1 else 0.0 for m in order]
+               for f in pair.factors]
+    return REVector(pair.n, tuple(map(math.fsum, zip(*columns))) if columns
+                    else (0.0,) * len(order))
 
 
 def pair_walk_report(v):

@@ -406,6 +406,27 @@ def test_missing_file_exits_two(capsys):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["rays", "--n", "abc"], "invalid int value: 'abc'"),
+    (["check"], "the following arguments are required: file"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["rays", "--n", "2", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_usage_error_exits_two_with_one_json_object(argv, needle, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert list(err) == ["error"] and needle in err["error"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["rays", "--help"])
+    assert exit_.value.code == 0
+    assert "--classes" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["decompose", "synthesize"])
 def test_huge_level_exits_two(command, tmp_path, capsys):
     path = write(tmp_path, "v.json", {"n": 1, "entries": [{"parties": [1], "value": 10 ** 400}]})

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import closure_members, hull_decompose, pair_walk_report
+from conftest import closure_members, grouped_levels, hull_decompose, pair_walk_report
 from hypothesis import given, seed, settings, strategies as st
 
 import recone.cone
@@ -344,12 +344,12 @@ def _near(b, kind, k):
 
 
 @st.composite
-def near_tie_vectors(draw):
+def near_tie_vectors(draw, n=None):
     """n <= 5 vectors whose entries mix ints, Fractions and floats within
     a few TOL of the values of a small random vector, often made monotone
     first; its top value sometimes becomes +inf, an up-set only when the
-    vector was monotone."""
-    n = draw(st.integers(1, 5))
+    vector was monotone.  n is drawn unless given."""
+    n = draw(st.integers(1, 5)) if n is None else n
     order = subsets_in_order(n)
     entries = st.lists(st.integers(0, 3), min_size=len(order), max_size=len(order))
     base = dict(zip(order, draw(entries)))
@@ -379,3 +379,38 @@ def test_sweep_agrees_with_oracles_at_n8():
         lowered = REVector(8, v.values[:-1] + (0,))
         assert check_membership(lowered).violations
         assert_agrees_with_oracles(lowered)
+
+
+def _typed(levels):
+    return [(type(key), key, table) for key, table in levels]
+
+
+@seed(1)
+@settings(max_examples=300, deadline=None)
+@given(near_tie_vectors())
+def test_levels_group_the_entries_under_their_first_key(v):
+    assert _typed(v.levels.items()) == _typed(grouped_levels(v))
+    assert v.is_finite() == (math.inf not in v.values)
+    rebuilt = REVector._from_levels(v.n, dict(v.levels))
+    assert rebuilt == REVector(v.n, [key for m in subsets_in_order(v.n)
+                                     for key, table in v.levels.items() if table >> m & 1])
+    assert rebuilt.levels == v.levels
+
+
+def test_levels_keep_the_first_of_equal_int_and_float_entries():
+    v = REVector(3, (1, 0.0, 0, 1.0, Fraction(1), 2.0, 2))
+    assert _typed(v.levels.items()) == [(int, 1, 1 << A | 1 << AB | 1 << AC),
+                                        (float, 0.0, 1 << B | 1 << C),
+                                        (float, 2.0, 1 << BC | 1 << ABC)]
+    assert v.levels is v.levels  # built once
+
+
+@pytest.mark.parametrize("levels,message", [
+    ({0.5: 1 << A | 1 << AB, math.nan: 1 << B}, "NaN entry"),
+    ({0.5: 1 << A | 1 << AB, -1.0: 1 << B}, "negative entry -1.0"),
+])
+def test_from_levels_checks_each_value_as_an_entry(levels, message):
+    with pytest.raises(ValueError, match=message):
+        REVector._from_levels(2, levels)
+    with pytest.raises(ValueError, match=message):
+        REVector(2, (0.5, *(key for key in levels if key != 0.5), 0.5))

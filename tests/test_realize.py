@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import closure_members, random_members
+from test_cone import near_tie_vectors
 from recone import realize
-from recone.cone import TOL, NotInConeError, REVector
+from recone.cone import TOL, MembershipReport, NotInConeError, REVector, Violation
 from recone.jsonio import pair_to_json
 from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure
 from recone.realize import (
@@ -132,9 +133,12 @@ def test_synthesize_rejects_nonmember():
 
 def test_synthesize_honors_explicit_tolerance():
     # 2**-1073.5 rounds to a subnormal double, so the ray lands half a bit
-    # off: a miss beyond TOL, reported at its subset
-    with pytest.raises(RealizationError, match="at subset AB"):
+    # off: a miss beyond TOL, reported at its subset.  Refusal is the one
+    # path on which synthesize builds the per-subset report
+    with pytest.raises(RealizationError) as err:
         synthesize(REVector(2, (0, 0, 1073.5)))
+    assert str(err.value) == ("synthesized pair fails verification: "
+                              "max |achieved - target| = 5.000e-01 at subset AB")
 
 
 def test_level_within_tol_of_zero_synthesizes_to_zero_pair():
@@ -232,6 +236,40 @@ def test_deviations_of_exact_and_infinite_entries():
     assert report.max_abs_error == math.inf and report.monotone_ok
     both = realize._compare(REVector(1, (math.inf,)), REVector(1, (math.inf,)), 0.0)
     assert both.deviations == ((0b1, math.inf, math.inf, 0.0),) and both.passed
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two near-tie vectors at one n: ints, Fractions, floats and +inf."""
+    v = draw(near_tie_vectors())
+    return v, draw(near_tie_vectors(v.n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_pairs())
+def test_max_deviation_is_the_largest_per_subset_deviation(vectors):
+    v, achieved = vectors
+    per_subset = [abs(float(a) - float(t)) if math.inf not in (t, a) else
+                  0.0 if t == a else math.inf for t, a in zip(v.values, achieved.values)]
+    assert repr(realize._max_deviation(v, achieved)) == repr(max(per_subset))
+
+
+def test_max_deviation_of_equal_int_float_and_infinite_entries():
+    v = REVector(2, (1, math.inf, Fraction(1, 2)))
+    assert realize._max_deviation(v, REVector(2, (1.0, math.inf, 0.5))) == 0.0
+    assert realize._max_deviation(v, REVector(2, (1.0, 2.0, 0.5))) == math.inf
+    assert realize._max_deviation(v, REVector(2, (1.25, math.inf, 0.5))) == 0.25
+
+
+def test_synthesize_refuses_a_failed_recheck_within_tolerance(monkeypatch):
+    # every entry lands on its target, so only the recheck can refuse
+    recheck = MembershipReport(member=False, violations=(Violation(0b11, 0b01, 0.5, 1.0),),
+                               infinite_part_ok=True)
+    monkeypatch.setattr(realize, "check_membership", lambda v: recheck)
+    with pytest.raises(RealizationError) as err:
+        synthesize(REVector(2, (1, 0, 1)))
+    assert str(err.value) == ("synthesized pair fails verification: achieved vector fails "
+                              "the monotonicity recheck: AB = 0.5 < A = 1")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

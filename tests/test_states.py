@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import proper_submasks, random_distribution, random_pair
+from conftest import fsum_columns, proper_submasks, random_distribution, random_pair
 from recone.cone import check_membership
-from recone.lattice import enumerate_upsets, subsets_in_order, validate_mask
+from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure, validate_mask
 from recone.realize import dense_pair, realize_ray
 from recone.schemes import scheme_state_pair
 from recone.states import (
@@ -273,6 +273,35 @@ def test_product_pair_vector_is_the_sum_of_its_factors():
     factor = realize_ray(enumerate_upsets(3)[5], 1)
     assert re_vector(ProductPair(3, (factor,))).values == re_vector(dense(factor)).values
     assert re_vector(ProductPair(3, ())).values == (0.0,) * 7
+
+
+@st.composite
+def product_pairs(draw):
+    """ProductPairs of 0 to 4 rays at n <= 5, each the upward closure of
+    1 to 3 random masks, so the up-sets need not nest, at levels drawn
+    from a small pool, so equal weights recur, or at any level."""
+    n = draw(st.integers(1, 5))
+    masks = st.integers(1, (1 << n) - 1)
+    levels = st.sampled_from([1, 2, 0.5, 1.75]) | st.floats(0.01, 40)
+    rays = draw(st.lists(st.tuples(st.sets(masks, min_size=1, max_size=3), levels), max_size=4))
+    return ProductPair(n, tuple(realize_ray(upward_closure(seeds, n), lam) for seeds, lam in rays))
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_pairs())
+def test_product_pair_vector_is_the_fsum_of_its_factor_columns(pair):
+    vec, expected = re_vector(pair), fsum_columns(pair)
+    assert repr(vec.values) == repr(expected.values)
+    assert vec.levels == expected.levels
+
+
+def test_cells_of_equal_value_merge_into_one_level():
+    # A and B each carry one unit ray: their cells, A alone and B alone,
+    # both sum to 1.0, and AB to 2.0
+    a, b = (realize_ray(upward_closure({m}, 2), 1) for m in (0b01, 0b10))
+    vec = re_vector(ProductPair(2, (a, b)))
+    assert vec.values == (1.0, 1.0, 2.0)
+    assert vec.levels == {1.0: 1 << 0b01 | 1 << 0b10, 2.0: 1 << 0b11}
 
 
 def test_product_pair_multiplies_out_on_request():
