@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .lattice import UpSet, _closure, is_upset, subset_index, subsets_in_order
+from .lattice import UpSet, _closure, subset_index, subsets_in_order
 
 #: bits by which float entries may differ and still count as equal
 TOL = 1e-9
@@ -107,10 +107,6 @@ class REVector:
         if set(mapping) != set(order):
             raise ValueError("mapping must cover every nonempty subset exactly once")
         return cls(n, tuple(mapping[m] for m in order))
-
-    @classmethod
-    def indicator(cls, u: UpSet) -> "REVector":
-        return cls(u.n, u.indicator_values())
 
     def value(self, mask: int):
         return self.values[subset_index(self.n)[mask]]
@@ -211,8 +207,8 @@ def _pair_walk(v: REVector, slack) -> MembershipReport:
     """The report on a vector the sweep refused: every failed comparable
     pair, and whether the +inf entries form an up-set."""
     value = dict(v.entries())
-    infinite = {m for m, val in value.items() if val == math.inf}
-    infinite_ok = not infinite or is_upset(infinite, v.n)
+    infinite = v.levels.get(math.inf, 0)
+    infinite_ok = _closure(infinite, v.n) == infinite
     violations = []
     for mask, vs in value.items():
         if vs == math.inf:

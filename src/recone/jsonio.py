@@ -229,17 +229,17 @@ def verification_report_to_json(report: VerificationReport) -> dict:
     def number(x):
         return "inf" if x == math.inf else float(x)
 
-    doc = {"n": report.n,
+    doc = {"n": report.target.n,
            "tol": report.tol,
            "passed": report.passed,
            "monotone_ok": report.monotone_ok,
            "max_abs_error": number(report.max_abs_error),
            "failing_subsets": [mask_label(m) for m in report.failing_subsets()],
-           "deviations": [{"parties": list(parties(d.mask)),
-                           "target": number(d.target),
-                           "achieved": number(d.achieved),
-                           "deviation": number(d.deviation)}
-                          for d in report.deviations]}
+           "deviations": [{"parties": list(parties(mask)),
+                           "target": number(t),
+                           "achieved": number(a),
+                           "deviation": number(dev)}
+                          for mask, t, a, dev in report.deviations()]}
     worst = report.worst_violation()
     if worst is not None:
         doc["worst_violation"] = _violation_to_json(worst)
@@ -253,6 +253,6 @@ def realization_to_json(result: RealizationResult) -> dict:
             "decomposition": decomposition_to_json(result.decomposition),
             "schemes": [{"kind": plan.kind, "table_atoms": plan.table_atoms,
                          "candidates": dict(plan.candidates)} for plan in result.plans],
-            "sigma_atoms": result.sigma_atoms,
+            "sigma_atoms": result.pair.sigma_atoms,
             "achieved": vector_to_json(result.achieved),
             "max_abs_error": result.max_abs_error}

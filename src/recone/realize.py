@@ -31,8 +31,8 @@ significant bits down to 2**-1022, so achieved values match targets
 well within the cone's TOL for lam from 1e-9 up to 1022 bits.  Past 1022
 bits the double is subnormal and coarser, and synthesis reports any
 miss; MAX_RAY_BITS bounds lam for both kinds of weight.  Synthesis
-accepts its pair by the same test as verify, with tolerance TOL, taken
-over level sets, and builds the per-subset report only to refuse.
+and verify judge a pair by one comparison, taken over level sets, with
+tolerance TOL for synthesis; per-subset rows are derived only to print.
 """
 
 from __future__ import annotations
@@ -130,25 +130,27 @@ def realize_ray(u: UpSet, lam) -> Factor:
     return Factor(_plan(u)[1](), weight)
 
 
-class SubsetDeviation(NamedTuple):
-    mask: int
-    target: object
-    achieved: object
-    deviation: float
-
-
 @dataclass(frozen=True)
 class VerificationReport:
-    n: int
+    """The one verdict on a pair: target against achieved within tol,
+    and the monotonicity recheck of achieved.  The per-subset rows are
+    derived from the two vectors on request."""
+
+    target: REVector
+    achieved: REVector
     tol: float
-    deviations: tuple[SubsetDeviation, ...]
     max_abs_error: float
     monotone_ok: bool
     violations: tuple[Violation, ...]  # of the monotonicity recheck
     passed: bool
 
+    def deviations(self):
+        """(mask, target, achieved, deviation) per subset, in canonical order."""
+        t, a = self.target.values, self.achieved.values
+        return zip(subsets_in_order(self.target.n), t, a, map(_deviation, t, a))
+
     def failing_subsets(self) -> tuple[int, ...]:
-        return tuple(d.mask for d in self.deviations if not d.deviation <= self.tol)
+        return tuple(mask for mask, _, _, dev in self.deviations() if not dev <= self.tol)
 
     def worst_violation(self) -> Violation | None:
         """The recheck's (superset, subset) pair that drops the most."""
@@ -160,23 +162,15 @@ def _deviation(t, a) -> float:
     return abs(float(a) - float(t)) if t != math.inf != a else 0.0 if t == a else math.inf
 
 
-def _max_deviation(v: REVector, achieved: REVector) -> float:
-    """The largest per-subset deviation, taken once per pair of
-    intersecting level sets of v and achieved."""
-    return max(_deviation(t, a) for t, t_table in v.levels.items()
-               for a, a_table in achieved.levels.items() if t_table & a_table)
-
-
 def _compare(v: REVector, achieved: REVector, tol: float) -> VerificationReport:
-    """Per-subset deviations of achieved from v, and the monotonicity
+    """Judge achieved against v: the largest deviation, taken once per
+    pair of intersecting level sets of the two, and the monotonicity
     recheck of achieved under the cone's tolerance policy."""
-    devs = list(map(_deviation, v.values, achieved.values))
-    deviations = map(SubsetDeviation, subsets_in_order(v.n), v.values, achieved.values, devs)
-    max_err = max(devs)
+    max_err = max(_deviation(t, a) for t, t_table in v.levels.items()
+                  for a, a_table in achieved.levels.items() if t_table & a_table)
     recheck = check_membership(achieved)
-    return VerificationReport(n=v.n, tol=tol, deviations=tuple(deviations),
-                              max_abs_error=max_err, monotone_ok=recheck.member,
-                              violations=recheck.violations,
+    return VerificationReport(target=v, achieved=achieved, tol=tol, max_abs_error=max_err,
+                              monotone_ok=recheck.member, violations=recheck.violations,
                               passed=bool(max_err <= tol and recheck.member))
 
 
@@ -185,9 +179,10 @@ def verify(v: REVector, pair: StatePair | ProductPair, tol: float = TOL) -> Veri
     ProductPair's from the forms of each factor's scheme, by rank, a
     StatePair's from its tables.
 
-    Reports the per-subset deviation, the worst deviation, and whether
-    the achieved vector itself still passes the monotonicity check.
-    Raises ValueError unless 0 <= tol < inf.
+    Reports the worst deviation, taken over level sets as synthesize
+    takes it, and whether the achieved vector itself still passes the
+    monotonicity check; the per-subset rows are derived from the report
+    on request.  Raises ValueError unless 0 <= tol < inf.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
@@ -204,12 +199,6 @@ class RealizationResult:
     pair: ProductPair  # one factor per decomposition term
     achieved: REVector
     max_abs_error: float
-
-    @property
-    def sigma_atoms(self) -> int:
-        """Sigma support size of the dense product; equals
-        len(dense_pair(pair).sigma.atoms), which need not be built."""
-        return self.pair.sigma_atoms
 
 
 def dense_pair(pair: ProductPair) -> StatePair:
@@ -230,32 +219,29 @@ def synthesize(v: REVector) -> RealizationResult:
     Decomposes v over its level sets, plans a scheme per nested ray,
     realizes each ray as one factor of a ProductPair and sums the factors'
     vectors, from rank, into the achieved vector; no share table is
-    built.  The achieved vector is compared with v once per pair of
-    intersecting level sets and rechecked for membership.  Raises
-    RealizationError, naming the worst subset, unless it passes as
-    verify's report would with tolerance TOL; that report is built only
-    to name what failed.
+    built.  The achieved vector is judged as verify judges it, with
+    tolerance TOL: compared with v once per pair of intersecting level
+    sets and rechecked for membership.  Raises RealizationError, naming
+    the worst subset, unless that verdict passes.
     """
     decomposition = layer_cake_decompose(v)  # also enforces membership
     plans = tuple(plan_ray(upset) for _, upset in decomposition.terms)
     pair = ProductPair(v.n, tuple(realize_ray(upset, coeff)
                                   for coeff, upset in decomposition.terms))
     achieved = re_vector(pair)
-    max_err = _max_deviation(v, achieved)
-    if not (max_err <= TOL and check_membership(achieved).member):
-        report = _compare(v, achieved, TOL)
+    report = _compare(v, achieved, TOL)
+    if not report.passed:
         raise RealizationError(f"synthesized pair fails verification: {describe_deviation(report)}")
     return RealizationResult(target=v, decomposition=decomposition, plans=plans, pair=pair,
-                             achieved=achieved, max_abs_error=max_err)
+                             achieved=achieved, max_abs_error=report.max_abs_error)
 
 
 def describe_deviation(report: VerificationReport) -> str:
     """One-line summary naming the worst subset, or, when every subset is
     within tolerance but the recheck failed, the worst monotonicity pair."""
     if report.monotone_ok or report.failing_subsets():
-        worst = max(report.deviations, key=lambda d: d.deviation)
-        return (f"max |achieved - target| = {worst.deviation:.3e} "
-                f"at subset {mask_label(worst.mask)}")
+        mask, _, _, worst = max(report.deviations(), key=itemgetter(3))
+        return f"max |achieved - target| = {worst:.3e} at subset {mask_label(mask)}"
     pair = report.worst_violation()
     if pair is None:  # only the +inf entries fail to form an up-set
         return "achieved vector fails the monotonicity recheck"

@@ -78,8 +78,7 @@ class JointDistribution:
     integers summing to the denominator, zero-probability atoms are never
     stored, and the table is kept in lowest terms (the weights share no
     common factor), so dataclass equality is equality of distributions.
-    The constructor validates everything; use from_mapping to start from
-    exact probabilities.
+    The constructor validates everything.
     """
 
     n: int
@@ -124,16 +123,6 @@ class JointDistribution:
         object.__setattr__(d, "alphabet_sizes", alphabet_sizes)
         _set_lowest_terms(d, atoms, denominator)
         return d
-
-    @classmethod
-    def from_mapping(cls, n: int, alphabet_sizes, mapping) -> "JointDistribution":
-        """Distribution from a {symbol tuple: exact probability} mapping;
-        the probabilities are scaled to integers over their common
-        denominator."""
-        probs = [(sym, Fraction(p)) for sym, p in mapping.items()]
-        den = math.lcm(*(p.denominator for _, p in probs))
-        return cls(n, tuple(alphabet_sizes),
-                   tuple((sym, p.numerator * (den // p.denominator)) for sym, p in probs), den)
 
 
 def marginal(d: JointDistribution, mask: int) -> JointDistribution:

@@ -54,7 +54,7 @@ def test_product_pair_sigma_is_the_dense_sigma():
     # the self-tests size their members by len(synthesize(v).pair.sigma.atoms)
     result = realize.synthesize(REVector(3, (0, 0, 0, 2, 2, 2, 3)))
     sigma = result.pair.sigma
-    assert len(sigma.atoms) == result.sigma_atoms == 80
+    assert len(sigma.atoms) == result.pair.sigma_atoms == 80
     assert sigma == realize.dense_pair(result.pair).sigma
 
 

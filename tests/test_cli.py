@@ -160,9 +160,10 @@ def test_verify_fails_on_wrong_target(tmp_path, capsys):
 def test_verify_names_failed_monotonicity_recheck(tmp_path, capsys, monkeypatch):
     result = synthesize(REVector(2, (0, 0, 1)))
     pair_path = write(tmp_path, "pair.json", pair_to_json(result.pair))
-    vec_path = write(tmp_path, "v.json", vector_to_json(REVector(2, (0, 0, 1))))
+    vector = REVector(2, (0, 0, 1))
+    vec_path = write(tmp_path, "v.json", vector_to_json(vector))
     violations = (Violation(0b11, 0b01, 0.5, 0.75), Violation(0b11, 0b10, 0.5, 1.0))
-    report = VerificationReport(n=2, tol=1e-9, deviations=(), max_abs_error=0.0,
+    report = VerificationReport(target=vector, achieved=vector, tol=1e-9, max_abs_error=0.0,
                                 monotone_ok=False, violations=violations, passed=False)
     monkeypatch.setattr("recone.cli.verify", lambda *args, **kwargs: report)
     assert main(["verify", vec_path, pair_path]) == 1
@@ -173,7 +174,7 @@ def test_verify_names_failed_monotonicity_recheck(tmp_path, capsys, monkeypatch)
     assert json.loads(captured.out)["worst_violation"] == {
         "superset": [1, 2], "subset": [2], "v_superset": 0.5, "v_subset": 1.0}
     # no pair to name when only +inf entries fail to form an up-set
-    report = VerificationReport(n=2, tol=1e-9, deviations=(), max_abs_error=0.0,
+    report = VerificationReport(target=vector, achieved=vector, tol=1e-9, max_abs_error=0.0,
                                 monotone_ok=False, violations=(), passed=False)
     assert main(["verify", vec_path, pair_path]) == 1
     captured = capsys.readouterr()
@@ -222,7 +223,7 @@ def test_strictly_monotone_target_through_the_cli(n, tmp_path, capsys):
     if n == 4:
         assert main(["synthesize", vec_path, "-o", out_path, "--dense"]) == 1
         error = json.loads(capsys.readouterr().err)["error"]
-        predicted = synthesize(REVector(4, subsets_in_order(4))).sigma_atoms
+        predicted = synthesize(REVector(4, subsets_in_order(4))).pair.sigma_atoms
         assert f"predicted sigma support of {predicted} atoms" in error
         assert f"budget of {MAX_SIGMA_ATOMS} atoms" in error
 
@@ -251,7 +252,7 @@ def test_n8_member_round_trips_through_the_cli(i, tmp_path, capsys):
 
 def test_dense_synthesis_of_an_over_budget_n8_member_builds_no_table(tmp_path, capsys,
                                                                       monkeypatch):
-    target = next(v for v in N8_MEMBERS if synthesize(v).sigma_atoms > MAX_SIGMA_ATOMS)
+    target = next(v for v in N8_MEMBERS if synthesize(v).pair.sigma_atoms > MAX_SIGMA_ATOMS)
 
     def no_tables(self):
         raise AssertionError("a share table was built")
@@ -261,7 +262,7 @@ def test_dense_synthesis_of_an_over_budget_n8_member_builds_no_table(tmp_path, c
     out = tmp_path / "pair.json"
     assert main(["synthesize", vec_path, "-o", str(out), "--dense"]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
-    assert f"predicted sigma support of {synthesize(target).sigma_atoms} atoms" in error
+    assert f"predicted sigma support of {synthesize(target).pair.sigma_atoms} atoms" in error
     assert f"budget of {MAX_SIGMA_ATOMS} atoms" in error
     assert not out.exists()
     # the factored form is written, read back and verified without a table

@@ -54,7 +54,7 @@ def test_revector_accessors():
     v = REVector.from_mapping(2, {0b01: 1, 0b10: 2, 0b11: 3})
     assert v.value(0b10) == 2
     assert list(v.entries()) == [(0b01, 1), (0b10, 2), (0b11, 3)]
-    assert REVector.indicator(RAY6).values == (1, 0, 0, 1, 1, 1, 1)
+    assert REVector(3, RAY6.indicator_values()).values == (1, 0, 0, 1, 1, 1, 1)
     assert (v + v).values == (2, 4, 6)
     for other in ((1, 2, 3), REVector(1, (1,))):  # not a vector, or another n
         assert v.__add__(other) is NotImplemented
@@ -272,7 +272,7 @@ def test_indicators_accepted_superset_breaks_rejected(n):
     # must break monotonicity
     order = subsets_in_order(n)
     for u in enumerate_upsets(n):
-        ind = REVector.indicator(u)
+        ind = REVector(n, u.indicator_values())
         assert check_membership(ind).member
         for m in u.minimal_sets():
             for s in u.members:

@@ -192,13 +192,13 @@ def test_verify_flags_corrupted_sigma():
     dense = dense_pair(synthesize(target).pair)
     rho = dense.rho
     # tilt sigma off the half mix: move weight onto rho's first atom
+    # (9/10 of sigma, plus 1/10 on that atom, over ten times sigma's denominator)
     sigma = dense.sigma
     first = rho.atoms[0][0]
-    bump = Fraction(1, 10)
-    scale = 1 - bump
-    atoms = {sym: Fraction(w, sigma.denominator) * scale for sym, w in sigma.atoms}
-    atoms[first] = atoms.get(first, Fraction(0)) + bump
-    corrupted = StatePair(rho, JointDistribution.from_mapping(3, rho.alphabet_sizes, atoms))
+    atoms = {sym: 9 * w for sym, w in sigma.atoms}
+    atoms[first] = atoms.get(first, 0) + sigma.denominator
+    corrupted = StatePair(rho, JointDistribution(3, rho.alphabet_sizes, tuple(atoms.items()),
+                                                 10 * sigma.denominator))
     report = verify(target, corrupted, tol=1e-9)
     assert not report.passed
     assert report.failing_subsets()
@@ -230,12 +230,13 @@ def test_deviations_of_exact_and_infinite_entries():
     third = Fraction(1, 3)
     report = realize._compare(REVector(2, (third, math.inf, 1)),
                               REVector(2, (0.5, 2.0, math.inf)), TOL)
-    assert report.deviations == ((0b01, third, 0.5, abs(0.5 - float(third))),
-                                 (0b10, math.inf, 2.0, math.inf),
-                                 (0b11, 1, math.inf, math.inf))
+    assert tuple(report.deviations()) == ((0b01, third, 0.5, abs(0.5 - float(third))),
+                                          (0b10, math.inf, 2.0, math.inf),
+                                          (0b11, 1, math.inf, math.inf))
     assert report.max_abs_error == math.inf and report.monotone_ok
+    assert report.failing_subsets() == (0b01, 0b10, 0b11)
     both = realize._compare(REVector(1, (math.inf,)), REVector(1, (math.inf,)), 0.0)
-    assert both.deviations == ((0b1, math.inf, math.inf, 0.0),) and both.passed
+    assert tuple(both.deviations()) == ((0b1, math.inf, math.inf, 0.0),) and both.passed
 
 
 @st.composite
@@ -251,14 +252,37 @@ def test_max_deviation_is_the_largest_per_subset_deviation(vectors):
     v, achieved = vectors
     per_subset = [abs(float(a) - float(t)) if math.inf not in (t, a) else
                   0.0 if t == a else math.inf for t, a in zip(v.values, achieved.values)]
-    assert repr(realize._max_deviation(v, achieved)) == repr(max(per_subset))
+    assert repr(realize._compare(v, achieved, TOL).max_abs_error) == repr(max(per_subset))
 
 
 def test_max_deviation_of_equal_int_float_and_infinite_entries():
     v = REVector(2, (1, math.inf, Fraction(1, 2)))
-    assert realize._max_deviation(v, REVector(2, (1.0, math.inf, 0.5))) == 0.0
-    assert realize._max_deviation(v, REVector(2, (1.0, 2.0, 0.5))) == math.inf
-    assert realize._max_deviation(v, REVector(2, (1.25, math.inf, 0.5))) == 0.25
+
+    def max_err(achieved):
+        return realize._compare(v, REVector(2, achieved), TOL).max_abs_error
+    assert max_err((1.0, math.inf, 0.5)) == 0.0
+    assert max_err((1.0, 2.0, 0.5)) == math.inf
+    assert max_err((1.25, math.inf, 0.5)) == 0.25
+
+
+@pytest.mark.parametrize("judge", ["verify", "synthesize"])
+def test_a_passing_verdict_compares_once_per_pair_of_level_sets(judge, monkeypatch):
+    # a 2-of-5 ray: the target and the achieved vector each hold two levels,
+    # 0 and 3 bits on the same subsets, so two of the four pairs intersect
+    # (not one comparison per subset, 31), and no per-subset row is built
+    target = REVector(5, tuple(3 if x else 0 for x in K_OF_5[1].indicator_values()))
+    pair = synthesize(target).pair
+    deviation, calls = realize._deviation, []
+
+    def counted(t, a):
+        calls.append((t, a))
+        return deviation(t, a)
+    monkeypatch.setattr(realize, "_deviation", counted)
+    if judge == "verify":
+        assert verify(target, pair).passed
+    else:
+        assert synthesize(target).max_abs_error == 0.0
+    assert sorted(calls) == [(0, 0.0), (3, 3.0)]
 
 
 def test_synthesize_refuses_a_failed_recheck_within_tolerance(monkeypatch):
@@ -276,8 +300,7 @@ def test_synthesize_refuses_a_failed_recheck_within_tolerance(monkeypatch):
 def test_every_ray_realizes_at_unit_level(n):
     for u in enumerate_upsets(n):
         vec = re_vector(realize_ray(u, 1))
-        target = REVector.indicator(u)
-        assert all(abs(a - t) <= 1e-9 for a, t in zip(vec.values, target.values))
+        assert all(abs(a - t) <= 1e-9 for a, t in zip(vec.values, u.indicator_values()))
 
 
 def _threshold_oracle(u):
@@ -352,7 +375,7 @@ def test_every_threshold_ray_of_five_synthesizes_exactly(k):
         target = REVector(5, tuple(lam if x else 0 for x in u.indicator_values()))
         result = synthesize(target)
         assert result.achieved.values == tuple(map(float, target.values))
-        assert result.sigma_atoms == len(dense_pair(result.pair).sigma.atoms) == \
+        assert result.pair.sigma_atoms == len(dense_pair(result.pair).sigma.atoms) == \
             2 * plan_ray(u).table_atoms
 
 
@@ -362,7 +385,7 @@ def test_result_records_each_rays_scheme():
     assert [(p.kind, p.table_atoms) for p in result.plans] == [("xor", 4), ("shamir", 5)]
     assert result.plans[1].candidates == (("xor", 8), ("shamir", 5))
     assert result.decomposition.terms[1][1] == two_of_three
-    assert result.sigma_atoms == len(dense_pair(result.pair).sigma.atoms) == 80
+    assert result.pair.sigma_atoms == len(dense_pair(result.pair).sigma.atoms) == 80
 
 
 def no_tables(*args):
@@ -382,7 +405,7 @@ def test_oversized_target_refused_before_building(monkeypatch):
     with pytest.raises(RealizationError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:
         dense_pair(result.pair)
     assert time.perf_counter() - start < 1
-    assert f"support of {result.sigma_atoms} atoms" in str(err.value)
+    assert f"support of {result.pair.sigma_atoms} atoms" in str(err.value)
 
 
 def test_oversized_ray_refused_before_building(monkeypatch):
@@ -394,9 +417,9 @@ def test_oversized_ray_refused_before_building(monkeypatch):
     assert plan_ray(u).table_atoms == 2 ** 197
     monkeypatch.setattr(Scheme, "distributions", property(no_tables))
     start = time.perf_counter()
-    result = synthesize(REVector.indicator(u))
+    result = synthesize(REVector(u.n, u.indicator_values()))
     assert result.achieved.values == tuple(map(float, u.indicator_values()))
-    assert result.sigma_atoms == 2 * 2 ** 197
+    assert result.pair.sigma_atoms == 2 * 2 ** 197
     with pytest.raises(RealizationError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:
         dense_pair(result.pair)
     assert time.perf_counter() - start < 1
@@ -437,7 +460,7 @@ def test_random_members_round_trip_n4():
         # the planned supports are exact and never above the XOR ones
         assert [len(scheme_state_pair(f.scheme, f.weight).sigma.atoms)
                 for f in result.pair.factors] == [2 * plan.table_atoms for plan in result.plans]
-        assert result.sigma_atoms <= predicted_sigma_atoms(result.decomposition)
+        assert result.pair.sigma_atoms <= predicted_sigma_atoms(result.decomposition)
 
 
 # SHA-256 of the dense pair JSON, one document per member below whose
@@ -454,10 +477,10 @@ def test_dense_pair_audits_the_factored_pair():
     for seed, n, count in ((2024, 4, 20), (555, 3, 100)):
         for target in random_members(seed, n, count):
             result = synthesize(target)
-            if result.sigma_atoms > MAX_SIGMA_ATOMS:
+            if result.pair.sigma_atoms > MAX_SIGMA_ATOMS:
                 continue
             dense = dense_pair(result.pair)
-            assert len(dense.sigma.atoms) == result.sigma_atoms
+            assert len(dense.sigma.atoms) == result.pair.sigma_atoms
             for a, b in zip(re_vector(dense).values, result.achieved.values):
                 assert abs(a - b) <= 1e-12
             digest.update(json.dumps(pair_to_json(dense), sort_keys=True,

@@ -105,8 +105,8 @@ def test_distribution_validation():
         JointDistribution(2, (2, 2), (((0, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 2))), 1)
     with pytest.raises(ValueError):
         JointDistribution(2, (2, 2), (((0, 0), 0),), 0)
-    with pytest.raises(ValueError):  # from_mapping scales to lcm 6, then validates the sum
-        JointDistribution.from_mapping(1, (2,), {(0,): Fraction(1, 2), (1,): Fraction(1, 3)})
+    with pytest.raises(ValueError):  # 1/2 + 1/3 over the common denominator 6
+        JointDistribution(1, (2,), (((0,), 3), ((1,), 2)), 6)
     for n, sizes in ((0, ()), (2, (2,))):
         with pytest.raises(ValueError, match="need one alphabet size per party"):
             JointDistribution(n, sizes, (((0,) * n, 1),), 1)
@@ -119,8 +119,8 @@ def test_atoms_sorted_and_exact():
     assert d.atoms == (((0,), 2), ((2,), 1)) and d.denominator == 3
     assert dict(d.atoms)[(0,)] == 2
     assert (1,) not in dict(d.atoms)
-    assert JointDistribution.from_mapping(1, (3,), {(2,): Fraction(1, 3),
-                                                    (0,): Fraction(2, 3)}) == d
+    # the same probabilities, listed in another order over a larger denominator
+    assert JointDistribution(1, (3,), (((2,), 2), ((0,), 4)), 6) == d
 
 
 def test_tables_kept_in_lowest_terms():
