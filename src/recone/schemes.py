@@ -9,11 +9,12 @@ slot values in mixed radix, first slot most significant.
 Every scheme here is linear (a monotone span program): each slot holds a
 linear form c0*b + c1*r1 + ... + cR*rR over GF(q) in the secret and R
 uniform random symbols.  A Scheme is these forms, its generator rows,
-each held once as one int: digit c in base q (bit c when q = 2) is the
-coefficient of r(c+1), and the secret's coefficient is digit R, on top.
-The constructor checks that the random columns have rank R, so that the
-table of each secret is the injective image of GF(q)^R with exactly
-q**R atoms; the tables themselves are enumerated only when read.
+each held once as one int, its coefficient list [c0, c1, ..., cR]
+written in base q: digit i (bit i when q = 2) is ci, so the secret's
+coefficient is digit 0.  The constructor checks that the random columns
+have rank R, so that the table of each secret is the injective image of
+GF(q)^R with exactly q**R atoms; the tables themselves are enumerated
+only when read.
 
 Linearity decides a group's view by rank alone.  Group S's marginal is
 uniform on a coset of the image of S's random columns, shifted by b
@@ -23,11 +24,11 @@ disjoint when it does: then S recovers b, otherwise its view does not
 depend on b.  Scheme.authorized extends one GF(q) elimination basis
 party by party along a walk of the subsets, records each group where the
 walk first finds the secret, and closes those groups upward.
-Elimination reduces the lowest column first and the secret's last.  Over
-GF(2) a row is the packed int itself, reduced by XOR against a basis
-keyed by lowest set bit, Gaussian elimination on machine words as in
+Elimination reduces the highest column first and the secret's last.
+Over GF(2) a row is the packed int itself, reduced by XOR against a
+basis keyed by bit length, Gaussian elimination on machine words as in
 M4RI (Albrecht and Bard).  Base-q digits do not add digit by digit in an
-int, so over q > 2 each call decodes the forms into digit lists once.
+int, so over q > 2 the rows are the coefficient lists.
 
 Two layouts feed the constructor:
 
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice
 
 from .lattice import MAX_PARTIES, UpSet, _closure
@@ -80,42 +81,40 @@ _NOT_INJECTIVE = ("duplicate symbol tuple in the table for b = 0: "
                   "two random choices give the same shares")
 
 
-def _extend_gf2(basis: dict[int, int], rows, secret: int) -> bool:
-    """Reduce each packed GF(2) row by the echelon basis {lowest set bit:
-    row with that lowest bit}, lowest column first, and enter what is
-    left.  The secret's bit is the highest, so a row reduced to that bit
-    alone is not entered, and True, when some row was, means that e0
-    lies in the span."""
+def _extend_gf2(basis: dict[int, int], rows) -> bool:
+    """Reduce each packed GF(2) row by the echelon basis {bit length: row
+    of that length}, highest column first, and enter what is left.  The
+    secret's bit is bit 0, so a row reduced to 1 is not entered, and
+    True, when some row was, means that e0 lies in the span."""
     recovers = False
     for row in rows:
         while row:
-            low = row & -row
-            pivot = basis.get(low)
+            top = row.bit_length()
+            pivot = basis.get(top)
             if pivot is None:
-                if low == secret:
+                if row == 1:
                     recovers = True
                 else:
-                    basis[low] = row
+                    basis[top] = row
                 break
             row ^= pivot
     return recovers
 
 
-def _extend_gfq(basis: dict[int, list[int]], rows, q: int) -> bool:
-    """_extend_gf2 over GF(q), on digit lists: basis rows are kept with 1
-    at their pivot, and a row is replaced, never changed, so the rows may
-    be shared between bases."""
+def _extend_gfq(q: int, basis: dict[int, list[int]], rows) -> bool:
+    """_extend_gf2 over GF(q), on coefficient lists keyed by their highest
+    nonzero column: basis rows are kept with 1 there, and a row is
+    replaced, never changed, so the rows may be shared between bases."""
     recovers = False
     for row in rows:
-        secret = len(row) - 1
-        for col in range(secret + 1):
+        for col in range(len(row) - 1, -1, -1):
             f = row[col]
             if f:
                 pivot = basis.get(col)
                 if pivot is not None:
                     row = [(x - f * y) % q for x, y in zip(row, pivot)]
                     continue
-                if col == secret:
+                if col == 0:
                     recovers = True
                 else:
                     inverse = pow(f, -1, q)
@@ -131,9 +130,9 @@ class Scheme:
     Scheme(q, slots, R): slots[i] lists party i+1's slots, each the form
     c0*b + c1*r1 + ... + cR*rR mod q, R = randomness, given either as its
     coefficient sequence (c0, c1, ..., cR), integers in range(q), or
-    packed into one int: digit c in base q is the coefficient of r(c+1)
-    and digit R the secret's.  A scheme holds its forms once, packed, per
-    party in forms; coefficient_lists unpacks them on every call.
+    packed into one int, that sequence written in base q: digit i is ci.
+    A scheme holds its forms once, packed, per party in forms;
+    coefficient_lists unpacks them on every call.
     A layout whose random columns have rank below R maps two random
     choices to one share tuple, and is refused as a duplicate.
     distributions[b] lists the share tuples of all (r1, ..., rR) in
@@ -167,7 +166,7 @@ class Scheme:
                     if len(form) != randomness + 1:
                         raise ValueError(f"form {tuple(form)} needs {randomness + 1} coefficients")
                     value = 0
-                    for c in form[:1] + form[:0:-1]:  # c0, cR, ..., c1: digit R down to 0
+                    for c in reversed(form):  # Horner from digit R down to digit 0
                         if type(c) is not int or not 0 <= c < q:
                             raise ValueError(f"form {tuple(form)} needs integer coefficients "
                                              f"in 0..{q - 1}")
@@ -182,8 +181,8 @@ class Scheme:
             raise ValueError(f"packed form {form} needs {randomness + 1} digits in base {q}")
         vars(self).update(q=q, forms=tuple(forms), randomness=randomness)  # frozen: no __setattr__
         basis = {}
-        rows, extend, key = self._elimination()
-        extend(basis, chain.from_iterable(rows), key)
+        rows, extend = self._elimination()
+        extend(basis, chain.from_iterable(rows))
         if len(basis) < randomness:  # no pivot but on a random column
             raise ValueError(_NOT_INJECTIVE)
 
@@ -194,28 +193,17 @@ class Scheme:
     def coefficient_lists(self) -> list[list[list[int]]]:
         """Each party's forms as coefficient lists [c0, c1, ..., cR], as a
         pair file holds them: the base-q digits of each packed form."""
-        q, r = self.q, self.randomness
-        out = []
-        for forms in self.forms:
-            lists = []
-            for form in forms:
-                coefficients = [0] * (r + 1)
-                for i in range(1, r + 1):
-                    form, coefficients[i] = divmod(form, q)
-                coefficients[0] = form
-                lists.append(coefficients)
-            out.append(lists)
-        return out
-
-    def _elimination(self):
-        """Per party its rows, the elimination kernel and the kernel's last
-        argument: the packed forms themselves over GF(2), their digit
-        lists, lowest first, over GF(q)."""
-        if self.q == 2:
-            return self.forms, _extend_gf2, 1 << self.randomness
         q = self.q
         powers = [q ** i for i in range(self.randomness + 1)]
-        return [[[f // p % q for p in powers] for f in party] for party in self.forms], _extend_gfq, q
+        return [[[f // p % q for p in powers] for f in forms] for forms in self.forms]
+
+    def _elimination(self):
+        """Per party its rows and the kernel extend(basis, rows) that
+        eliminates them: the packed forms themselves over GF(2), their
+        coefficient lists over GF(q)."""
+        if self.q == 2:
+            return self.forms, _extend_gf2
+        return self.coefficient_lists(), partial(_extend_gfq, self.q)
 
     def authorized(self) -> int:
         """Truth table of the groups that recover the secret: bit m is set
@@ -226,14 +214,14 @@ class Scheme:
         the secret.  Every recovering group holds the first recovering
         prefix of its parties, so the table is the closure of the records."""
         n = self.n
-        rows, extend, key = self._elimination()
+        rows, extend = self._elimination()
         found = 0
         stack = [(0, {}, 0)]  # (group, its basis, first party the walk may add)
         while stack:
             mask, basis, first = stack.pop()
             for j in range(first, n):
                 grown = dict(basis)
-                if extend(grown, rows[j], key):
+                if extend(grown, rows[j]):
                     found |= 1 << (mask | 1 << j)
                 else:
                     stack.append((mask | 1 << j, grown, j + 1))
@@ -273,8 +261,7 @@ def threshold_layout(allocation, k: int, q: int):
     """(q, slots, R) of the k-out-of-m Shamir scheme over GF(q) whose
     m = sum(allocation) shares go to the parties in consecutive runs:
     share x = 1..m holds b + r1*x + ... + r(k-1)*x**(k-1), its form
-    packed as in Scheme, so x**j mod q is digit j - 1 and b's 1 digit
-    k - 1."""
+    packed as in Scheme, so x**j mod q is digit j."""
     m = sum(allocation)
     if any(a < 0 for a in allocation):
         raise ValueError(f"need nonnegative share counts, got {tuple(allocation)}")
@@ -283,8 +270,8 @@ def threshold_layout(allocation, k: int, q: int):
     if not 1 <= k <= m:
         raise ValueError(f"threshold must satisfy 1 <= k <= {m}, got {k}")
     points = iter(range(1, m + 1))
-    slots = [[q ** (k - 1) + sum(pow(x, j, q) * q ** (j - 1) for j in range(1, k))
-              for x in islice(points, a)] for a in allocation]
+    slots = [[sum(pow(x, j, q) * q ** j for j in range(k)) for x in islice(points, a)]
+             for a in allocation]
     return q, slots, k - 1
 
 
@@ -302,15 +289,16 @@ def weighted_threshold_scheme(n: int, allocation, k: int, q: int) -> Scheme:
 def dnf_layout(u: UpSet):
     """(2, slots, R) of the XOR construction, forms packed as in Scheme:
     per minimal set, its members but the last, in ascending party order,
-    each hold a fresh bit, and the last holds the secret, bit R, plus
-    those bits.  A party outside every clause holds no slot."""
+    each hold a fresh bit, numbered from 1, and the last holds the
+    secret, bit 0, plus those bits.  A party outside every clause holds
+    no slot."""
     minimal = u.minimal_sets()
     randomness = sum(m.bit_count() for m in minimal) - len(minimal)
     slots = [[] for _ in range(u.n)]
-    used = 0
+    used = 1
     for m in minimal:
         last = m.bit_length() - 1
-        parity = 1 << randomness
+        parity = 1
         for party in range(last):
             if m >> party & 1:
                 slots[party].append(1 << used)

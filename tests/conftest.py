@@ -95,14 +95,14 @@ def submask_walk_authorized(s):
     would grow from it is marked by enumerating the submasks of the
     parties above the one just added."""
     n = s.n
-    rows, extend, key = s._elimination()
+    rows, extend = s._elimination()
     table = 0
     stack = [(0, {}, 0)]  # (group, its basis, first party the walk may add)
     while stack:
         mask, basis, first = stack.pop()
         for j in range(first, n):
             grown = dict(basis)
-            if extend(grown, rows[j], key):
+            if extend(grown, rows[j]):
                 above = (1 << n) - (2 << j)
                 sub = above
                 while True:

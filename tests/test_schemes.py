@@ -187,9 +187,9 @@ def test_scheme_builds_no_table_until_read():
 
 
 def test_packed_forms_are_read_as_their_base_q_digits():
-    # digit c in base q is the coefficient of r(c+1), digit R the secret's
-    packed = Scheme(3, [[1 * 9 + 1], [1 * 9 + 2], [1 * 9 + 1 * 3], [1 * 9 + 2 * 3]], 2)
-    assert packed == Scheme(3, TWO_GF3_CLAUSES, 2) and packed.forms == ((10,), (11,), (12,), (15,))
+    # digit i in base q is the coefficient ci, the secret's c0 at digit 0
+    packed = Scheme(3, [[1 + 1 * 3], [1 + 2 * 3], [1 + 1 * 9], [1 + 2 * 9]], 2)
+    assert packed == Scheme(3, TWO_GF3_CLAUSES, 2) and packed.forms == ((4,), (7,), (10,), (19,))
     assert coefficient_tuples(packed) == tuple(map(tuple, TWO_GF3_CLAUSES))
     for form in (27, -1):
         with pytest.raises(ValueError, match=f"packed form {form} needs 3 digits in base 3"):
@@ -381,6 +381,8 @@ def test_random_forms_rebuild_from_their_slots(layout):
     q, slots, r = layout
     scheme = Scheme(q, slots, r)
     assert coefficient_tuples(scheme) == tuple(tuple(map(tuple, forms)) for forms in slots)
+    assert all(packed == sum(c * q ** i for i, c in enumerate(coefficients))
+               for party, forms in zip(scheme.forms, slots) for packed, coefficients in zip(party, forms))
     assert_rebuilds_from_its_slots(scheme)
     assert Scheme(q, scheme.forms, r) == scheme
 
