@@ -1,13 +1,12 @@
-"""Built-in constructions with known relative-entropy vectors.
+"""Built-in constructions with known relative-entropy vectors, each a
+monotone formula over the parties 0 = A, 1 = B, ... laid out over GF(q)
+by recone.schemes.formula_layout.
 
-example5: three parties, weighted (4, 2) Shamir threshold scheme over
-GF(5) with share allocation (2, 1, 1); party A alone or any pair can
-reconstruct, so the vector is 1 on {A and every set of two or more}.
-
-example6: four parties, two independent (2, 2) Shamir clauses over GF(3),
-one on AB and one on CD, written as the forms A = b + r1, B = b + 2 r1,
-C = b + r2, D = b + 2 r2; exactly the groups containing AB or CD are
-authorized.
+example5: a 2-of-4 Shamir gate over GF(5) with leaves A, A, B, C, the
+weighted threshold scheme with share allocation (2, 1, 1); A alone or
+any pair reconstructs, so the vector is 1 on A and every pair or more.
+example6: (A and B) or (C and D), two 2-of-2 Shamir gates over GF(3);
+exactly the groups containing AB or CD are authorized.
 """
 
 from __future__ import annotations
@@ -15,18 +14,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import mask_label, parties
-from .schemes import Scheme, scheme_state_pair, weighted_threshold_scheme
+from .schemes import Scheme, formula_layout, scheme_state_pair
 from .states import marginal, re_vector
 
-#: name -> (description, scheme builder, masks whose marginals are listed)
+#: name -> (description, n, formula, q, masks whose marginals are listed)
 DEMOS = {
     "example5": ("weighted Shamir threshold scheme over GF(5), threshold 2, "
                  "share allocation (2, 1, 1)",
-                 lambda: weighted_threshold_scheme(3, (2, 1, 1), 2, 5),
-                 (0b001, 0b010)),
+                 3, (2, (0, 0, 1, 2)), 5, (0b001, 0b010)),
     "example6": ("two (2, 2) Shamir clauses over GF(3), one shared by AB and one by CD",
-                 lambda: Scheme(3, [[(1, 1, 0)], [(1, 2, 0)], [(1, 0, 1)], [(1, 0, 2)]], 2),
-                 (0b0011, 0b0110)),
+                 4, (1, ((2, (0, 1)), (2, (2, 3)))), 3, (0b0011, 0b0110)),
 }
 
 
@@ -45,8 +42,8 @@ def _atom_string(scheme: Scheme, mask: int, symbols) -> str:
 def render_demo(name: str) -> str:
     """The demo's achieved vector and its rho and sigma marginals on the
     listed masks, one atom per line."""
-    description, build, masks = DEMOS[name]
-    scheme = build()
+    description, n, formula, q, masks = DEMOS[name]
+    scheme = Scheme(*formula_layout(n, formula, q))
     pair = scheme_state_pair(scheme)
     lines = [f"demo {name}: {description}", "achieved vector (bits):",
              "  " + "  ".join(f"{mask_label(m)}={float(v):g}" for m, v in re_vector(pair).entries())]

@@ -15,14 +15,15 @@ verify, builds no share table; the tables and their tensor product are
 built only on request, by dense_pair.
 
 The scheme's table size sets the cost of the dense path, so each ray is
-planned before anything is built.  The candidates are the XOR scheme
-and, when U is the k-of-T threshold up-set (its minimal sets are all
-C(|T|, k) k-subsets of their union T), a Shamir scheme over GF(q), q the
-smallest prime above |T|.  Each candidate's size is q**R, read from the
-same linear layout its builder enumerates; the smaller table is chosen,
-ties going to XOR.  dense_pair, like a ProductPair's rho and sigma,
-refuses before building any table when the product of the factors'
-sigma supports exceeds MAX_SIGMA_ATOMS.
+planned before anything is built.  Each candidate is a formula shape
+laid out by recone.schemes.formula_layout: the XOR scheme, the flat DNF
+of U's minimal sets, and, when U is the k-of-T threshold up-set (its
+minimal sets are all C(|T|, k) k-subsets of their union T), one k-of-|T|
+Shamir gate over GF(q), q the smallest prime above |T|.  Its size, q**R,
+is read from that layout; the smaller table is chosen, ties going to
+XOR.  dense_pair, like a ProductPair's rho and sigma, refuses before
+building any table when the product of the factors' sigma supports
+exceeds MAX_SIGMA_ATOMS.
 
 The weight is exact from the start: p = 1 / 2**lam for integer lam, so
 entries come out machine-exact, and otherwise p is the double nearest
@@ -54,11 +55,11 @@ from .cone import (
 )
 from .lattice import UpSet, mask_label, subsets_in_order
 from .schemes import (
-    dnf_layout,
+    dnf_formula,
     dnf_scheme,
+    formula_layout,
     scheme_state_pair,
     smallest_prime_above,
-    threshold_layout,
     weighted_threshold_scheme,
 )
 from .states import (
@@ -94,16 +95,14 @@ class RayPlan(NamedTuple):
 
 def _candidates(u: UpSet):
     """(kind, exact table atoms, builder) for each scheme that realizes u,
-    XOR first.  A table has q**R atoms over its layout's field GF(q) and R
-    random symbols; the builders look the constructions up at call time."""
-    q, _, r = dnf_layout(u)
-    yield "xor", q ** r, lambda: dnf_scheme(u)
+    XOR first; the builders look the constructions up at call time."""
+    yield "xor", 2 ** formula_layout(u.n, dnf_formula(u), 2)[2], lambda: dnf_scheme(u)
     minimal = u.minimal_sets()
-    k = minimal[0].bit_count()
-    group = reduce(or_, minimal)
+    k, group = minimal[0].bit_count(), reduce(or_, minimal)
     if all(m.bit_count() == k for m in minimal) and len(minimal) == math.comb(group.bit_count(), k):
         allocation = [group >> i & 1 for i in range(u.n)]
-        q, _, r = threshold_layout(allocation, k, smallest_prime_above(group.bit_count()))
+        q = smallest_prime_above(group.bit_count())
+        r = formula_layout(u.n, (k, [i for i in range(u.n) if allocation[i]]), q)[2]
         yield "shamir", q ** r, lambda: weighted_threshold_scheme(u.n, allocation, k, q)
 
 

@@ -8,13 +8,10 @@ slot values in mixed radix, first slot most significant.
 
 Every scheme here is linear (a monotone span program): each slot holds a
 linear form c0*b + c1*r1 + ... + cR*rR over GF(q) in the secret and R
-uniform random symbols.  A Scheme is these forms, its generator rows,
-each held once as one int, its coefficient list [c0, c1, ..., cR]
-written in base q: digit i (bit i when q = 2) is ci, so the secret's
-coefficient is digit 0.  The constructor checks that the random columns
-have rank R, so that the table of each secret is the injective image of
-GF(q)^R with exactly q**R atoms; the tables themselves are enumerated
-only when read.
+uniform random symbols, packed into one int as its coefficient list
+written in base q (see Scheme), so the secret's coefficient is digit 0.
+Each secret's table is the injective image of GF(q)^R, with exactly
+q**R atoms, and is enumerated only when read.
 
 Linearity decides a group's view by rank alone.  Group S's marginal is
 uniform on a coset of the image of S's random columns, shifted by b
@@ -30,26 +27,19 @@ basis keyed by bit length, Gaussian elimination on machine words as in
 M4RI (Albrecht and Bard).  Base-q digits do not add digit by digit in an
 int, so over q > 2 the rows are the coefficient lists.
 
-Two layouts feed the constructor:
-
-* Shamir threshold sharing over a prime field, in a weighted variant
-  that hands several consecutive shares to one party: share x holds
-  b + r1*x + ... + r(k-1)*x**(k-1), so q**(k - 1) atoms;
-* a per-minimal-set XOR construction that realizes an arbitrary access
-  structure: each minimal authorized set S gets its own independent
-  all-or-nothing additive sharing over GF(2), so 2**sum(|S| - 1) atoms.
-
-Ray realization (recone.realize) reads a candidate's size from its
-layout.  A scheme realizes the up-set u exactly when authorized() equals
-u.table, its truth table.
+Every scheme here is a shape of one layout, formula_layout: the secret
+shared down a monotone formula of threshold gates (Benaloh and Leichter
+1988).  Weighted Shamir sharing is one k-of-m gate, and the XOR scheme
+(Ito, Saito and Nishizeki 1987) is the flat DNF over GF(2).  A scheme
+realizes the up-set u exactly when authorized() equals u.table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import chain, islice
+from functools import cached_property, lru_cache, partial
+from itertools import chain
 
 from .lattice import MAX_PARTIES, UpSet, _closure
 from .states import JointDistribution, StatePair, mix
@@ -257,62 +247,75 @@ class Scheme:
         return self.distributions[b].atoms
 
 
-def threshold_layout(allocation, k: int, q: int):
-    """(q, slots, R) of the k-out-of-m Shamir scheme over GF(q) whose
-    m = sum(allocation) shares go to the parties in consecutive runs:
-    share x = 1..m holds b + r1*x + ... + r(k-1)*x**(k-1), its form
-    packed as in Scheme, so x**j mod q is digit j."""
-    m = sum(allocation)
-    if any(a < 0 for a in allocation):
-        raise ValueError(f"need nonnegative share counts, got {tuple(allocation)}")
-    if q <= m:
-        raise ValueError(f"need q > share count for distinct evaluation points, got q={q}, m={m}")
-    if not 1 <= k <= m:
-        raise ValueError(f"threshold must satisfy 1 <= k <= {m}, got {k}")
-    points = iter(range(1, m + 1))
-    slots = [[sum(pow(x, j, q) * q ** j for j in range(k)) for x in islice(points, a)]
-             for a in allocation]
-    return q, slots, k - 1
+def formula_layout(n: int, formula, q: int):
+    """(q, slots, R) of the scheme that shares the secret down a monotone
+    formula over GF(q), forms packed as in Scheme.  A leaf, a party in
+    0..n-1, appends its input form s to the party's slots.  A k-of-m gate
+    (k, children) hands s on: as it is if k = 1 (OR); as a fresh bit to
+    each child but the last, and s plus those bits to the last, if k = m
+    over GF(2) (AND); else as s + r_a*x + ... + r_(a+k-2)*x**(k-1) to
+    child x = 1..m (Shamir, q > m).  A gate takes its fresh digits, from 1
+    up, before its children do, so a child's packed form is an integer
+    sum.  Other gates, and leaves outside 0..n-1, raise ValueError."""
+    slots, used = [[] for _ in range(n)], 1  # used: the next fresh digit
+
+    def share(gate, s):
+        nonlocal used
+        k, children = gate
+        m = len(children)
+        if type(k) is not int or not 1 <= k <= m:
+            raise ValueError(f"threshold must satisfy 1 <= k <= {m}, got {k!r}")
+        if k == 1:
+            forms = [s] * m
+        elif q == 2 and k == m:
+            forms = [1 << d for d in range(used, used + m - 1)]
+            forms.append(s + sum(forms))
+        elif m < q:
+            forms = [s + sum(pow(x, j, q) * q ** (used + j - 1) for j in range(1, k))
+                     for x in range(1, m + 1)]
+        else:
+            raise ValueError(f"a {k}-of-{m} gate needs q > {m} for distinct points, got q={q}")
+        used += k - 1
+        for child, form in zip(children, forms):
+            if type(child) is not int:
+                share(child, form)
+            elif 0 <= child < n:
+                slots[child].append(form)
+            else:
+                raise ValueError(f"leaf {child} is not a party in 0..{n - 1}")
+
+    share((1, (formula,)) if type(formula) is int else formula, 1)  # a leaf root: an OR of one
+    return q, slots, used - 1
 
 
 def weighted_threshold_scheme(n: int, allocation, k: int, q: int) -> Scheme:
-    """Shamir scheme whose m = sum(allocation) shares go to the parties in
-    consecutive runs; a group is authorized iff its share count reaches k.
-    A party allocated no share holds one degenerate (1,) register, as in
-    the XOR construction for a party outside every clause.
-    """
+    """Shamir scheme, one k-of-m gate over party i, allocation[i] times:
+    share x = 1..m holds b + r1*x + ... + r(k-1)*x**(k-1), so q**(k - 1)
+    atoms, and a group is authorized iff its share count reaches k."""
     if len(allocation) != n:
         raise ValueError(f"need one share count per party, got {len(allocation)} for n={n}")
-    return Scheme(*threshold_layout(allocation, k, q))
+    if not all(type(x) is int for x in (q, *allocation)):
+        raise ValueError(f"q and share counts must be integers, got {q!r}, {tuple(allocation)}")
+    if any(a < 0 for a in allocation):
+        raise ValueError(f"need nonnegative share counts, got {tuple(allocation)}")
+    if q <= (m := sum(allocation)):
+        raise ValueError(f"need q > share count for distinct evaluation points, got q={q}, m={m}")
+    leaves = [party for party, a in enumerate(allocation) for _ in range(a)]
+    return Scheme(*formula_layout(n, (k, leaves), q))  # refuses k outside 1..m
 
 
-def dnf_layout(u: UpSet):
-    """(2, slots, R) of the XOR construction, forms packed as in Scheme:
-    per minimal set, its members but the last, in ascending party order,
-    each hold a fresh bit, numbered from 1, and the last holds the
-    secret, bit 0, plus those bits.  A party outside every clause holds
-    no slot."""
-    minimal = u.minimal_sets()
-    randomness = sum(m.bit_count() for m in minimal) - len(minimal)
-    slots = [[] for _ in range(u.n)]
-    used = 1
-    for m in minimal:
-        last = m.bit_length() - 1
-        parity = 1
-        for party in range(last):
-            if m >> party & 1:
-                slots[party].append(1 << used)
-                parity |= 1 << used
-                used += 1
-        slots[last].append(parity)
-    return 2, slots, randomness
+@lru_cache(maxsize=256)
+def dnf_formula(u: UpSet):
+    """An OR of one AND per minimal set of u, over its parties in order;
+    cached, as realize plans a ray from it and builds its scheme per call."""
+    return 1, tuple((m.bit_count(), tuple(i for i in range(u.n) if m >> i & 1))
+                    for m in u.minimal_sets())
 
 
 def dnf_scheme(u: UpSet) -> Scheme:
     """XOR construction: an independent all-or-nothing GF(2) sharing per
-    minimal authorized set.  Realizes exactly the given up-set.
-    """
-    return Scheme(*dnf_layout(u))
+    minimal authorized set, so 2**sum(|S| - 1) atoms.  Realizes exactly u."""
+    return Scheme(*formula_layout(u.n, dnf_formula(u), 2))
 
 
 def scheme_state_pair(s: Scheme, weight=Fraction(1, 2)) -> StatePair:

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 from conftest import closure_members, submask_walk_authorized
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from recone import realize
 from recone.cone import layer_cake_decompose
@@ -15,6 +15,7 @@ from recone.realize import _dyadic_weight
 from recone.schemes import (
     Scheme,
     dnf_scheme,
+    formula_layout,
     is_prime,
     scheme_state_pair,
     smallest_prime_above,
@@ -153,6 +154,12 @@ def test_shamir_table_parameter_errors():
         weighted_threshold_scheme(2, (1, -1), 1, 5)
     with pytest.raises(ValueError):
         weighted_threshold_scheme(3, (1, 1), 1, 5)  # no count for party three
+    with pytest.raises(ValueError, match="must be integers"):
+        weighted_threshold_scheme(2, (1, 1), 2, "5")
+    with pytest.raises(ValueError, match="must be integers"):
+        weighted_threshold_scheme(2, (1.5, 1), 2, 5)
+    with pytest.raises(ValueError, match="1 <= k <= 2, got 1.5"):
+        weighted_threshold_scheme(2, (1, 1), 1.5, 5)
 
 
 def test_linear_scheme_rejects_bad_layouts():
@@ -450,6 +457,90 @@ def test_dnf_scheme_party_outside_all_clauses():
 def test_dnf_scheme_exhaustive_small(n):
     for u in enumerate_upsets(n):
         assert dnf_scheme(u).authorized() == u.table, u
+
+
+def formula_table(formula, n: int) -> int:
+    """Truth table of a monotone formula of threshold gates: bit m is set
+    iff group m satisfies it, a leaf counting once per occurrence."""
+    def holds(node, mask):
+        if type(node) is int:
+            return bool(mask >> node & 1)
+        k, children = node
+        return sum(holds(child, mask) for child in children) >= k
+    return sum(1 << mask for mask in range(1, 1 << n) if holds(formula, mask))
+
+
+def widest_gate(node) -> int:
+    return 0 if type(node) is int else max(len(node[1]), *map(widest_gate, node[1]))
+
+
+@st.composite
+def random_formulas(draw):
+    """(n, formula, q), n <= 4: AND and OR gates over GF(2), or gates of
+    any threshold over the smallest prime above the widest gate; the
+    table has at most 2**12 atoms."""
+    n = draw(st.integers(1, 4))
+    gf2 = draw(st.booleans())
+
+    def gate(children):
+        threshold = (lambda m: st.sampled_from([1, m])) if gf2 else (lambda m: st.integers(1, m))
+        return st.lists(children, min_size=1, max_size=4).flatmap(
+            lambda kids: threshold(len(kids)).map(lambda k: (k, kids)))
+
+    formula = draw(st.recursive(st.integers(0, n - 1), gate, max_leaves=10))
+    q = 2 if gf2 else smallest_prime_above(widest_gate(formula))
+    assume(q ** formula_layout(n, formula, q)[2] <= 2 ** 12)
+    return n, formula, q
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_formulas())
+def test_formula_layout_realizes_its_formula(case):
+    n, formula, q = case
+    scheme = Scheme(*formula_layout(n, formula, q))
+    assert dense_authorized(scheme) == scheme.authorized() == formula_table(formula, n)
+
+
+# at least three gates deep, AND, OR and 2-of-3 gates mixed: 2-of-3 of
+# A, B or (C and D), and BCD, over GF(5), and over GF(2) with the
+# 2-of-3 gate written as the OR of its three pairs
+B_OR_CD, BCD = (1, (1, (2, (2, 3)))), (3, (1, 2, 3))
+NESTED_FORMULAS = [
+    (4, (2, (0, B_OR_CD, BCD)), 5),
+    (4, (1, ((2, (0, B_OR_CD)), (2, (0, BCD)), (2, (B_OR_CD, BCD)))), 2),
+]
+
+
+@pytest.mark.parametrize("n,formula,q", NESTED_FORMULAS)
+def test_nested_formula_layout(n, formula, q):
+    scheme = Scheme(*formula_layout(n, formula, q))
+    assert dense_authorized(scheme) == scheme.authorized() == formula_table(formula, n)
+
+
+def test_formula_layout_by_hand():
+    # A and (B or C): A holds r1, B and C both hold b + r1
+    assert formula_layout(3, (2, (0, (1, (1, 2)))), 2) == (2, [[0b10], [0b11], [0b11]], 1)
+    # the flat XOR scheme of the same up-set spends a bit per clause
+    assert dnf_scheme(upward_closure({AB, 0b101}, 3)).randomness == 2
+    # example6: (A and B) or (C and D), two 2-of-2 Shamir gates over GF(3)
+    assert formula_layout(4, (1, ((2, (0, 1)), (2, (2, 3)))), 3) == \
+        (3, [[1 + 1 * 3], [1 + 2 * 3], [1 + 1 * 9], [1 + 2 * 9]], 2)
+
+
+@pytest.mark.parametrize("n,formula,q,message", [
+    (3, (2, (0, 1, 2)), 2, "needs q > 3"),  # 1 < k < m over GF(2)
+    (4, (2, (0, 1, 2, 3)), 3, "needs q > 4"),
+    (3, (3, (0, 1, 2)), 3, "needs q > 3"),  # an AND over GF(3) is Shamir
+    (2, (0, (0, 1)), 3, "1 <= k <= 2, got 0"),
+    (2, (3, (0, 1)), 3, "1 <= k <= 2, got 3"),
+    (2, (1, ()), 3, "1 <= k <= 0, got 1"),
+    (2, (1.0, (0, 1)), 3, "1 <= k <= 2, got 1.0"),
+    (2, (1, (0, 2)), 3, "leaf 2"),
+    (2, (1, (-1, 1)), 3, "leaf -1"),
+])
+def test_formula_layout_refusals(n, formula, q, message):
+    with pytest.raises(ValueError, match=message):
+        formula_layout(n, formula, q)
 
 
 def test_threshold_clause_scheme_matches_printed_tables():
