@@ -21,7 +21,8 @@ of U's minimal sets, and, when U is the k-of-T threshold up-set (its
 minimal sets are all C(|T|, k) k-subsets of their union T), one k-of-|T|
 Shamir gate over GF(q), q the smallest prime above |T|.  Its size, q**R,
 is read from that layout; the smaller table is chosen, ties going to
-XOR.  dense_pair, like a ProductPair's rho and sigma, refuses before
+XOR.  The chosen scheme is built once per up-set and kept with its
+plan.  dense_pair, like a ProductPair's rho and sigma, refuses before
 building any table when the product of the factors' sigma supports
 exceeds MAX_SIGMA_ATOMS.
 
@@ -32,8 +33,8 @@ significant bits down to 2**-1022, so achieved values match targets
 well within the cone's TOL for lam from 1e-9 up to 1022 bits.  Past 1022
 bits the double is subnormal and coarser, and synthesis reports any
 miss; MAX_RAY_BITS bounds lam for both kinds of weight.  Synthesis
-and verify judge a pair by one comparison, taken over level sets, with
-tolerance TOL for synthesis; per-subset rows are derived only to print.
+and verify judge a pair by one comparison, with tolerance TOL for
+synthesis; per-subset rows are derived only to print.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import starmap
 from operator import itemgetter, or_
 from typing import NamedTuple
 
@@ -108,25 +110,28 @@ def _candidates(u: UpSet):
 
 @lru_cache(maxsize=256)
 def _plan(u: UpSet):
-    """The chosen plan and its builder; cached, as synthesize plans every
-    ray for its report and realize_ray plans it again."""
+    """The chosen plan and its scheme, built once: both depend on u alone,
+    the ray's coefficient entering only through the factor's weight, so
+    every ray on u shares this immutable scheme and its rank table."""
     candidates = list(_candidates(u))
     kind, atoms, build = min(candidates, key=itemgetter(1))  # first minimum: ties go to XOR
-    return RayPlan(kind, atoms, tuple(c[:2] for c in candidates)), build
+    return RayPlan(kind, atoms, tuple(c[:2] for c in candidates)), build()
 
 
 def plan_ray(u: UpSet) -> RayPlan:
-    """Predict the table size of each candidate scheme for u, building none."""
+    """The table size of each candidate scheme for u, read from its
+    layout; only the chosen scheme is built, and no table."""
     return _plan(u)[0]
 
 
 def realize_ray(u: UpSet, lam) -> Factor:
-    """Factor, the planned scheme with the exact weight, whose
+    """Factor, u's planned scheme with the exact weight, whose
     relative-entropy vector is lam times the indicator of u, up to the
-    rounding of the mixing weight 2**(-lam) to a double.  Builds no
-    table, whatever the scheme's size."""
+    rounding of the mixing weight 2**(-lam) to a double.  The scheme is
+    the one kept per up-set, the same object for every lam; no table is
+    built, whatever its size."""
     weight = _dyadic_weight(lam)
-    return Factor(_plan(u)[1](), weight)
+    return Factor(_plan(u)[1], weight)
 
 
 @dataclass(frozen=True)
@@ -162,11 +167,19 @@ def _deviation(t, a) -> float:
 
 
 def _compare(v: REVector, achieved: REVector, tol: float) -> VerificationReport:
-    """Judge achieved against v: the largest deviation, taken once per
-    pair of intersecting level sets of the two, and the monotonicity
-    recheck of achieved under the cone's tolerance policy."""
-    max_err = max(_deviation(t, a) for t, t_table in v.levels.items()
-                  for a, a_table in achieved.levels.items() if t_table & a_table)
+    """Judge achieved against v: the largest deviation, and the
+    monotonicity recheck of achieved under the cone's tolerance policy.
+    The intersecting level sets of the two are exactly the (target,
+    achieved) pairs found on some subset, so the deviation is taken once
+    per intersecting pair of level sets, unless there are more pairs of
+    level sets to try than the 2**n - 1 subsets; then once per subset."""
+    t_levels, a_levels = v.levels, achieved.levels
+    if len(t_levels) * len(a_levels) < 1 << v.n:
+        pairs = ((t, a) for t, t_table in t_levels.items()
+                 for a, a_table in a_levels.items() if t_table & a_table)
+    else:
+        pairs = zip(v.values, achieved.values)
+    max_err = max(starmap(_deviation, pairs))
     recheck = check_membership(achieved)
     return VerificationReport(target=v, achieved=achieved, tol=tol, max_abs_error=max_err,
                               monotone_ok=recheck.member, violations=recheck.violations,
@@ -178,10 +191,9 @@ def verify(v: REVector, pair: StatePair | ProductPair, tol: float = TOL) -> Veri
     ProductPair's from the forms of each factor's scheme, by rank, a
     StatePair's from its tables.
 
-    Reports the worst deviation, taken over level sets as synthesize
-    takes it, and whether the achieved vector itself still passes the
-    monotonicity check; the per-subset rows are derived from the report
-    on request.  Raises ValueError unless 0 <= tol < inf.
+    Reports the worst deviation, taken as synthesize takes it, and
+    whether the achieved vector itself still passes the monotonicity
+    check; the per-subset rows are derived from the report on request.  Raises ValueError unless 0 <= tol < inf.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
@@ -215,13 +227,13 @@ def dense_pair(pair: ProductPair) -> StatePair:
 def synthesize(v: REVector) -> RealizationResult:
     """Build and check a state pair realizing a finite cone member.
 
-    Decomposes v over its level sets, plans a scheme per nested ray,
-    realizes each ray as one factor of a ProductPair and sums the factors'
-    vectors, from rank, into the achieved vector; no share table is
-    built.  The achieved vector is judged as verify judges it, with
-    tolerance TOL: compared with v once per pair of intersecting level
-    sets and rechecked for membership.  Raises RealizationError, naming
-    the worst subset, unless that verdict passes.
+    Decomposes v over its level sets, plans a scheme per nested ray (or
+    reuses the one kept for its up-set), realizes each ray as one factor
+    of a ProductPair and sums the factors' vectors, from rank, into the
+    achieved vector; no share table is built.  The achieved vector is
+    judged as verify judges it, with tolerance TOL: compared with v and
+    rechecked for membership.  Raises RealizationError, naming the worst
+    subset, unless that verdict passes.
     """
     decomposition = layer_cake_decompose(v)  # also enforces membership
     plans = tuple(plan_ray(upset) for _, upset in decomposition.terms)

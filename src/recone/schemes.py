@@ -11,7 +11,8 @@ linear form c0*b + c1*r1 + ... + cR*rR over GF(q) in the secret and R
 uniform random symbols, packed into one int as its coefficient list
 written in base q (see Scheme), so the secret's coefficient is digit 0.
 Each secret's table is the injective image of GF(q)^R, with exactly
-q**R atoms, and is enumerated only when read.
+q**R atoms, and is enumerated on every read and never kept, so a scheme
+holds only its forms and, once asked, its authorized table.
 
 Linearity decides a group's view by rank alone.  Group S's marginal is
 uniform on a coset of the image of S's random columns, shifted by b
@@ -126,7 +127,8 @@ class Scheme:
     A layout whose random columns have rank below R maps two random
     choices to one share tuple, and is refused as a duplicate.
     distributions[b] lists the share tuples of all (r1, ..., rR) in
-    GF(q)^R, each with weight 1; it is enumerated on first read.
+    GF(q)^R, each with weight 1; it is enumerated on every read.  The
+    scheme is immutable, so authorized() computes its table once.
     """
 
     q: int
@@ -197,12 +199,18 @@ class Scheme:
 
     def authorized(self) -> int:
         """Truth table of the groups that recover the secret: bit m is set
-        iff e0 lies in the row span of group m's forms.  Recomputed on
-        every call: a depth-first walk adds one party at a time, above
-        the group's highest, to a copy of the group's elimination basis,
-        and records, without extending, each group that first recovers
-        the secret.  Every recovering group holds the first recovering
-        prefix of its parties, so the table is the closure of the records."""
+        iff e0 lies in the row span of group m's forms.  Computed on the
+        first call and kept."""
+        return self._authorized
+
+    @cached_property
+    def _authorized(self) -> int:
+        """authorized()'s table: a depth-first walk adds one party at a
+        time, above the group's highest, to a copy of the group's
+        elimination basis, and records, without extending, each group that
+        first recovers the secret.  Every recovering group holds the first
+        recovering prefix of its parties, so the table is the closure of
+        the records."""
         n = self.n
         rows, extend = self._elimination()
         found = 0
@@ -217,9 +225,10 @@ class Scheme:
                     stack.append((mask | 1 << j, grown, j + 1))
         return _closure(found, n)
 
-    @cached_property
+    @property
     def distributions(self) -> tuple[JointDistribution, JointDistribution]:
-        """The share tables, indexed by the secret bit."""
+        """The share tables, indexed by the secret bit, built anew on each
+        read: q**R atoms each, which a kept scheme should not hold."""
         q, slots = self.q, self.coefficient_lists()
         sizes = tuple(q ** len(forms) for forms in slots)
         rows = q ** self.randomness
@@ -307,7 +316,8 @@ def weighted_threshold_scheme(n: int, allocation, k: int, q: int) -> Scheme:
 @lru_cache(maxsize=256)
 def dnf_formula(u: UpSet):
     """An OR of one AND per minimal set of u, over its parties in order;
-    cached, as realize plans a ray from it and builds its scheme per call."""
+    cached, as realize reads it to size the XOR candidate and again to
+    build the scheme when that candidate is chosen."""
     return 1, tuple((m.bit_count(), tuple(i for i in range(u.n) if m >> i & 1))
                     for m in u.minimal_sets())
 

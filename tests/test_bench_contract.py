@@ -59,6 +59,7 @@ def test_product_pair_sigma_is_the_dense_sigma():
 
 
 def test_tracer_wraps_and_restores(tracing, capsys):
+    realize._plan.cache_clear()  # a kept {AB} scheme would be built before the tracer wraps
     original = realize.dnf_scheme
     with tracing.Tracer() as tracer:
         factor = realize.realize_ray(upward_closure({0b011}, 2), 1)

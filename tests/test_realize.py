@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,12 +12,21 @@ from hypothesis import given, settings, strategies as st
 from conftest import closure_members, random_members
 from test_cone import near_tie_vectors
 from recone import realize
-from recone.cone import TOL, MembershipReport, NotInConeError, REVector, Violation
+from recone.cone import (
+    TOL,
+    MembershipReport,
+    NotInConeError,
+    REVector,
+    Violation,
+    layer_cake_decompose,
+)
 from recone.jsonio import pair_to_json
 from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure
 from recone.realize import (
     MAX_SIGMA_ATOMS,
     RealizationError,
+    _compare,
+    _deviation,
     dense_pair,
     describe_deviation,
     plan_ray,
@@ -359,6 +370,69 @@ def test_synthesize_plans_each_upset_once(monkeypatch):
     assert rays == upsets  # one realize_ray call, the traced span, per ray
     synthesize(target)
     assert len(calls) == 2 and len(rays) == 4
+
+
+def test_a_ray_scheme_is_built_once_per_upset(monkeypatch):
+    builds = []
+    for name in ("dnf_scheme", "weighted_threshold_scheme"):
+        build = getattr(realize, name)
+        monkeypatch.setattr(realize, name,
+                            lambda *args, name=name, build=build: builds.append(name) or build(*args))
+    realize._plan.cache_clear()
+    for seeds in ({0b001, 0b110}, {0b011, 0b101, 0b110}):  # {A, BC} plans XOR, 2-of-3 Shamir
+        first, second = (realize_ray(upward_closure(seeds, 3), lam) for lam in (1, 2.5))
+        assert second.scheme is first.scheme and second.weight != first.weight
+    assert builds == ["dnf_scheme", "weighted_threshold_scheme"]
+
+
+def test_a_warm_synthesis_matches_a_cold_one():
+    for v in (*random_members(5, 3, 10), *closure_members(8, 8, 2)):
+        realize._plan.cache_clear()
+        cold = synthesize(v)
+        warm = synthesize(v)
+        assert [f.scheme for f in warm.pair.factors] == [f.scheme for f in cold.pair.factors]
+        assert warm.achieved == cold.achieved
+        assert json.dumps(pair_to_json(warm.pair)) == json.dumps(pair_to_json(cold.pair))
+
+
+def test_dense_pair_keeps_no_table_on_the_kept_schemes():
+    # seven nested rays, the largest dense sigma of an n = 3 member, and
+    # one n = 5 XOR ray on seven 3-sets, whose tables have 2**14 atoms each
+    seven_3_sets = upward_closure([m for m in range(32) if m.bit_count() == 3][:7], 5)
+    for target, atoms in ((REVector(3, (1, 2, 3, 4, 5, 6, 7)), 40960),
+                          (REVector(5, seven_3_sets.indicator_values()), 2 ** 15)):
+        pair = synthesize(target).pair
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(dense_pair(pair).sigma.atoms) == atoms
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for f, (_, u) in zip(pair.factors, layer_cake_decompose(target).terms):
+            assert realize_ray(u, 1).scheme is f.scheme and "distributions" not in vars(f.scheme)
+        assert peak - before > 4 << 20  # the tables and their product were built
+        assert after - before < 1 << 20  # and are gone, but for freed objects Python keeps for reuse
+
+
+def test_compare_takes_the_same_maximum_by_levels_and_by_subsets():
+    rng = random.Random(8)
+    w = [rng.uniform(0.1, 1) for _ in range(8)]
+    additive = REVector(8, tuple(math.fsum(w[i] for i in range(8) if m >> i & 1)
+                                 for m in subsets_in_order(8)))  # 255 levels
+    cases = [(additive, synthesize(additive).achieved)]
+    for v in random_members(5, 3, 30):
+        cases.append((v, synthesize(v).achieved))
+    cases += [(v, REVector(v.n, tuple(x + 1e-12 * (i % 3) for i, x in enumerate(v.values))))
+              for v, _ in list(cases)]
+    by_levels_taken = set()
+    for v, achieved in cases:
+        by_levels = max(_deviation(t, a) for t, t_table in v.levels.items()
+                        for a, a_table in achieved.levels.items() if t_table & a_table)
+        by_subsets = max(map(_deviation, v.values, achieved.values))
+        assert _compare(v, achieved, TOL).max_abs_error == by_levels == by_subsets
+        by_levels_taken.add(len(v.levels) * len(achieved.levels) < 1 << v.n)
+    assert by_levels_taken == {True, False}  # both paths of _compare ran
 
 
 def test_planner_changes_only_strictly_smaller_threshold_rays():

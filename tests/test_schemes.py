@@ -8,7 +8,7 @@ import pytest
 from conftest import closure_members, submask_walk_authorized
 from hypothesis import assume, given, settings, strategies as st
 
-from recone import realize
+from recone import realize, schemes
 from recone.cone import layer_cake_decompose
 from recone.lattice import UpSet, enumerate_upsets, mask_label, upward_closure
 from recone.realize import _dyadic_weight
@@ -190,7 +190,22 @@ def test_scheme_builds_no_table_until_read():
     assert "distributions" not in vars(scheme)
     assert scheme.authorized() == TWO_PAIRS_STRUCTURE.table
     assert "distributions" not in vars(scheme)
-    assert len(scheme.table(0)) == 4 and "distributions" in vars(scheme)
+    assert len(scheme.table(0)) == 4 and "distributions" not in vars(scheme)  # built, not kept
+
+
+@pytest.mark.parametrize("kernel", ["_extend_gf2", "_extend_gfq"])
+def test_authorized_walks_once_per_scheme(kernel, monkeypatch):
+    u = TWO_PAIRS_STRUCTURE if kernel == "_extend_gf2" else upward_closure({AB, 0b101, BC}, 3)
+    build = dnf_scheme if kernel == "_extend_gf2" else \
+        (lambda u: weighted_threshold_scheme(3, (1, 1, 1), 2, 5))
+    scheme, calls = build(u), []
+    extend = getattr(schemes, kernel)
+    monkeypatch.setattr(schemes, kernel, lambda *args: calls.append(args) or extend(*args))
+    assert scheme.authorized() == u.table and calls
+    walked = len(calls)
+    assert scheme.authorized() == u.table and len(calls) == walked
+    equal = build(u)  # an equal scheme, another object: its constructor and its own walk
+    assert equal == scheme and equal.authorized() == u.table and len(calls) > walked + 1
 
 
 def test_packed_forms_are_read_as_their_base_q_digits():
