@@ -167,12 +167,11 @@ def _deviation(t, a) -> float:
 
 
 def _compare(v: REVector, achieved: REVector, tol: float) -> VerificationReport:
-    """Judge achieved against v: the largest deviation, and the
+    """Judge achieved against v: the largest deviation and the
     monotonicity recheck of achieved under the cone's tolerance policy.
-    The intersecting level sets of the two are exactly the (target,
-    achieved) pairs found on some subset, so the deviation is taken once
-    per intersecting pair of level sets, unless there are more pairs of
-    level sets to try than the 2**n - 1 subsets; then once per subset."""
+    Intersecting level sets of the two are the (target, achieved) pairs
+    met on some subset, so the deviation is taken per such pair, or per
+    subset when there are more pairs of level sets to try than subsets."""
     t_levels, a_levels = v.levels, achieved.levels
     if len(t_levels) * len(a_levels) < 1 << v.n:
         pairs = ((t, a) for t, t_table in t_levels.items()

@@ -193,11 +193,12 @@ def test_scheme_builds_no_table_until_read():
     assert len(scheme.table(0)) == 4 and "distributions" not in vars(scheme)  # built, not kept
 
 
-@pytest.mark.parametrize("kernel", ["_extend_gf2", "_extend_gfq"])
-def test_authorized_walks_once_per_scheme(kernel, monkeypatch):
-    u = TWO_PAIRS_STRUCTURE if kernel == "_extend_gf2" else upward_closure({AB, 0b101, BC}, 3)
-    build = dnf_scheme if kernel == "_extend_gf2" else \
-        (lambda u: weighted_threshold_scheme(3, (1, 1, 1), 2, 5))
+@pytest.mark.parametrize("kernel, u, build", [
+    ("_extend_gf2", TWO_PAIRS_STRUCTURE, dnf_scheme),
+    ("_extend_gfq", upward_closure({AB, 0b101, BC}, 3),
+     lambda u: weighted_threshold_scheme(3, (1, 1, 1), 2, 5)),
+], ids=["gf2", "gf5"])
+def test_authorized_walks_once_per_scheme(kernel, u, build, monkeypatch):
     scheme, calls = build(u), []
     extend = getattr(schemes, kernel)
     monkeypatch.setattr(schemes, kernel, lambda *args: calls.append(args) or extend(*args))
