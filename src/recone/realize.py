@@ -33,8 +33,8 @@ significant bits down to 2**-1022, so achieved values match targets
 well within the cone's TOL for lam from 1e-9 up to 1022 bits.  Past 1022
 bits the double is subnormal and coarser, and synthesis reports any
 miss; MAX_RAY_BITS bounds lam for both kinds of weight.  Synthesis
-and verify judge a pair by one comparison, with tolerance TOL for
-synthesis; per-subset rows are derived only to print.
+and verify judge a pair by one comparison, taken over level sets, with
+tolerance TOL for synthesis; per-subset rows are derived only to print.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import starmap
 from operator import itemgetter, or_
 from typing import NamedTuple
 
@@ -167,18 +166,11 @@ def _deviation(t, a) -> float:
 
 
 def _compare(v: REVector, achieved: REVector, tol: float) -> VerificationReport:
-    """Judge achieved against v: the largest deviation and the
-    monotonicity recheck of achieved under the cone's tolerance policy.
-    Intersecting level sets of the two are the (target, achieved) pairs
-    met on some subset, so the deviation is taken per such pair, or per
-    subset when there are more pairs of level sets to try than subsets."""
-    t_levels, a_levels = v.levels, achieved.levels
-    if len(t_levels) * len(a_levels) < 1 << v.n:
-        pairs = ((t, a) for t, t_table in t_levels.items()
-                 for a, a_table in a_levels.items() if t_table & a_table)
-    else:
-        pairs = zip(v.values, achieved.values)
-    max_err = max(starmap(_deviation, pairs))
+    """Judge achieved against v: the largest deviation, taken once per
+    pair of intersecting level sets of the two, and the monotonicity
+    recheck of achieved under the cone's tolerance policy."""
+    max_err = max(_deviation(t, a) for t, t_table in v.levels.items()
+                  for a, a_table in achieved.levels.items() if t_table & a_table)
     recheck = check_membership(achieved)
     return VerificationReport(target=v, achieved=achieved, tol=tol, max_abs_error=max_err,
                               monotone_ok=recheck.member, violations=recheck.violations,
@@ -190,9 +182,10 @@ def verify(v: REVector, pair: StatePair | ProductPair, tol: float = TOL) -> Veri
     ProductPair's from the forms of each factor's scheme, by rank, a
     StatePair's from its tables.
 
-    Reports the worst deviation, taken as synthesize takes it, and
-    whether the achieved vector itself still passes the monotonicity
-    check; the per-subset rows are derived from the report on request.  Raises ValueError unless 0 <= tol < inf.
+    Reports the worst deviation, taken over level sets as synthesize
+    takes it, and whether the achieved vector itself still passes the
+    monotonicity check; the per-subset rows are derived from the report
+    on request.  Raises ValueError unless 0 <= tol < inf.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
@@ -230,9 +223,10 @@ def synthesize(v: REVector) -> RealizationResult:
     reuses the one kept for its up-set), realizes each ray as one factor
     of a ProductPair and sums the factors' vectors, from rank, into the
     achieved vector; no share table is built.  The achieved vector is
-    judged as verify judges it, with tolerance TOL: compared with v and
-    rechecked for membership.  Raises RealizationError, naming the worst
-    subset, unless that verdict passes.
+    judged as verify judges it, with tolerance TOL: compared with v once
+    per pair of intersecting level sets and rechecked for membership.
+    Raises RealizationError, naming the worst subset, unless that
+    verdict passes.
     """
     decomposition = layer_cake_decompose(v)  # also enforces membership
     plans = tuple(plan_ray(upset) for _, upset in decomposition.terms)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import chain
 
 from .lattice import MAX_PARTIES, UpSet, _closure
@@ -126,9 +126,10 @@ class Scheme:
     coefficient_lists unpacks them on every call.
     A layout whose random columns have rank below R maps two random
     choices to one share tuple, and is refused as a duplicate.
-    distributions[b] lists the share tuples of all (r1, ..., rR) in
-    GF(q)^R, each with weight 1; it is enumerated on every read.  The
-    scheme is immutable, so authorized() computes its table once.
+    distribution(b) lists the share tuples of all (r1, ..., rR) in
+    GF(q)^R, each with weight 1; it is enumerated on every call, and
+    distributions holds both.  The scheme is immutable, so authorized()
+    computes its table once.
     """
 
     q: int
@@ -229,31 +230,33 @@ class Scheme:
     def distributions(self) -> tuple[JointDistribution, JointDistribution]:
         """The share tables, indexed by the secret bit, built anew on each
         read: q**R atoms each, which a kept scheme should not hold."""
+        return self.distribution(0), self.distribution(1)
+
+    def distribution(self, b: int) -> JointDistribution:
+        """Secret b's share table, built anew on each call."""
         q, slots = self.q, self.coefficient_lists()
         sizes = tuple(q ** len(forms) for forms in slots)
         rows = q ** self.randomness
         shifted = {}  # c -> v -> [v + t*c mod q for t in GF(q)]
         columns = []
         for forms in slots:
-            packed = [0] * 2 * rows
+            packed = [0] * rows
             for c0, *coeffs in forms:
-                # column by column over (b, r1, ..., rR), b most significant:
-                # the values for r1..rj are those for r1..r(j-1), each
-                # followed by its q shifts by t*cj
-                values = [0, c0]
+                # column by column over (r1, ..., rR): the values for
+                # r1..rj are those for r1..r(j-1), each followed by its q
+                # shifts by t*cj
+                values = [b * c0]
                 for c in coeffs:
                     if c not in shifted:
                         shifted[c] = [[(v + t * c) % q for t in range(q)] for v in range(q)]
                     values = list(chain.from_iterable(map(shifted[c].__getitem__, values)))
                 packed = [p * q + v for p, v in zip(packed, values)]
             columns.append(packed)
-        symbols = list(zip(*columns))
         # range, weights, sum and distinct tuples hold by construction
-        return tuple(JointDistribution._trusted(self.n, sizes, [(sym, 1) for sym in table], rows)
-                     for table in (symbols[:rows], symbols[rows:]))
+        return JointDistribution._trusted(self.n, sizes, [(sym, 1) for sym in zip(*columns)], rows)
 
     def table(self, b: int):
-        return self.distributions[b].atoms
+        return self.distribution(b).atoms
 
 
 def formula_layout(n: int, formula, q: int):
@@ -313,11 +316,8 @@ def weighted_threshold_scheme(n: int, allocation, k: int, q: int) -> Scheme:
     return Scheme(*formula_layout(n, (k, leaves), q))  # refuses k outside 1..m
 
 
-@lru_cache(maxsize=256)
 def dnf_formula(u: UpSet):
-    """An OR of one AND per minimal set of u, over its parties in order;
-    cached, as realize reads it to size the XOR candidate and again to
-    build the scheme when that candidate is chosen."""
+    """An OR of one AND per minimal set of u, over its parties in order."""
     return 1, tuple((m.bit_count(), tuple(i for i in range(u.n) if m >> i & 1))
                     for m in u.minimal_sets())
 

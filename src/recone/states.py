@@ -288,7 +288,7 @@ class ProductPair:
 
     @property
     def rho(self) -> JointDistribution:
-        return self._multiply_out(f.scheme.distributions[0] for f in self.factors)
+        return self._multiply_out(f.scheme.distribution(0) for f in self.factors)
 
     @property
     def sigma(self) -> JointDistribution:

@@ -415,7 +415,7 @@ def test_dense_pair_keeps_no_table_on_the_kept_schemes():
         assert after - before < 1 << 20  # and are gone, but for freed objects Python keeps for reuse
 
 
-def test_compare_takes_the_same_maximum_by_levels_and_by_subsets():
+def test_compare_takes_the_per_subset_maximum_on_many_levels():
     rng = random.Random(8)
     w = [rng.uniform(0.1, 1) for _ in range(8)]
     additive = REVector(8, tuple(math.fsum(w[i] for i in range(8) if m >> i & 1)
@@ -425,14 +425,9 @@ def test_compare_takes_the_same_maximum_by_levels_and_by_subsets():
         cases.append((v, synthesize(v).achieved))
     cases += [(v, REVector(v.n, tuple(x + 1e-12 * (i % 3) for i, x in enumerate(v.values))))
               for v, _ in list(cases)]
-    by_levels_taken = set()
     for v, achieved in cases:
-        by_levels = max(_deviation(t, a) for t, t_table in v.levels.items()
-                        for a, a_table in achieved.levels.items() if t_table & a_table)
         by_subsets = max(map(_deviation, v.values, achieved.values))
-        assert _compare(v, achieved, TOL).max_abs_error == by_levels == by_subsets
-        by_levels_taken.add(len(v.levels) * len(achieved.levels) < 1 << v.n)
-    assert by_levels_taken == {True, False}  # both paths of _compare ran
+        assert _compare(v, achieved, TOL).max_abs_error == by_subsets
 
 
 def test_planner_changes_only_strictly_smaller_threshold_rays():

@@ -21,7 +21,7 @@ from recone.schemes import (
     smallest_prime_above,
     weighted_threshold_scheme,
 )
-from recone.states import Factor, marginal, re_vector
+from recone.states import Factor, JointDistribution, marginal, re_vector
 
 A, B, C = 0b001, 0b010, 0b100
 AB, BC = 0b011, 0b110
@@ -191,6 +191,17 @@ def test_scheme_builds_no_table_until_read():
     assert scheme.authorized() == TWO_PAIRS_STRUCTURE.table
     assert "distributions" not in vars(scheme)
     assert len(scheme.table(0)) == 4 and "distributions" not in vars(scheme)  # built, not kept
+
+
+def test_a_table_read_builds_that_table_alone(monkeypatch):
+    scheme, built = weighted_threshold_scheme(3, (1, 1, 1), 2, 5), []
+    both = scheme.distributions
+    trusted = JointDistribution._trusted.__func__
+    monkeypatch.setattr(JointDistribution, "_trusted", classmethod(
+        lambda cls, *args, **kwargs: built.append(args) or trusted(cls, *args, **kwargs)))
+    for b in (0, 1):
+        assert scheme.distribution(b) == both[b] and scheme.table(b) == both[b].atoms
+    assert len(built) == 4  # one table per read
 
 
 @pytest.mark.parametrize("kernel, u, build", [
