@@ -19,9 +19,10 @@ planned before anything is built.  Each candidate is a formula shape
 laid out by recone.schemes.formula_layout: the XOR scheme, the flat DNF
 of U's minimal sets, and, when U is the k-of-T threshold up-set (its
 minimal sets are all C(|T|, k) k-subsets of their union T), one k-of-|T|
-Shamir gate over GF(q), q the smallest prime above |T|.  Its size, q**R,
-is read from that layout; the smaller table is chosen, ties going to
-XOR.  The chosen scheme is built once per up-set and kept with its
+Shamir gate over GF(q), q the smallest prime above |T|.  The DNF's
+ANDs over GF(2) take |S| - 1 random bits per minimal set S, so its size
+is 2**sum(|S| - 1); the gate's, q**R, is read from its layout.  The
+smaller table is chosen, ties going to XOR.  The chosen scheme is built once per up-set and kept with its
 plan.  dense_pair, like a ProductPair's rho and sigma, refuses before
 building any table when the product of the factors' sigma supports
 exceeds MAX_SIGMA_ATOMS.
@@ -56,7 +57,6 @@ from .cone import (
 )
 from .lattice import UpSet, mask_label, subsets_in_order
 from .schemes import (
-    dnf_formula,
     dnf_scheme,
     formula_layout,
     scheme_state_pair,
@@ -97,8 +97,8 @@ class RayPlan(NamedTuple):
 def _candidates(u: UpSet):
     """(kind, exact table atoms, builder) for each scheme that realizes u,
     XOR first; the builders look the constructions up at call time."""
-    yield "xor", 2 ** formula_layout(u.n, dnf_formula(u), 2)[2], lambda: dnf_scheme(u)
     minimal = u.minimal_sets()
+    yield "xor", 2 ** sum(m.bit_count() - 1 for m in minimal), lambda: dnf_scheme(u)
     k, group = minimal[0].bit_count(), reduce(or_, minimal)
     if all(m.bit_count() == k for m in minimal) and len(minimal) == math.comb(group.bit_count(), k):
         allocation = [group >> i & 1 for i in range(u.n)]

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -25,8 +24,6 @@ from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure
 from recone.realize import (
     MAX_SIGMA_ATOMS,
     RealizationError,
-    _compare,
-    _deviation,
     dense_pair,
     describe_deviation,
     plan_ray,
@@ -413,21 +410,6 @@ def test_dense_pair_keeps_no_table_on_the_kept_schemes():
             assert realize_ray(u, 1).scheme is f.scheme and "distributions" not in vars(f.scheme)
         assert peak - before > 4 << 20  # the tables and their product were built
         assert after - before < 1 << 20  # and are gone, but for freed objects Python keeps for reuse
-
-
-def test_compare_takes_the_per_subset_maximum_on_many_levels():
-    rng = random.Random(8)
-    w = [rng.uniform(0.1, 1) for _ in range(8)]
-    additive = REVector(8, tuple(math.fsum(w[i] for i in range(8) if m >> i & 1)
-                                 for m in subsets_in_order(8)))  # 255 levels
-    cases = [(additive, synthesize(additive).achieved)]
-    for v in random_members(5, 3, 30):
-        cases.append((v, synthesize(v).achieved))
-    cases += [(v, REVector(v.n, tuple(x + 1e-12 * (i % 3) for i, x in enumerate(v.values))))
-              for v, _ in list(cases)]
-    for v, achieved in cases:
-        by_subsets = max(map(_deviation, v.values, achieved.values))
-        assert _compare(v, achieved, TOL).max_abs_error == by_subsets
 
 
 def test_planner_changes_only_strictly_smaller_threshold_rays():
