@@ -77,7 +77,10 @@ class REVector:
         map, so the vector's entries are never grouped again."""
         _check_entries(levels)
         index = subset_index(n)
-        fill = max(levels, key=lambda t: levels[t].bit_count())  # the level with most masks
+        fill, most = None, -1  # the level with most masks; of a tie, the first
+        for val, table in levels.items():
+            if (count := table.bit_count()) > most:
+                fill, most = val, count
         values = [fill] * len(index)
         for val, table in levels.items():
             if val is not fill:
@@ -141,6 +144,10 @@ _MEMBER = MembershipReport(member=True, violations=(), infinite_part_ok=True)
 
 
 def _is_exact(value) -> bool:
+    """True for an int or a Fraction but not a bool.  A float, the common
+    entry, is refused first: the Fraction test goes through ABCMeta."""
+    if isinstance(value, float):
+        return False
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
@@ -162,6 +169,7 @@ def _sweep(v: REVector, slack):
     t - slack.  The +inf entries sort first and fail unless closed."""
     at = v.levels
     levels = sorted(at, reverse=True)
+    count = len(levels)
     groups = []
     hull = reach = j = 0
     for i, t in enumerate(levels):
@@ -170,7 +178,8 @@ def _sweep(v: REVector, slack):
         name = t if up == at[t] else _first(v, up)
         up = _closure(up, v.n)
         layer, hull = up & ~hull, hull | up
-        while j < len(levels) and levels[j] >= t - slack:
+        floor = t - slack
+        while j < count and levels[j] >= floor:
             reach |= at[levels[j]]
             j += 1
         if hull & ~reach:

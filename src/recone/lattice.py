@@ -103,23 +103,32 @@ def _without(n: int) -> tuple[int, ...]:
     return tuple(sum(1 << m for m in range(1 << n) if not m >> j & 1) for j in range(n))
 
 
+@lru_cache(maxsize=None)
+def _closure_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """Per party j (0-based), the masks that lack j and the shift 2**j
+    that adds j to each of them, as (_without(n)[j], 2**j)."""
+    return tuple((without_j, 1 << j) for j, without_j in enumerate(_without(n)))
+
+
 def _closure(table: int, n: int) -> int:
     """Truth table of the upward closure of a family on [n]: each party j
-    in turn joins every member that lacks it.  After party j the family
-    is {m | T : m a member, T a subset of parties 0..j}, so one pass is
+    in turn joins every member that lacks it, one step of
+    _closure_steps(n) per party.  After party j the family is
+    {m | T : m a member, T a subset of parties 0..j}, so one pass is
     exact."""
-    for j, without_j in enumerate(_without(n)):
-        table |= (table & without_j) << (1 << j)
+    for without_j, shift in _closure_steps(n):
+        table |= (table & without_j) << shift
     return table
 
 
-def _one_party_up(table: int, without) -> int:
+def _one_party_up(table: int, steps) -> int:
     """Truth table of the masks that are a member plus one more party,
-    given per party j the masks that lack j (_without(n), or the same
-    repeated in every lane of a packed batch)."""
+    given per party the masks that lack it and its shift
+    (_closure_steps(n), or the same with each mask repeated in every lane
+    of a packed batch)."""
     up = 0
-    for j, without_j in enumerate(without):
-        up |= (table & without_j) << (1 << j)
+    for without_j, shift in steps:
+        up |= (table & without_j) << shift
     return up
 
 
@@ -159,17 +168,17 @@ def _check_closed(tables, n: int) -> None:
         packed = tables[0]
         if packed <= 0 or packed >> (1 << n):
             raise ValueError(_NOT_UPSET)
-        without, ones = _without(n), 1
+        steps, ones = _closure_steps(n), 1
     elif lanes:
         if min(tables) <= 0 or max(tables) >> (1 << n):
             raise ValueError(_NOT_UPSET)
         size = _lane_bytes(n)
         packed = _pack(tables, size)
         ones = _repeat(1, size, lanes)
-        without = [ones * w for w in _without(n)]
+        steps = [(ones * without_j, shift) for without_j, shift in _closure_steps(n)]
     else:
         return
-    if packed & ones or _one_party_up(packed, without) & ~packed:
+    if packed & ones or _one_party_up(packed, steps) & ~packed:
         raise ValueError(_NOT_UPSET)
 
 
@@ -231,7 +240,7 @@ class UpSet:
         By closure, a member has a smaller member below it iff it is
         another member plus one party.
         """
-        minimal = self.table & ~_one_party_up(self.table, _without(self.n))
+        minimal = self.table & ~_one_party_up(self.table, _closure_steps(self.n))
         return tuple(m for m in subsets_in_order(self.n) if minimal >> m & 1)
 
     def indicator_values(self) -> tuple[int, ...]:

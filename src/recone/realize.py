@@ -22,10 +22,10 @@ minimal sets are all C(|T|, k) k-subsets of their union T), one k-of-|T|
 Shamir gate over GF(q), q the smallest prime above |T|.  The DNF's
 ANDs over GF(2) take |S| - 1 random bits per minimal set S, so its size
 is 2**sum(|S| - 1); the gate's, q**R, is read from its layout.  The
-smaller table is chosen, ties going to XOR.  The chosen scheme is built once per up-set and kept with its
-plan.  dense_pair, like a ProductPair's rho and sigma, refuses before
-building any table when the product of the factors' sigma supports
-exceeds MAX_SIGMA_ATOMS.
+smaller table is chosen, ties going to XOR.  The chosen scheme is built
+once per up-set and kept with its plan.  dense_pair, like a
+ProductPair's rho and sigma, refuses before building any table when the
+product of the factors' sigma supports exceeds MAX_SIGMA_ATOMS.
 
 The weight is exact from the start: p = 1 / 2**lam for integer lam, so
 entries come out machine-exact, and otherwise p is the double nearest
@@ -108,11 +108,14 @@ def _candidates(u: UpSet):
 
 
 @lru_cache(maxsize=256)
-def _plan(u: UpSet):
-    """The chosen plan and its scheme, built once: both depend on u alone,
-    the ray's coefficient entering only through the factor's weight, so
-    every ray on u shares this immutable scheme and its rank table."""
-    candidates = list(_candidates(u))
+def _plan(n: int, table: int):
+    """The chosen plan and its scheme for the up-set with this truth
+    table, built once: both depend on the up-set alone, the ray's
+    coefficient entering only through the factor's weight, so every ray
+    on it shares this immutable scheme and its rank table.  The key is
+    the up-set's (n, table), two ints that hash and compare in C; a miss
+    rebuilds the UpSet from them."""
+    candidates = list(_candidates(UpSet._from_table(n, table)))
     kind, atoms, build = min(candidates, key=itemgetter(1))  # first minimum: ties go to XOR
     return RayPlan(kind, atoms, tuple(c[:2] for c in candidates)), build()
 
@@ -120,7 +123,7 @@ def _plan(u: UpSet):
 def plan_ray(u: UpSet) -> RayPlan:
     """The table size of each candidate scheme for u, read from its
     layout; only the chosen scheme is built, and no table."""
-    return _plan(u)[0]
+    return _plan(u.n, u.table)[0]
 
 
 def realize_ray(u: UpSet, lam) -> Factor:
@@ -128,9 +131,14 @@ def realize_ray(u: UpSet, lam) -> Factor:
     relative-entropy vector is lam times the indicator of u, up to the
     rounding of the mixing weight 2**(-lam) to a double.  The scheme is
     the one kept per up-set, the same object for every lam; no table is
-    built, whatever its size."""
-    weight = _dyadic_weight(lam)
-    return Factor(_plan(u)[1], weight)
+    built, whatever its size.  A lam above MAX_RAY_BITS raises
+    RealizationError naming the ray's up-set by its minimal sets."""
+    try:
+        weight = _dyadic_weight(lam)
+    except RealizationError as error:
+        generators = ", ".join(map(mask_label, u.minimal_sets()))
+        raise RealizationError(f"{error}, on the up-set generated by {generators}") from error
+    return Factor(_plan(u.n, u.table)[1], weight)
 
 
 @dataclass(frozen=True)
@@ -169,8 +177,11 @@ def _compare(v: REVector, achieved: REVector, tol: float) -> VerificationReport:
     """Judge achieved against v: the largest deviation, taken once per
     pair of intersecting level sets of the two, and the monotonicity
     recheck of achieved under the cone's tolerance policy."""
-    max_err = max(_deviation(t, a) for t, t_table in v.levels.items()
-                  for a, a_table in achieved.levels.items() if t_table & a_table)
+    max_err = 0.0
+    for t, t_table in v.levels.items():
+        for a, a_table in achieved.levels.items():
+            if t_table & a_table and (err := _deviation(t, a)) > max_err:
+                max_err = err
     recheck = check_membership(achieved)
     return VerificationReport(target=v, achieved=achieved, tol=tol, max_abs_error=max_err,
                               monotone_ok=recheck.member, violations=recheck.violations,
@@ -219,24 +230,26 @@ def dense_pair(pair: ProductPair) -> StatePair:
 def synthesize(v: REVector) -> RealizationResult:
     """Build and check a state pair realizing a finite cone member.
 
-    Decomposes v over its level sets, plans a scheme per nested ray (or
-    reuses the one kept for its up-set), realizes each ray as one factor
-    of a ProductPair and sums the factors' vectors, from rank, into the
-    achieved vector; no share table is built.  The achieved vector is
-    judged as verify judges it, with tolerance TOL: compared with v once
-    per pair of intersecting level sets and rechecked for membership.
-    Raises RealizationError, naming the worst subset, unless that
-    verdict passes.
+    Decomposes v over its level sets, then, in one pass over the terms,
+    plans a scheme per nested ray (or reuses the one kept for its up-set)
+    and realizes the ray as one factor of a ProductPair; the factors'
+    vectors are summed, from rank, into the achieved vector, and no share
+    table is built.  The achieved vector is judged as verify judges it,
+    with tolerance TOL: compared with v once per pair of intersecting
+    level sets and rechecked for membership.  Raises RealizationError,
+    naming the worst subset, unless that verdict passes.
     """
     decomposition = layer_cake_decompose(v)  # also enforces membership
-    plans = tuple(plan_ray(upset) for _, upset in decomposition.terms)
-    pair = ProductPair(v.n, tuple(realize_ray(upset, coeff)
-                                  for coeff, upset in decomposition.terms))
+    plans, factors = [], []
+    for coeff, upset in decomposition.terms:
+        plans.append(plan_ray(upset))
+        factors.append(realize_ray(upset, coeff))
+    pair = ProductPair(v.n, tuple(factors))
     achieved = re_vector(pair)
     report = _compare(v, achieved, TOL)
     if not report.passed:
         raise RealizationError(f"synthesized pair fails verification: {describe_deviation(report)}")
-    return RealizationResult(target=v, decomposition=decomposition, plans=plans, pair=pair,
+    return RealizationResult(target=v, decomposition=decomposition, plans=tuple(plans), pair=pair,
                              achieved=achieved, max_abs_error=report.max_abs_error)
 
 

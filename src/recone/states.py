@@ -312,7 +312,6 @@ def re_vector(pair: StatePair | ProductPair | Factor) -> REVector:
     per side.  The walk is depth first, so only one chain of marginals is
     alive at a time.
     """
-    order = subsets_in_order(pair.n)
     if isinstance(pair, Factor):
         pair = ProductPair(pair.n, (pair,))
     if isinstance(pair, ProductPair):
@@ -344,4 +343,4 @@ def re_vector(pair: StatePair | ProductPair | Factor) -> REVector:
                 walk(mask ^ 1 << i, marginal(rho, rest), marginal(sigma, rest))
 
     walk((1 << pair.n) - 1, pair.rho, pair.sigma)
-    return REVector(pair.n, tuple(values[m] for m in order))
+    return REVector(pair.n, tuple(values[m] for m in subsets_in_order(pair.n)))

@@ -17,6 +17,7 @@ from recone.cone import (
 )
 from recone.lattice import (
     UpSet,
+    _closure_steps,
     _one_party_up,
     _without,
     enumerate_upsets,
@@ -83,8 +84,8 @@ def is_closed(table, n):
 def fixpoint_closure(table, n):
     """Oracle for lattice._closure: add every member plus one party until
     nothing changes."""
-    without = _without(n)
-    while (closed := table | _one_party_up(table, without)) != table:
+    steps = _closure_steps(n)
+    while (closed := table | _one_party_up(table, steps)) != table:
         table = closed
     return table
 

@@ -437,14 +437,21 @@ def test_huge_level_exits_two(command, tmp_path, capsys):
 
 
 def test_level_above_max_ray_bits_exits_one(tmp_path, capsys):
-    # a member whose one ray needs a weight below the smallest double
-    path = write(tmp_path, "v.json", {"n": 1, "entries": [{"parties": [1], "value": 5000}]})
-    out = tmp_path / "pair.json"
-    assert main(["synthesize", path, "-o", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and not out.exists()
-    assert json.loads(captured.err)["error"] == (
-        "ray coefficient must be a number of bits in (0, 1074], got 5000")
+    # a member whose one ray needs a weight below the smallest double; the
+    # refusal names the ray's up-set by its minimal sets
+    one_party = {"n": 1, "entries": [{"parties": [1], "value": 5000}]}
+    three_parties = {"n": 3, "entries": [{"parties": p, "value": v} for p, v in (
+        ([1], 0), ([2], 0), ([3], 0), ([1, 2], 5000), ([1, 3], 5000), ([2, 3], 0),
+        ([1, 2, 3], 5000))]}
+    for doc, generators in ((one_party, "A"), (three_parties, "AB, AC")):
+        path = write(tmp_path, "v.json", doc)
+        out = tmp_path / "pair.json"
+        assert main(["synthesize", path, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert json.loads(captured.err)["error"] == (
+            "ray coefficient must be a number of bits in (0, 1074], got 5000, "
+            f"on the up-set generated by {generators}")
 
 
 def test_dimension_mismatch_exits_two(tmp_path, capsys):

@@ -94,12 +94,20 @@ def test_membership_infinite_entries():
     assert not report.infinite_part_ok
 
 
+class Bits(float):
+    """A float subclass: an entry that is not exact."""
+
+
 def test_membership_tolerance():
     # floats within TOL count as equal; exact entries compare exactly
     jittered = REVector(2, (1.0, 0.0, 1.0 - 1e-15))
     assert check_membership(jittered).member
     assert not check_membership(REVector(2, (1.0, 0.0, 1.0 - 2 * TOL))).member
     assert not check_membership(REVector(2, (1, 0, 1 - Fraction(1, 10**15)))).member
+    # neither a float subclass nor a bool is exact, so either keeps TOL
+    assert check_membership(REVector(2, (1, 0, Bits(1.0 - 1e-15)))).member
+    assert check_membership(REVector(2, (True, 0, 1 - Fraction(1, 10**15)))).member
+    assert not check_membership(REVector(2, (True, 0, 1 - Fraction(2, 10**9)))).member
 
 
 def test_layer_cake_single_ray():

@@ -19,7 +19,7 @@ from recone.cone import (
     Violation,
     layer_cake_decompose,
 )
-from recone.jsonio import pair_to_json
+from recone.jsonio import pair_from_json, pair_to_json
 from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure
 from recone.realize import (
     MAX_SIGMA_ATOMS,
@@ -539,3 +539,23 @@ def test_dense_pair_audits_the_factored_pair():
             audited += 1
     assert audited == 115
     assert digest.hexdigest() == DENSE_PAIRS_SHA256
+
+
+# SHA-256 over the repr of each achieved vector's values, synthesize's
+# max_abs_error and verify's on the pair read back from JSON: the floats
+# pinned bit for bit
+ACHIEVED_SHA256 = "0634974006bd82ce50e61da212e3ffa031b1141ae50eab27d31ca0dbbbf36df9"
+
+
+def test_achieved_vectors_golden_digest():
+    rays = [REVector(5, tuple(lam if m.bit_count() >= k else 0.0 for m in subsets_in_order(5)))
+            for k, lam in ((1, 1.3), (2, 2.7), (5, 0.9))]
+    digest = hashlib.sha256()
+    targets = (*random_members(3, 3, 50), *random_members(5, 5, 20), *closure_members(8, 8, 5), *rays)
+    for target in targets:
+        result = synthesize(target)
+        back = pair_from_json(json.loads(json.dumps(pair_to_json(result.pair))))
+        checked = verify(target, back).max_abs_error
+        digest.update(repr((result.achieved.values, result.max_abs_error, checked)).encode())
+    assert len(targets) == 78
+    assert digest.hexdigest() == ACHIEVED_SHA256
