@@ -13,26 +13,24 @@ pair is one object:
      "rho":   [{"symbols": [0, 0], "p": {"num": "1", "den": "2"}}, ...],
      "sigma": [...]}
 
-and a factored pair, the tensor product of its factors, lists each
-factor as its linear scheme, the forms of each party's slots over GF(q)
-(see recone.schemes.Scheme), and its exact weight (none for the zero
-vector):
+and a factored pair, the tensor product of its factors (none for the
+zero vector), lists each factor's linear scheme, the forms of each
+party's slots over GF(q) (see recone.schemes.Scheme), and its exact weight:
 
-    {"n": 2, "factors": [{"q": 2, "slots": [[[0, 1]], [[1, 1]]], "randomness": 1,
+    {"n": 2, "factors": [{"q": 2, "slots": [[2], [3]], "randomness": 1,
                           "weight": {"num": "1", "den": "2"}}, ...]}
 
-A factor is checked by the Scheme constructor, which packs each form's
-coefficient list into one int as it checks it, with one slot list per
-party, and by 0 < p < 1; no table is built, and a form is written back
-from its packed int.  A dense pair object inside
-"factors" is refused.
+A form is the packed int Scheme.forms keeps, its coefficient list
+[c0, ..., cR] in base q, c0 (the secret's) as digit 0: A holds r1 and B
+b + r1 here.  A coefficient list, [[[0, 1]], [[1, 1]]] here, is read too.
+The Scheme constructor and 0 < p < 1 check a factor without a table; a
+dense pair object inside "factors" is refused.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 
 from .cone import MembershipReport, RayDecomposition, REVector, Violation
 from .lattice import MAX_PARTIES, mask_label, mask_of, parties, subsets_in_order
@@ -148,7 +146,7 @@ def pair_to_json(pair: StatePair | ProductPair) -> dict:
 
 def _factor_to_json(f: Factor) -> dict:
     s, p = f.scheme, f.weight
-    return {"q": s.q, "slots": s.coefficient_lists(), "randomness": s.randomness,
+    return {"q": s.q, "slots": list(map(list, s.forms)), "randomness": s.randomness,
             "weight": {"num": str(p.numerator), "den": str(p.denominator)}}
 
 
@@ -182,12 +180,9 @@ def _factor_from_json(doc, n: int) -> Factor:
     if doc.keys() != _FACTOR_KEYS:
         raise ValueError(f"a factor holds exactly 'q', 'slots', 'randomness' and 'weight', "
                          f"got {sorted(doc)}")
-    slots = doc["slots"]
-    if not (isinstance(slots, list) and len(slots) == n):
+    slots = doc["slots"]  # the constructor checks each form: an int, or a list, not a bool
+    if not (isinstance(slots, list) and len(slots) == n and set(map(type, slots)) <= {list}):
         raise ValueError(f"'slots' must hold one list of forms per party, {n} in all")
-    # the constructor packs each list as it checks it; a JSON number is no form
-    if not (set(map(type, slots)) <= {list} and set(map(type, chain.from_iterable(slots))) <= {list}):
-        raise ValueError("slots must list each party's forms as lists of coefficients")
     num, den = _probability_from_json(doc["weight"])
     return Factor(Scheme(doc["q"], slots, doc["randomness"]), Fraction(num, den))
 

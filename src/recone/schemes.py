@@ -26,7 +26,7 @@ Elimination reduces the highest column first and the secret's last.
 Over GF(2) a row is the packed int itself, reduced by XOR against a
 basis keyed by bit length, Gaussian elimination on machine words as in
 M4RI (Albrecht and Bard).  Base-q digits do not add digit by digit in an
-int, so over q > 2 the rows are the coefficient lists.
+int, so over q > 2 a row is the list of its form's digits.
 
 Every scheme here is a shape of one layout, formula_layout: the secret
 shared down a monotone formula of threshold gates (Benaloh and Leichter
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
+from math import isqrt
 
 from .lattice import MAX_PARTIES, UpSet, _closure
 from .states import JointDistribution, StatePair, mix
@@ -50,14 +51,7 @@ MAX_MODULUS = 1 << 31
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
 
 
 def smallest_prime_above(m: int) -> int:
@@ -67,7 +61,7 @@ def smallest_prime_above(m: int) -> int:
     return p
 
 
-_NOT_LISTS = "slots must list each party's forms as lists of coefficients"
+_NOT_LISTS = "slots must list each party's forms as packed ints or as lists of coefficients"
 _NOT_INJECTIVE = ("duplicate symbol tuple in the table for b = 0: "
                   "two random choices give the same shares")
 
@@ -92,10 +86,19 @@ def _extend_gf2(basis: dict[int, int], rows) -> bool:
     return recovers
 
 
+def _digits(f: int, q: int) -> list[int]:
+    """f's base-q digits, lowest first, up to its highest nonzero one."""
+    digits = []
+    while f:
+        f, c = divmod(f, q)
+        digits.append(c)
+    return digits
+
+
 def _extend_gfq(q: int, basis: dict[int, list[int]], rows) -> bool:
-    """_extend_gf2 over GF(q), on coefficient lists keyed by their highest
-    nonzero column: basis rows are kept with 1 there, and a row is
-    replaced, never changed, so the rows may be shared between bases."""
+    """_extend_gf2 over GF(q), on digit lists (0 past their end) keyed by
+    their highest nonzero column: basis rows are kept with 1 there, and a
+    row is replaced, never changed, so rows may be shared between bases."""
     recovers = False
     for row in rows:
         for col in range(len(row) - 1, -1, -1):
@@ -184,19 +187,19 @@ class Scheme:
         return len(self.forms)
 
     def coefficient_lists(self) -> list[list[list[int]]]:
-        """Each party's forms as coefficient lists [c0, c1, ..., cR], as a
-        pair file holds them: the base-q digits of each packed form."""
-        q = self.q
-        powers = [q ** i for i in range(self.randomness + 1)]
-        return [[[f // p % q for p in powers] for f in forms] for forms in self.forms]
+        """Each party's forms as coefficient lists [c0, c1, ..., cR]: the
+        base-q digits of each packed form."""
+        q, width = self.q, self.randomness + 1
+        return [[(_digits(f, q) + [0] * width)[:width] for f in forms] for forms in self.forms]
 
     def _elimination(self):
         """Per party its rows and the kernel extend(basis, rows) that
         eliminates them: the packed forms themselves over GF(2), their
-        coefficient lists over GF(q)."""
-        if self.q == 2:
+        digit lists over GF(q), so rows cost what the forms hold, not R."""
+        q = self.q
+        if q == 2:
             return self.forms, _extend_gf2
-        return self.coefficient_lists(), partial(_extend_gfq, self.q)
+        return [[_digits(f, q) for f in forms] for forms in self.forms], partial(_extend_gfq, q)
 
     def authorized(self) -> int:
         """Truth table of the groups that recover the secret: bit m is set

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import closure_members
-from test_jsonio import DENSE_DOC, MALFORMED_FACTORS, malformed_factor_doc
+from test_jsonio import DENSE_DOC, LISTED_PAIR, MALFORMED_FACTORS, malformed_factor_doc
 
 from recone import schemes
 from recone.cli import main
@@ -297,7 +297,8 @@ def _factored_doc(edit):
     (lambda d: d.update(n=3), "factor 1: 'slots' must hold one list of forms per party, 3"),
     (lambda d: d.update(factors=d["factors"][0]), "'factors' must be a list"),
     (lambda d: d.update(rho=[]), "exactly 'n' and 'factors'"),
-    (lambda d: d["factors"][1]["slots"][0][0].append(0), "factor 2: form"),
+    # A's packed form set to q ** (R + 1), one digit too many
+    (lambda d: d["factors"][1]["slots"][0].__setitem__(0, 4), "factor 2: packed form 4 needs 2"),
 ], ids=["factor-n", "factors-not-list", "factors-and-rho", "bad-atom-in-factor-2"])
 @pytest.mark.parametrize("command", ["relent", "verify"])
 def test_malformed_factored_pair_exits_two(command, edit, needle, tmp_path, capsys):
@@ -360,6 +361,40 @@ def test_too_few_forms_for_the_randomness_exit_two_at_once(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"].startswith("factor 1: duplicate symbol tuple")
+
+
+@pytest.mark.parametrize("uncapped", [False, True])
+@pytest.mark.parametrize("command", ["relent", "verify"])
+def test_form_past_the_int_digit_limit_exits_two(command, uncapped, tmp_path, capsys):
+    # json refuses an int of more than 4 300 digits where Python caps them,
+    # and the range check refuses it where Python reads it
+    doc = _factored_doc(lambda d: d["factors"][1]["slots"][0].__setitem__(0, "FORM"))
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(json.dumps(doc).replace('"FORM"', "1" * 5000))
+    vec_path = write(tmp_path, "v.json", vector_to_json(REVector(2, (0, 0, 2))))
+    argv = ["relent", str(pair_path)] if command == "relent" else ["verify", vec_path, str(pair_path)]
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if uncapped and cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert main(argv) == 2
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    if 0 < cap < 5000 and not uncapped:
+        assert "for integer string conversion" in error
+    else:
+        assert error.startswith("factor 2: packed form 1111") and "needs 2 digits in base 2" in error
+
+
+def test_pair_file_with_coefficient_lists_verifies(tmp_path, capsys):
+    # forms as coefficient lists, as files held them before packed ints
+    vec_path = write(tmp_path, "v.json", vector_to_json(REVector(3, (0, 0, 0, 2, 2, 2, 3))))
+    assert main(["verify", vec_path, write(tmp_path, "pair.json", LISTED_PAIR)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_factored_pair_file_round_trip(tmp_path, capsys):

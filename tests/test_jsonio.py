@@ -2,10 +2,15 @@ import copy
 import hashlib
 import json
 import math
+import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from conftest import closure_members
+from hypothesis import given, settings
+from test_schemes import random_layouts
 
 from recone.cone import REVector, check_membership, layer_cake_decompose
 from recone.jsonio import (
@@ -17,10 +22,10 @@ from recone.jsonio import (
     vector_to_json,
     verification_report_to_json,
 )
-from recone.lattice import enumerate_upsets, upward_closure
+from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure
 from recone.realize import _dyadic_weight, dense_pair, realize_ray, synthesize, verify
 from recone.schemes import dnf_scheme, scheme_state_pair
-from recone.states import JointDistribution, ProductPair, StatePair
+from recone.states import Factor, JointDistribution, ProductPair, StatePair
 
 
 def test_vector_round_trip():
@@ -113,16 +118,75 @@ def test_realize_ray_keeps_xor_pair_except_two_of_three():
 def test_factored_pair_round_trip():
     result = synthesize(REVector(3, (0, 0, 0, 2, 2, 2, 3)))
     doc = pair_to_json(result.pair)
-    # ABC at 1 bit by XOR, then 2-of-3 at 2 bits by Shamir over GF(5)
+    # ABC at 1 bit by XOR, then 2-of-3 at 2 bits by Shamir over GF(5); each
+    # form is packed in base q with the secret at digit 0: 7 is b + r1 + r2
+    # over GF(2), 16 = 1 + 3 * 5 is b + 3 r1 over GF(5)
     assert doc == {"n": 3, "factors": [
-        {"q": 2, "slots": [[[0, 1, 0]], [[0, 0, 1]], [[1, 1, 1]]], "randomness": 2,
-         "weight": {"num": "1", "den": "2"}},
-        {"q": 5, "slots": [[[1, 1]], [[1, 2]], [[1, 3]]], "randomness": 1,
-         "weight": {"num": "1", "den": "4"}}]}
+        {"q": 2, "slots": [[2], [4], [7]], "randomness": 2, "weight": {"num": "1", "den": "2"}},
+        {"q": 5, "slots": [[6], [11], [16]], "randomness": 1, "weight": {"num": "1", "den": "4"}}]}
     assert pair_from_json(json.loads(json.dumps(doc))) == result.pair
+    # the same pair with each form as its coefficient list, as files held them before
+    assert pair_from_json(LISTED_PAIR) == result.pair
     empty = pair_to_json(ProductPair(2, ()))
     assert empty == {"n": 2, "factors": []}
     assert pair_from_json(empty) == ProductPair(2, ())
+
+
+#: test_factored_pair_round_trip's pair, its forms written as coefficient lists
+LISTED_PAIR = {"n": 3, "factors": [
+    {"q": 2, "slots": [[[0, 1, 0]], [[0, 0, 1]], [[1, 1, 1]]], "randomness": 2,
+     "weight": {"num": "1", "den": "2"}},
+    {"q": 5, "slots": [[[1, 1]], [[1, 2]], [[1, 3]]], "randomness": 1,
+     "weight": {"num": "1", "den": "4"}}]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_layouts())
+def test_any_forms_round_trip_packed_or_listed(layout):
+    # over GF(2) and GF(q): the file holds the packed ints, and the same
+    # forms as coefficient lists read to an equal pair
+    scheme, weight = layout
+    pair = ProductPair(scheme.n, (Factor(scheme, weight),))
+    doc = pair_to_json(pair)
+    assert doc["factors"][0]["slots"] == [list(forms) for forms in scheme.forms]
+    assert pair_from_json(json.loads(json.dumps(doc))) == pair
+    doc["factors"][0]["slots"] = scheme.coefficient_lists()
+    assert pair_from_json(json.loads(json.dumps(doc))) == pair
+
+
+def test_zero_forms_claiming_a_large_randomness_build_no_rows_of_that_width():
+    # packed forms let 9 KB of file claim R = 3 000 over GF(3): the rank check
+    # refuses it from each form's own digits, not from 3 000 rows of 3 001
+    # coefficients (72 MB)
+    doc = {"n": 1, "factors": [{"q": 3, "slots": [[0] * 3000], "randomness": 3000,
+                                "weight": {"num": "1", "den": "2"}}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^factor 1: duplicate symbol tuple"):
+            pair_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def generic_n8_member():
+    """The additive n = 8 member v(S) = sum of w_i over S, w_i ~ U(0.1, 1):
+    255 distinct entries, so 255 rays."""
+    rng = random.Random(8)
+    w = [rng.uniform(0.1, 1) for _ in range(8)]
+    return REVector(8, tuple(sum(w[i] for i in range(8) if m >> i & 1)
+                             for m in subsets_in_order(8)))
+
+
+def test_n8_pair_files_stay_small():
+    # packed forms take 245 167 and 23 649 bytes; as coefficient lists the
+    # same pairs took 3 494 302 and 145 698
+    generic = len(json.dumps(pair_to_json(synthesize(generic_n8_member()).pair)))
+    assert generic < 300_000
+    seeded = sum(len(json.dumps(pair_to_json(synthesize(v).pair)))
+                 for v in closure_members(8, 8, 20))
+    assert seeded < 30_000
 
 
 #: the 2-of-2 XOR factor at 1 bit: A holds r1, B holds b + r1
@@ -199,7 +263,13 @@ MALFORMED_FACTORS = {
     "three-slot-lists": lambda f: f["slots"].append([]),
     "one-slot-list": lambda f: f["slots"].pop(),
     "slots-not-a-list": lambda f: f.update(slots={"A": [[0, 1]], "B": [[1, 1]]}),
-    "form-not-a-list": lambda f: f["slots"][0].__setitem__(0, 1),
+    # a form packed into one int is read; these are not, with q = 2 and R = 1
+    "form-a-bool": lambda f: f["slots"][0].__setitem__(0, True),
+    "form-a-float": lambda f: f["slots"][0].__setitem__(0, 1.0),
+    "form-a-string": lambda f: f["slots"][0].__setitem__(0, "3"),
+    "form-a-dict": lambda f: f["slots"][0].__setitem__(0, {"0": 1}),
+    "packed-form-negative": lambda f: f["slots"][0].__setitem__(0, -1),
+    "packed-form-at-q-to-the-r-plus-1": lambda f: f["slots"][0].__setitem__(0, 4),
     "bool-coefficient": lambda f: f["slots"][0][0].__setitem__(1, True),
     "float-coefficient": lambda f: f["slots"][0][0].__setitem__(1, 1.0),
     "negative-coefficient": lambda f: f["slots"][0][0].__setitem__(1, -1),
