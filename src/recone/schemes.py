@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
-from math import isqrt
 
 from .lattice import MAX_PARTIES, UpSet, _closure
 from .states import JointDistribution, StatePair, mix
@@ -51,7 +50,14 @@ MAX_MODULUS = 1 << 31
 
 
 def is_prime(m: int) -> bool:
-    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
+    if m < 2:
+        return False
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def smallest_prime_above(m: int) -> int:
@@ -172,9 +178,14 @@ class Scheme:
             forms.append(tuple(flat[start:]))
         if len(flat) < randomness:  # fewer forms than R cannot have rank R
             raise ValueError(_NOT_INJECTIVE)
-        if flat and not (min(flat) >= 0 and max(flat) < q ** (randomness + 1)):
-            form = next(f for f in flat if not 0 <= f < q ** (randomness + 1))
-            raise ValueError(f"packed form {form} needs {randomness + 1} digits in base {q}")
+        if flat:
+            # 2**short <= q**(R + 1): a form shorter than short bits fits, so
+            # the bound itself is built, once, only for a form about as long
+            short = (q.bit_length() - 1) * (randomness + 1)
+            bound = pow(q, randomness + 1) if max(flat).bit_length() > short else 1 << short
+            if not (min(flat) >= 0 and max(flat) < bound):
+                form = next(f for f in flat if not 0 <= f < bound)
+                raise ValueError(f"packed form {form} needs {randomness + 1} digits in base {q}")
         vars(self).update(q=q, forms=tuple(forms), randomness=randomness)  # frozen: no __setattr__
         basis = {}
         rows, extend = self._elimination()

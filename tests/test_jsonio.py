@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -168,6 +169,33 @@ def test_zero_forms_claiming_a_large_randomness_build_no_rows_of_that_width():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def bound_builds(doc) -> int:
+    """Refuse doc through pair_from_json and count the calls to pow, which
+    the range check makes only to build its bound q**(R + 1)."""
+    calls = []
+    profile = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: calls.append(arg) if event == "c_call" else None)
+    try:
+        with pytest.raises(ValueError, match="^factor 1: packed form "):
+            pair_from_json(doc)
+    finally:
+        sys.setprofile(profile)
+    return sum(arg is pow for arg in calls)
+
+
+def test_a_form_out_of_range_past_many_zero_forms_builds_the_bound_at_most_once():
+    # 60 KB of zero forms claim R = 20 000 over GF(2**31 - 1): q**(R + 1) has
+    # 620 000 bits, and building it once per form before the -1 took minutes
+    q, r = 2147483647, 20000
+    doc = {"n": 1, "factors": [{"q": q, "slots": [[0] * r + [-1]], "randomness": r,
+                                "weight": {"num": "1", "den": "2"}}]}
+    assert bound_builds(doc) == 0  # every form is shorter than the bound: none is built
+    # forms as long as the bound need it, once
+    r = 100
+    doc["factors"][0].update(slots=[[0] * r + [q ** (r + 1) - 1, q ** (r + 1), -1]], randomness=r)
+    assert bound_builds(doc) == 1
 
 
 def generic_n8_member():
