@@ -190,8 +190,9 @@ def _compare(v: REVector, achieved: REVector, tol: float) -> VerificationReport:
 
 def verify(v: REVector, pair: StatePair | ProductPair, tol: float = TOL) -> VerificationReport:
     """Recompute the pair's relative-entropy vector and compare to v: a
-    ProductPair's from the forms of each factor's scheme, by rank, a
-    StatePair's from its tables.
+    ProductPair's from each factor's authorized table, found by rank when
+    its scheme was built or taken from an equal scheme alive in the
+    process, a StatePair's from its tables.
 
     Reports the worst deviation, taken over level sets as synthesize
     takes it, and whether the achieved vector itself still passes the

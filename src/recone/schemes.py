@@ -12,16 +12,20 @@ uniform random symbols, packed into one int as its coefficient list
 written in base q (see Scheme), so the secret's coefficient is digit 0.
 Each secret's table is the injective image of GF(q)^R, with exactly
 q**R atoms, and is enumerated on every read and never kept, so a scheme
-holds only its forms and, once asked, its authorized table.
+holds only its forms and its authorized table.
 
 Linearity decides a group's view by rank alone.  Group S's marginal is
 uniform on a coset of the image of S's random columns, shifted by b
 times S's secret column.  The two cosets coincide unless the secret
 column e0 = (1, 0, ..., 0) lies in the row span of S's forms, and are
 disjoint when it does: then S recovers b, otherwise its view does not
-depend on b.  Scheme.authorized extends one GF(q) elimination basis
-party by party along a walk of the subsets, records each group where the
-walk first finds the secret, and closes those groups upward.
+depend on b.  The constructor makes the one elimination: it extends one
+GF(q) basis party by party, first along the prefix chain of the parties,
+whose last basis gives the rank check, then along the other branches of
+a walk of the subsets, records each group where the walk first finds the
+secret, and closes those groups upward.  The table depends on (q, forms,
+R) alone, so a scheme equal to one still alive takes that one's table
+and does not walk: each distinct scheme is eliminated once per process.
 Elimination reduces the highest column first and the secret's last.
 Over GF(2) a row is the packed int itself, reduced by XOR against a
 basis keyed by bit length, Gaussian elimination on machine words as in
@@ -39,8 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
+from weakref import WeakValueDictionary
 
 from .lattice import MAX_PARTIES, UpSet, _closure
 from .states import JointDistribution, StatePair, mix
@@ -67,6 +72,7 @@ def smallest_prime_above(m: int) -> int:
     return p
 
 
+_LIVE = WeakValueDictionary()  # (q, forms, R) -> a live scheme that passed every check
 _NOT_LISTS = "slots must list each party's forms as packed ints or as lists of coefficients"
 _NOT_INJECTIVE = ("duplicate symbol tuple in the table for b = 0: "
                   "two random choices give the same shares")
@@ -134,11 +140,12 @@ class Scheme:
     A scheme holds its forms once, packed, per party in forms;
     coefficient_lists unpacks them on every call.
     A layout whose random columns have rank below R maps two random
-    choices to one share tuple, and is refused as a duplicate.
-    distribution(b) lists the share tuples of all (r1, ..., rR) in
-    GF(q)^R, each with weight 1; it is enumerated on every call, and
-    distributions holds both.  The scheme is immutable, so authorized()
-    computes its table once.
+    choices to one share tuple, and is refused as a duplicate, by the
+    first pass of the constructor's one walk, which also builds the
+    authorized() table (or takes it from an equal live scheme, after
+    every check).  distribution(b) lists the share tuples of all
+    (r1, ..., rR) in GF(q)^R, each with weight 1; it is enumerated on
+    every call, and distributions holds both.
     """
 
     q: int
@@ -187,11 +194,11 @@ class Scheme:
                 form = next(f for f in flat if not 0 <= f < bound)
                 raise ValueError(f"packed form {form} needs {randomness + 1} digits in base {q}")
         vars(self).update(q=q, forms=tuple(forms), randomness=randomness)  # frozen: no __setattr__
-        basis = {}
-        rows, extend = self._elimination()
-        extend(basis, chain.from_iterable(rows))
-        if len(basis) < randomness:  # no pivot but on a random column
-            raise ValueError(_NOT_INJECTIVE)
+        key = (q, self.forms, randomness)
+        twin = _LIVE.get(key)  # an equal live scheme has the same table: take it, walk none
+        vars(self)["_authorized"] = self._walk() if twin is None else twin._authorized
+        if twin is None:  # a race between threads at worst walks twice: no lock
+            _LIVE[key] = self  # only once every check and the walk have passed
 
     @property
     def n(self) -> int:
@@ -214,29 +221,37 @@ class Scheme:
 
     def authorized(self) -> int:
         """Truth table of the groups that recover the secret: bit m is set
-        iff e0 lies in the row span of group m's forms.  Computed on the
-        first call and kept."""
+        iff e0 lies in the row span of group m's forms."""
         return self._authorized
 
-    @cached_property
-    def _authorized(self) -> int:
-        """authorized()'s table: a depth-first walk adds one party at a
-        time, above the group's highest, to a copy of the group's
-        elimination basis, and records, without extending, each group that
-        first recovers the secret.  Every recovering group holds the first
-        recovering prefix of its parties, so the table is the closure of
-        the records."""
+    def _walk(self) -> int:
+        """The one elimination: authorized()'s table, or ValueError if the
+        random columns' rank is below R.  One basis takes the prefix chain
+        {0}, {0, 1}, ..., [n], keeping each prefix's basis; the last gives
+        the rank.  A depth-first walk from each prefix that does not
+        recover the secret then adds one party at a time, above the
+        group's highest, to a copy of the group's basis (the last party to
+        the basis itself), and records, without extending, each group that
+        first recovers it.  Every recovering group holds the first
+        recovering prefix of its parties: the table closes the records."""
         n = self.n
         rows, extend = self._elimination()
-        found = 0
-        stack = [(0, {}, 0)]  # (group, its basis, first party the walk may add)
+        prefixes, basis, found = [], {}, 0
+        for j in range(n):
+            if not found and j < n - 1:  # the prefix's branches add a party above j
+                prefixes.append(((1 << j) - 1, dict(basis), j + 1))
+            if extend(basis, rows[j]) and not found:
+                found = 1 << ((2 << j) - 1)
+        if len(basis) < self.randomness:  # no pivot but on a random column
+            raise ValueError(_NOT_INJECTIVE)
+        stack = prefixes  # (group, its basis, first party the walk may add)
         while stack:
             mask, basis, first = stack.pop()
             for j in range(first, n):
-                grown = dict(basis)
+                grown = dict(basis) if j < n - 1 else basis
                 if extend(grown, rows[j]):
                     found |= 1 << (mask | 1 << j)
-                else:
+                elif j < n - 1:
                     stack.append((mask | 1 << j, grown, j + 1))
         return _closure(found, n)
 

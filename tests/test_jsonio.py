@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -9,10 +10,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from conftest import closure_members
+from conftest import closure_members, random_members
 from hypothesis import given, settings
 from test_schemes import random_layouts
 
+from recone import realize, schemes
 from recone.cone import REVector, check_membership, layer_cake_decompose
 from recone.jsonio import (
     decomposition_to_json,
@@ -220,6 +222,32 @@ def test_n8_pair_files_stay_small():
 #: the 2-of-2 XOR factor at 1 bit: A holds r1, B holds b + r1
 SCHEME_FACTOR = {"q": 2, "slots": [[[0, 1]], [[1, 1]]], "randomness": 1,
                  "weight": {"num": "1", "den": "2"}}
+
+
+ROUND_TRIP_MEMBERS = [
+    *random_members(3, 3, 10),
+    REVector(5, tuple(1.5 if m.bit_count() >= 2 else 0.0 for m in subsets_in_order(5))),
+    *closure_members(8, 8, 2),
+]
+
+
+@pytest.mark.parametrize("v", ROUND_TRIP_MEMBERS, ids=lambda v: f"n{v.n}")
+def test_reading_back_a_round_trip_makes_no_elimination(v, monkeypatch):
+    calls = []
+    for kernel in ("_extend_gf2", "_extend_gfq"):
+        monkeypatch.setattr(schemes, kernel, lambda *args, extend=getattr(schemes, kernel):
+                            calls.append(args) or extend(*args))
+    result = synthesize(v)
+    doc = json.loads(json.dumps(pair_to_json(result.pair)))
+    built = len(calls)
+    pair = pair_from_json(doc)  # each factor's scheme is alive in result: its table is taken
+    assert len(calls) == built and verify(v, pair).passed
+    tables = [f.scheme.authorized() for f in pair.factors]
+    del result, pair
+    realize._plan.cache_clear()
+    gc.collect()
+    again = pair_from_json(doc)  # no equal scheme is alive: the read walks
+    assert len(calls) > built and [f.scheme.authorized() for f in again.factors] == tables
 
 
 def factored(doc, edit):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import tracemalloc
 from dataclasses import dataclass
@@ -210,14 +211,47 @@ def test_a_table_read_builds_that_table_alone(monkeypatch):
      lambda u: weighted_threshold_scheme(3, (1, 1, 1), 2, 5)),
 ], ids=["gf2", "gf5"])
 def test_authorized_walks_once_per_scheme(kernel, u, build, monkeypatch):
-    scheme, calls = build(u), []
+    realize._plan.cache_clear()  # a kept scheme equal to the one built here would lend its table
+    gc.collect()
+    calls, extend = [], getattr(schemes, kernel)
+    monkeypatch.setattr(schemes, kernel, lambda *args: calls.append(args) or extend(*args))
+    scheme = build(u)
+    walked = len(calls)
+    assert walked  # construction walks
+    assert scheme.authorized() == u.table and len(calls) == walked
+    equal = build(u)  # an equal scheme, another object, built while the first is alive
+    assert equal is not scheme and equal == scheme
+    assert equal.authorized() == u.table and len(calls) == walked
+    del equal
+    gc.collect()
+    third = build(u)  # the dropped copy took the first's table and left it in place
+    assert third.authorized() == u.table and len(calls) == walked
+    del scheme, third
+    realize._plan.cache_clear()
+    gc.collect()
+    again = build(u)  # no equal scheme is alive: it walks again
+    assert again.authorized() == u.table and len(calls) == 2 * walked
+
+
+@pytest.mark.parametrize("q, slots, randomness, message", [
+    (2, [[2], [2], [2]], 2, "duplicate symbol tuple"),  # r1 thrice: rank 1 below R = 2
+    (3, [[1], [27], [3]], 2, "packed form 27 needs 3 digits in base 3"),  # 27 = 3 ** (R + 1)
+    (3, [[1], [(1, 1)], [3]], 2, r"form \(1, 1\) needs 3 coefficients"),
+], ids=["rank", "range", "length"])
+def test_a_refused_layout_never_enters_the_scheme_table(q, slots, randomness, message,
+                                                         monkeypatch):
+    calls, kernel = [], "_extend_gf2" if q == 2 else "_extend_gfq"
     extend = getattr(schemes, kernel)
     monkeypatch.setattr(schemes, kernel, lambda *args: calls.append(args) or extend(*args))
-    assert scheme.authorized() == u.table and calls
+    with pytest.raises(ValueError, match=message) as first:
+        Scheme(q, slots, randomness)
+    # the prefix chain alone: a rank below R is refused before any branch is walked
+    assert len(calls) <= len(slots)
     walked = len(calls)
-    assert scheme.authorized() == u.table and len(calls) == walked
-    equal = build(u)  # an equal scheme, another object: its constructor and its own walk
-    assert equal == scheme and equal.authorized() == u.table and len(calls) > walked + 1
+    # the first error's traceback keeps the refused object alive; it must not lend its table
+    with pytest.raises(ValueError, match=message) as second:
+        Scheme(q, slots, randomness)
+    assert str(second.value) == str(first.value) and len(calls) == 2 * walked
 
 
 def test_packed_forms_are_read_as_their_base_q_digits():
