@@ -236,15 +236,14 @@ class Scheme:
         recovering prefix of its parties: the table closes the records."""
         n = self.n
         rows, extend = self._elimination()
-        prefixes, basis, found = [], {}, 0
+        stack, basis, found = [], {}, 0  # stack: (group, its basis, first party the walk may add)
         for j in range(n):
             if not found and j < n - 1:  # the prefix's branches add a party above j
-                prefixes.append(((1 << j) - 1, dict(basis), j + 1))
+                stack.append(((1 << j) - 1, dict(basis), j + 1))
             if extend(basis, rows[j]) and not found:
                 found = 1 << ((2 << j) - 1)
         if len(basis) < self.randomness:  # no pivot but on a random column
             raise ValueError(_NOT_INJECTIVE)
-        stack = prefixes  # (group, its basis, first party the walk may add)
         while stack:
             mask, basis, first = stack.pop()
             for j in range(first, n):
