@@ -60,24 +60,29 @@ def test_rays_classes_table(capsys):
     assert "8 classes, 18 up-sets in total" in lines[-1]
 
 
+# SHA-256 of the whole stdout of `recone rays --n 5 --classes` (every class
+# row, in class order) and of `recone rays --n 5` (every row, in enumeration
+# order); CI compares the output of one process per command to these
+RAYS_SHA256 = {
+    "classes": "b1c2d64d8f96b33f721294943abf5bf79c8bf316fa4bcdbda9a2110a5c9ac83b",
+    "rays": "09cad991fed7ab3c5bb74d954f1ce587665af60e15343a171e742e75966ebc52",
+}
+
+
 def test_rays_classes_n5_scale(capsys):
     start = time.perf_counter()
     assert main(["rays", "--n", "5", "--classes"]) == 0
     assert time.perf_counter() - start < 2
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "208 classes, 7579 up-sets in total"
-    # the whole table, rows in class order included
-    digest = "b1c2d64d8f96b33f721294943abf5bf79c8bf316fa4bcdbda9a2110a5c9ac83b"
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == RAYS_SHA256["classes"]
 
 
 def test_rays_n5_output_is_byte_stable(capsys):
     assert main(["rays", "--n", "5"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "7579 up-sets"
-    # every row in enumeration order
-    digest = "09cad991fed7ab3c5bb74d954f1ce587665af60e15343a171e742e75966ebc52"
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == RAYS_SHA256["rays"]
 
 
 def test_rays_rejects_big_n(capsys):

@@ -1,8 +1,12 @@
+import copy
+import dataclasses
 import doctest
 import hashlib
 import math
+import pickle
 import random
 import re
+import weakref
 from collections import Counter
 from itertools import permutations
 
@@ -357,6 +361,14 @@ def test_classes_n5_digest_and_order():
     assert digest == "6117effbed349df5f6d17699234bb602838ed33313804a009bc4c59c8efe8589"
 
 
+def test_enumeration_order_n5_digest():
+    # every truth table of enumerate_upsets(5), in its order: any reordering,
+    # even among up-sets of one member count, changes the digest
+    tables = repr([u.table for u in enumerate_upsets(5)])
+    digest = hashlib.sha256(tables.encode()).hexdigest()
+    assert digest == "dc9beb781a2919ee4c0d91cea79c20b7d73471831f5cd391f953fc378b17959c"
+
+
 def test_canonical_representative_matches_oracle_exhaustive():
     for n in (1, 2, 3, 4):
         for u in enumerate_upsets(n):
@@ -477,6 +489,28 @@ def test_permutation_classes_one_orbit(n):
     batch = [u, u] + [relabel(u, tuple(rng.sample(range(1, n + 1), n))) for _ in range(5)] + [u]
     rng.shuffle(batch)
     assert permutation_classes(batch, n) == [OrbitClass(brute_force_representative(u), 8)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 8])
+def test_upsets_and_classes_are_frozen_and_slotted(n):
+    # up-sets from members, from the lattice's tables and as class
+    # representatives, and the classes themselves
+    u = random_upset(random.Random(n), n)
+    c = permutation_classes([u, u], n)[0]
+    for obj in (UpSet(n, u.members), u, c.representative, c):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(obj)
+        copies = [pickle.loads(pickle.dumps(obj, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies + [copy.deepcopy(obj), copy.copy(obj)]:
+            assert type(other) is type(obj) and other == obj and hash(other) == hash(obj)
+        for field in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, getattr(obj, field.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, field.name)
+    assert c.size == 2 and c.representative == canonical_representative(u)
 
 
 def test_permutation_classes_n1():
