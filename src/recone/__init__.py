@@ -21,13 +21,11 @@ from .lattice import (
     OrbitClass,
     UpSet,
     enumerate_upsets,
-    is_upset,
     mask_label,
     mask_of,
     parties,
     permutation_classes,
     subsets_in_order,
-    upward_closure,
 )
 from .realize import (
     RealizationError,

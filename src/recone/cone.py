@@ -22,12 +22,12 @@ treats entries within TOL of each other as equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from .lattice import UpSet, _closure, subset_index, subsets_in_order
+from .record import Record
 
 #: bits by which float entries may differ and still count as equal
 TOL = 1e-9
@@ -53,21 +53,20 @@ def _check_entries(values) -> None:
             raise ValueError(f"negative entry {v}")
 
 
-@dataclass(frozen=True)
-class REVector:
+class REVector(Record):
     """One extended nonnegative real per nonempty subset, in canonical
     coordinate order (cardinality, then party tuple); values is the
-    public form and levels the working one."""
+    public form and levels the working one, kept in the instance dict."""
 
-    n: int
-    values: tuple
+    _fields = ("n", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        expected = (1 << self.n) - 1
-        if len(self.values) != expected:
-            raise ValueError(f"need {expected} entries for n={self.n}, got {len(self.values)}")
-        _check_entries(self.values)
+    def __init__(self, n: int, values: tuple):
+        values = tuple(values)
+        expected = (1 << n) - 1
+        if len(values) != expected:
+            raise ValueError(f"need {expected} entries for n={n}, got {len(values)}")
+        _check_entries(values)
+        vars(self).update(n=n, values=values)
 
     @classmethod
     def _from_levels(cls, n: int, levels: dict) -> "REVector":
@@ -89,9 +88,7 @@ class REVector:
                     values[index[low.bit_length() - 1]] = val
                     table ^= low
         v = object.__new__(cls)
-        object.__setattr__(v, "n", n)
-        object.__setattr__(v, "values", tuple(values))
-        v.__dict__["levels"] = levels
+        vars(v).update(n=n, values=tuple(values), levels=levels)
         return v
 
     @cached_property
@@ -111,33 +108,23 @@ class REVector:
             raise ValueError("mapping must cover every nonempty subset exactly once")
         return cls(n, tuple(mapping[m] for m in order))
 
-    def value(self, mask: int):
-        return self.values[subset_index(self.n)[mask]]
-
     def entries(self):
         return zip(subsets_in_order(self.n), self.values)
 
     def is_finite(self) -> bool:
         return math.inf not in self.levels
 
-    def __add__(self, other: "REVector") -> "REVector":
-        if not isinstance(other, REVector) or other.n != self.n:
-            return NotImplemented
-        return REVector(self.n, tuple(a + b for a, b in zip(self.values, other.values)))
+
+Violation = namedtuple("Violation", "superset subset v_superset v_subset")
 
 
-class Violation(NamedTuple):
-    superset: int
-    subset: int
-    v_superset: object
-    v_subset: object
+class MembershipReport(Record):
+    __slots__ = _fields = ("member", "violations", "infinite_part_ok")
 
-
-@dataclass(frozen=True)
-class MembershipReport:
-    member: bool
-    violations: tuple[Violation, ...]
-    infinite_part_ok: bool
+    def __init__(self, member: bool, violations: tuple[Violation, ...], infinite_part_ok: bool):
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "infinite_part_ok", infinite_part_ok)
 
 
 _MEMBER = MembershipReport(member=True, violations=(), infinite_part_ok=True)
@@ -233,24 +220,25 @@ def _pair_walk(v: REVector, slack) -> MembershipReport:
                             infinite_part_ok=infinite_ok)
 
 
-@dataclass(frozen=True)
-class RayDecomposition:
-    """Positive combination of nested up-set indicators, innermost first."""
+class RayDecomposition(Record):
+    """Positive combination of nested up-set indicators, innermost first:
+    terms holds (coefficient, UpSet) pairs with strictly growing up-sets."""
 
-    n: int
-    terms: tuple  # ((coefficient, UpSet), ...) with strictly growing up-sets
+    __slots__ = _fields = ("n", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, n: int, terms: tuple):
+        terms = tuple(terms)
         prev = None
-        for coeff, upset in self.terms:
+        for coeff, upset in terms:
             if not coeff > 0:
                 raise ValueError(f"coefficient must be positive, got {coeff}")
-            if upset.n != self.n:
+            if upset.n != n:
                 raise ValueError("up-set party count mismatch")
             if prev is not None and (prev.table & ~upset.table or prev.table == upset.table):
                 raise ValueError("up-sets must be strictly nested, innermost first")
             prev = upset
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
 
 
 def layer_cake_decompose(v: REVector) -> RayDecomposition:

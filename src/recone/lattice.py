@@ -8,11 +8,11 @@ at n = 5 (the counts grow like Dedekind numbers).
 The lattice works on one representation of a family: its truth table, an
 int with bit m set iff mask m is a member.  An UpSet holds only n and its
 table (bit 0, the empty set, clear); masks are validated only where they
-come in, as members or seeds.  Upward closure is one pass of n shifts of
-the table (_closure, for upward_closure, the layer-cake sweep and
-Scheme.authorized), a monotone table on k + 1 parties is a pair lo <= hi
-of monotone tables on k parties, and relabelling the parties by a
-transposition is one delta swap of the table.
+come in, as members.  Upward closure is one pass of n shifts of the
+table (_closure, for the layer-cake sweep and Scheme.authorized), a
+monotone table on k + 1 parties is a pair lo <= hi of monotone tables
+on k parties, and relabelling the parties by a transposition is one
+delta swap of the table.
 
 Batches of tables share one layout: each table is a lane of whole bytes
 of one int.  Closure is checked a batch at a time: every UpSet built from
@@ -23,18 +23,20 @@ and the layer-cake terms are one check each, and a lone table skips the
 packing.  Canonical forms are taken for a whole batch at once: every
 relabelling is one of n coset starts followed by a Heap walk of
 (n-1)! - 1 delta swaps of the packed int, so the cost per table falls
-with the batch.  UpSet and OrbitClass are slotted: they hold no instance
-dict and take no weakrefs.  On 2 cores with Python 3.11, enumerate_upsets(5)
-takes 4.5 to 8 ms, the classes of all 7 579 up-sets of n = 5 take 13 to
-22 ms, and one canonical form at n = 8 takes 3.5 to 7 ms.
+with the batch.  UpSet and OrbitClass are frozen, slotted records
+(recone.record): they hold no instance dict and take no weakrefs.  On 2
+cores with Python 3.11, enumerate_upsets(5) takes 4.5 to 8 ms, the
+classes of all 7 579 up-sets of n = 5 take 13 to 22 ms, and one
+canonical form at n = 8 takes 3.5 to 7 ms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import getitem
+
+from .record import Record
 
 MAX_PARTIES = 8
 MAX_ENUMERATION_PARTIES = 5
@@ -184,22 +186,10 @@ def _check_closed(tables, n: int) -> None:
         raise ValueError(_NOT_UPSET)
 
 
-def is_upset(family, n: int) -> bool:
-    """True iff the family of masks is nonempty and closed under supersets."""
-    table = _table_of(family, n)
-    try:
-        _check_closed((table,), n)
-    except ValueError:
-        return False
-    return True
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class UpSet:
+class UpSet(Record):
     """An upward-closed family of nonempty subsets of [n], as its truth table."""
 
-    n: int
-    table: int
+    __slots__ = _fields = ("n", "table")
 
     def __init__(self, n: int, members):
         table = _table_of(members, n)
@@ -249,18 +239,6 @@ class UpSet:
     def indicator_values(self) -> tuple[int, ...]:
         """0/1 membership per subset, in canonical coordinate order."""
         return tuple(self.table >> m & 1 for m in subsets_in_order(self.n))
-
-
-def upward_closure(seed, n: int) -> UpSet:
-    """Smallest up-set containing the given nonempty seed of masks.
-
-    >>> sorted(upward_closure({0b001}, 3).members)
-    [1, 3, 5, 7]
-    """
-    table = _table_of(seed, n)
-    if not table:
-        raise ValueError("seed must be nonempty")
-    return UpSet._from_table(n, _closure(table, n))
 
 
 def enumerate_upsets(n: int) -> list[UpSet]:
@@ -394,13 +372,15 @@ def _order_key(lookups, table: int) -> int:
     return sum(map(getitem, lookups, table.to_bytes(len(lookups), "little")))
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitClass:
+class OrbitClass(Record):
     """A permutation class of up-sets: canonical representative plus how
     many of the given up-sets fall into the class."""
 
-    representative: UpSet
-    size: int
+    __slots__ = _fields = ("representative", "size")
+
+    def __init__(self, representative: UpSet, size: int):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "size", size)
 
 
 def permutation_classes(upsets, n: int) -> list[OrbitClass]:

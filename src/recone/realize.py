@@ -41,11 +41,10 @@ tolerance TOL for synthesis; per-subset rows are derived only to print.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import itemgetter, or_
-from typing import NamedTuple
 
 from .cone import (
     TOL,
@@ -56,6 +55,7 @@ from .cone import (
     layer_cake_decompose,
 )
 from .lattice import UpSet, mask_label, subsets_in_order
+from .record import Record
 from .schemes import (
     dnf_scheme,
     formula_layout,
@@ -86,12 +86,9 @@ def _dyadic_weight(lam) -> Fraction:
     return Fraction(2.0 ** -float(lam))
 
 
-class RayPlan(NamedTuple):
-    """The scheme chosen for one ray and the table sizes it beat."""
-
-    kind: str  # "xor" or "shamir"
-    table_atoms: int
-    candidates: tuple[tuple[str, int], ...]  # (kind, table atoms) per candidate
+RayPlan = namedtuple("RayPlan", "kind table_atoms candidates")
+RayPlan.__doc__ = """The scheme chosen for one ray, "xor" or "shamir", its table atoms,
+and the table sizes it beat: (kind, table atoms) per candidate."""
 
 
 def _candidates(u: UpSet):
@@ -141,19 +138,23 @@ def realize_ray(u: UpSet, lam) -> Factor:
     return Factor(_plan(u.n, u.table)[1], weight)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """The one verdict on a pair: target against achieved within tol,
-    and the monotonicity recheck of achieved.  The per-subset rows are
-    derived from the two vectors on request."""
+    and the monotonicity recheck of achieved, with its violations.  The
+    per-subset rows are derived from the two vectors on request."""
 
-    target: REVector
-    achieved: REVector
-    tol: float
-    max_abs_error: float
-    monotone_ok: bool
-    violations: tuple[Violation, ...]  # of the monotonicity recheck
-    passed: bool
+    __slots__ = _fields = ("target", "achieved", "tol", "max_abs_error", "monotone_ok",
+                           "violations", "passed")
+
+    def __init__(self, target: REVector, achieved: REVector, tol: float, max_abs_error: float,
+                 monotone_ok: bool, violations: tuple[Violation, ...], passed: bool):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "achieved", achieved)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_abs_error", max_abs_error)
+        object.__setattr__(self, "monotone_ok", monotone_ok)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "passed", passed)
 
     def deviations(self):
         """(mask, target, achieved, deviation) per subset, in canonical order."""
@@ -206,14 +207,22 @@ def verify(v: REVector, pair: StatePair | ProductPair, tol: float = TOL) -> Veri
     return _compare(v, re_vector(pair), tol)
 
 
-@dataclass(frozen=True)
-class RealizationResult:
-    target: REVector
-    decomposition: RayDecomposition
-    plans: tuple[RayPlan, ...]  # one per decomposition term
-    pair: ProductPair  # one factor per decomposition term
-    achieved: REVector
-    max_abs_error: float
+class RealizationResult(Record):
+    """What synthesize built: one plan and one factor of pair per term of
+    the decomposition, and the achieved vector with its largest error."""
+
+    __slots__ = _fields = ("target", "decomposition", "plans", "pair", "achieved",
+                           "max_abs_error")
+
+    def __init__(self, target: REVector, decomposition: RayDecomposition,
+                 plans: tuple[RayPlan, ...], pair: ProductPair, achieved: REVector,
+                 max_abs_error: float):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "plans", plans)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "achieved", achieved)
+        object.__setattr__(self, "max_abs_error", max_abs_error)
 
 
 def dense_pair(pair: ProductPair) -> StatePair:

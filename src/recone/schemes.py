@@ -41,13 +41,13 @@ realizes the up-set u exactly when authorized() equals u.table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
 from weakref import WeakValueDictionary
 
 from .lattice import MAX_PARTIES, UpSet, _closure
+from .record import Record
 from .states import JointDistribution, StatePair, mix
 
 #: largest field size a scheme may use; trial division proves primality
@@ -129,8 +129,7 @@ def _extend_gfq(q: int, basis: dict[int, list[int]], rows) -> bool:
     return recovers
 
 
-@dataclass(frozen=True, init=False)
-class Scheme:
+class Scheme(Record):
     """Scheme given by its generator rows, linear forms over GF(q), q prime.
 
     Scheme(q, slots, R): slots[i] lists party i+1's slots, each the form
@@ -145,12 +144,11 @@ class Scheme:
     authorized() table (or takes it from an equal live scheme, after
     every check).  distribution(b) lists the share tuples of all
     (r1, ..., rR) in GF(q)^R, each with weight 1; it is enumerated on
-    every call, and distributions holds both.
+    every call, and distributions holds both.  A scheme keeps its fields
+    and its table in its instance dict and takes weakrefs, for _LIVE.
     """
 
-    q: int
-    forms: tuple[tuple[int, ...], ...]
-    randomness: int
+    _fields = ("q", "forms", "randomness")
 
     def __init__(self, q: int, slots, randomness: int):
         try:

@@ -19,17 +19,13 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, contains, itemgetter
-from typing import TYPE_CHECKING
 
 from .cone import REVector
 from .lattice import subsets_in_order, validate_mask
-
-if TYPE_CHECKING:
-    from .schemes import Scheme
+from .record import Record
 
 #: largest sigma support a product is multiplied out to.  At about 620
 #: bytes of peak memory per sigma atom (780 with the pair JSON), some 0.65
@@ -69,39 +65,35 @@ def _set_lowest_terms(d: "JointDistribution", atoms, denominator: int) -> None:
     object.__setattr__(d, "denominator", denominator)
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(Record):
     """Exact probability table over a product alphabet.
 
     atoms holds (symbol tuple, weight) pairs sorted by symbols; the
     probability of an atom is weight / denominator.  Weights are positive
     integers summing to the denominator, zero-probability atoms are never
     stored, and the table is kept in lowest terms (the weights share no
-    common factor), so dataclass equality is equality of distributions.
-    The constructor validates everything.
+    common factor), so record equality, field by field, is equality of
+    distributions.  The constructor validates everything.
     """
 
-    n: int
-    alphabet_sizes: tuple[int, ...]
-    atoms: tuple[tuple[tuple[int, ...], int], ...]
-    denominator: int
+    __slots__ = _fields = ("n", "alphabet_sizes", "atoms", "denominator")
 
-    def __post_init__(self):
-        sizes = tuple(self.alphabet_sizes)
-        object.__setattr__(self, "alphabet_sizes", sizes)
-        if self.n < 1 or len(sizes) != self.n:
-            raise ValueError(f"need one alphabet size per party, got {sizes} for n={self.n}")
+    def __init__(self, n: int, alphabet_sizes: tuple[int, ...],
+                 atoms: tuple[tuple[tuple[int, ...], int], ...], denominator: int):
+        sizes = tuple(alphabet_sizes)
+        if n < 1 or len(sizes) != n:
+            raise ValueError(f"need one alphabet size per party, got {sizes} for n={n}")
         if any(s < 1 for s in sizes):
             raise ValueError("alphabet sizes must be positive")
-        den = self.denominator
+        den = denominator
         if not isinstance(den, int) or isinstance(den, bool) or den < 1:
             raise ValueError(f"denominator must be a positive integer, got {den!r}")
-        atoms = [(tuple(sym), w) for sym, w in self.atoms]
+        atoms = [(tuple(sym), w) for sym, w in atoms]
         ranges = [range(s) for s in sizes]
         total = 0
         seen = set()
         for sym, w in atoms:
-            if len(sym) != self.n or not all(map(contains, ranges, sym)):
+            if len(sym) != n or not all(map(contains, ranges, sym)):
                 raise ValueError(f"symbol tuple {sym} outside the alphabets {sizes}")
             if not isinstance(w, int) or isinstance(w, bool) or w <= 0:
                 raise ValueError(f"atom weight must be a positive integer, got {w!r}")
@@ -111,6 +103,8 @@ class JointDistribution:
             total += w
         if total != den:
             raise ValueError(f"probabilities must sum to 1, got {Fraction(total, den)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alphabet_sizes", sizes)
         _set_lowest_terms(self, atoms, den)
 
     @classmethod
@@ -203,16 +197,16 @@ def relative_entropy(P: JointDistribution, Q: JointDistribution) -> float:
     return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class StatePair:
+class StatePair(Record):
     """Two distributions over one product alphabet, the arguments of
     D(rho || sigma)."""
 
-    rho: JointDistribution
-    sigma: JointDistribution
+    __slots__ = _fields = ("rho", "sigma")
 
-    def __post_init__(self):
-        _same_shape(self.rho, self.sigma)
+    def __init__(self, rho: JointDistribution, sigma: JointDistribution):
+        _same_shape(rho, sigma)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def n(self) -> int:
@@ -224,29 +218,27 @@ def tensor(a: StatePair, b: StatePair) -> StatePair:
     return StatePair(_product(a.rho, b.rho), _product(a.sigma, b.sigma))
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Record):
     """One ray of a ProductPair: a linear scheme and an exact weight
     0 < p < 1, standing for rho = table(0) and sigma = the p-mix of
     table(0) and table(1).  By linearity its relative entropy on a group
     is exactly -log2(p) where the group recovers the secret and exactly
     0 elsewhere (see recone.schemes)."""
 
-    scheme: Scheme
-    weight: Fraction
+    __slots__ = _fields = ("scheme", "weight")
 
-    def __post_init__(self):
-        w = self.weight
-        if not (isinstance(w, Fraction) and 0 < w.numerator < w.denominator):
-            raise ValueError(f"weight must be an exact fraction with 0 < p < 1, got {w}")
+    def __init__(self, scheme: Scheme, weight: Fraction):
+        if not (isinstance(weight, Fraction) and 0 < weight.numerator < weight.denominator):
+            raise ValueError(f"weight must be an exact fraction with 0 < p < 1, got {weight}")
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def n(self) -> int:
         return self.scheme.n
 
 
-@dataclass(frozen=True)
-class ProductPair:
+class ProductPair(Record):
     """The tensor product of ray factors over the same n parties, kept as
     its factors.  Relative entropies add over tensor products, so its
     vector is the sum of the factors' vectors; with no factors it is the
@@ -254,17 +246,17 @@ class ProductPair:
     building every factor's tables, unless check_budget refuses the size
     first."""
 
-    n: int
-    factors: tuple[Factor, ...]
+    __slots__ = _fields = ("n", "factors")
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
-        object.__setattr__(self, "factors", factors)
+    def __init__(self, n: int, factors: tuple[Factor, ...]):
+        factors = tuple(factors)
         for i, f in enumerate(factors, start=1):
             if not isinstance(f, Factor):
                 raise ValueError(f"factor {i} is a {type(f).__name__}, not a Factor")
-            if f.n != self.n:
-                raise ValueError(f"factor {i} has {f.n} parties, the product has {self.n}")
+            if f.n != n:
+                raise ValueError(f"factor {i} has {f.n} parties, the product has {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def sigma_atoms(self) -> int:

@@ -1,6 +1,6 @@
 """Shared generators for exact random distributions, state pairs and
-cone members, and the direct lattice, cone and scheme algorithms kept as
-test oracles."""
+cone members, the direct lattice, cone and scheme algorithms kept as
+test oracles, and the lattice and vector helpers only tests use."""
 
 import math
 import random
@@ -17,15 +17,52 @@ from recone.cone import (
 )
 from recone.lattice import (
     UpSet,
+    _check_closed,
+    _closure,
     _closure_steps,
     _one_party_up,
+    _table_of,
     _without,
     enumerate_upsets,
-    is_upset,
+    subset_index,
     subsets_in_order,
-    upward_closure,
 )
 from recone.states import JointDistribution, StatePair, _log2_ratio
+
+
+def is_upset(family, n):
+    """True iff the family of masks is nonempty and closed under supersets."""
+    table = _table_of(family, n)
+    try:
+        _check_closed((table,), n)
+    except ValueError:
+        return False
+    return True
+
+
+def upward_closure(seed, n):
+    """Smallest up-set containing the given nonempty seed of masks.
+
+    >>> sorted(upward_closure({0b001}, 3).members)
+    [1, 3, 5, 7]
+    """
+    table = _table_of(seed, n)
+    if not table:
+        raise ValueError("seed must be nonempty")
+    return UpSet._from_table(n, _closure(table, n))
+
+
+def value(v, mask):
+    """The entry of the vector v on the subset mask."""
+    return v.values[subset_index(v.n)[mask]]
+
+
+def add(v, other):
+    """The entrywise sum of two vectors on the same parties, or
+    NotImplemented, as an __add__ returns it, for anything else."""
+    if not isinstance(other, REVector) or other.n != v.n:
+        return NotImplemented
+    return REVector(v.n, tuple(a + b for a, b in zip(v.values, other.values)))
 
 
 def random_distribution(rng, n, sizes, full_support=False):

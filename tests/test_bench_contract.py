@@ -13,10 +13,9 @@ from pathlib import Path
 import pytest
 
 import recone.jsonio  # noqa: F401  (the tracer patches loaded modules only)
-from conftest import random_pair
+from conftest import random_pair, upward_closure
 from recone import realize, states
 from recone.cone import REVector
-from recone.lattice import upward_closure
 from recone.schemes import dnf_scheme
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

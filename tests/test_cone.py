@@ -3,7 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import closure_members, grouped_levels, hull_decompose, pair_walk_report
+from conftest import (
+    add,
+    closure_members,
+    grouped_levels,
+    hull_decompose,
+    is_upset,
+    pair_walk_report,
+    upward_closure,
+    value,
+)
 from hypothesis import given, seed, settings, strategies as st
 
 import recone.cone
@@ -17,7 +26,7 @@ from recone.cone import (
     check_membership,
     layer_cake_decompose,
 )
-from recone.lattice import UpSet, enumerate_upsets, is_upset, subsets_in_order, upward_closure
+from recone.lattice import UpSet, enumerate_upsets, subsets_in_order
 
 A, B, C = 0b001, 0b010, 0b100
 AB, AC, BC, ABC = 0b011, 0b101, 0b110, 0b111
@@ -52,12 +61,12 @@ def test_revector_validation():
 
 def test_revector_accessors():
     v = REVector.from_mapping(2, {0b01: 1, 0b10: 2, 0b11: 3})
-    assert v.value(0b10) == 2
+    assert value(v, 0b10) == 2
     assert list(v.entries()) == [(0b01, 1), (0b10, 2), (0b11, 3)]
     assert REVector(3, RAY6.indicator_values()).values == (1, 0, 0, 1, 1, 1, 1)
-    assert (v + v).values == (2, 4, 6)
+    assert add(v, v).values == (2, 4, 6)
     for other in ((1, 2, 3), REVector(1, (1,))):  # not a vector, or another n
-        assert v.__add__(other) is NotImplemented
+        assert add(v, other) is NotImplemented
         with pytest.raises(TypeError):
             v + other
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import closure_members, random_members
+from conftest import closure_members, random_members, upward_closure
 from test_cone import near_tie_vectors
 from recone import realize
 from recone.cone import (
@@ -20,7 +20,7 @@ from recone.cone import (
     layer_cake_decompose,
 )
 from recone.jsonio import pair_from_json, pair_to_json
-from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure
+from recone.lattice import enumerate_upsets, subsets_in_order
 from recone.realize import (
     MAX_SIGMA_ATOMS,
     RealizationError,

@@ -6,12 +6,12 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from conftest import closure_members, submask_walk_authorized
+from conftest import closure_members, submask_walk_authorized, upward_closure
 from hypothesis import assume, given, settings, strategies as st
 
 from recone import realize, schemes
 from recone.cone import layer_cake_decompose
-from recone.lattice import UpSet, enumerate_upsets, mask_label, upward_closure
+from recone.lattice import UpSet, enumerate_upsets, mask_label
 from recone.realize import _dyadic_weight
 from recone.schemes import (
     Scheme,

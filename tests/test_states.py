@@ -5,9 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fsum_columns, proper_submasks, random_distribution, random_pair
+from conftest import (
+    add,
+    fsum_columns,
+    proper_submasks,
+    random_distribution,
+    random_pair,
+    upward_closure,
+    value,
+)
 from recone.cone import check_membership
-from recone.lattice import enumerate_upsets, subsets_in_order, upward_closure, validate_mask
+from recone.lattice import enumerate_upsets, subsets_in_order, validate_mask
 from recone.realize import dense_pair, realize_ray
 from recone.schemes import scheme_state_pair
 from recone.states import (
@@ -364,7 +372,7 @@ def test_monotonicity_random_pairs():
         vec = re_vector(pair)
         for mask in order:
             for sub in proper_submasks(mask):
-                assert vec.value(mask) >= vec.value(sub) - 1e-12
+                assert value(vec, mask) >= value(vec, sub) - 1e-12
 
 
 def test_ssa_on_random_states():
@@ -381,7 +389,7 @@ def test_additivity_random_pairs():
         a = random_pair(rng, 2, (2, 3), sigma_full_support=True)
         b = random_pair(rng, 2, (3, 2), sigma_full_support=True)
         lhs = re_vector(tensor(a, b))
-        rhs = re_vector(a) + re_vector(b)
+        rhs = add(re_vector(a), re_vector(b))
         assert all(abs(x - y) <= 1e-10 for x, y in zip(lhs.values, rhs.values))
 
 
@@ -397,7 +405,7 @@ def test_dilution_bound(lam):
         diluted = StatePair(mix(pair.rho, pair.sigma, lam), pair.sigma)
         w = re_vector(diluted)
         for mask in subsets_in_order(2):
-            alpha = float(lam) * v.value(mask) - w.value(mask)
+            alpha = float(lam) * value(v, mask) - value(w, mask)
             assert 0.0 <= alpha <= h2
 
 
@@ -426,7 +434,7 @@ def test_monotone_achieved_vectors_pass_membership():
         vec = re_vector(pair)
         assert check_membership(vec).member
         # no pair drops by more than the 1e-12 float-noise cushion
-        assert all(vec.value(mask) >= vec.value(sub) - 1e-12
+        assert all(value(vec, mask) >= value(vec, sub) - 1e-12
                    for mask in subsets_in_order(3) for sub in proper_submasks(mask))
 
 
