@@ -26,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from .lattice import UpSet, _closure, subset_index, subsets_in_order
+from .lattice import UpSet, _closure, subset_index, subsets_in_order, validate_party_count
 from .record import Record
 
 #: bits by which float entries may differ and still count as equal
@@ -61,6 +61,7 @@ class REVector(Record):
     _fields = ("n", "values")
 
     def __init__(self, n: int, values: tuple):
+        validate_party_count(n)
         values = tuple(values)
         expected = (1 << n) - 1
         if len(values) != expected:
@@ -227,6 +228,7 @@ class RayDecomposition(Record):
     __slots__ = _fields = ("n", "terms")
 
     def __init__(self, n: int, terms: tuple):
+        validate_party_count(n)
         terms = tuple(terms)
         prev = None
         for coeff, upset in terms:

@@ -157,7 +157,7 @@ def pair_from_json(doc) -> StatePair | ProductPair:
     ProductPair of Factors, each read from its forms and weight."""
     n = _party_count(doc)
     if "factors" not in doc:
-        return _dense_pair_from_json(doc)
+        return _dense_pair_from_json(doc, n)
     _require(doc.keys() == {"n", "factors"},
              f"a factored pair holds exactly 'n' and 'factors', got {sorted(doc)}")
     factors = doc["factors"]
@@ -189,8 +189,7 @@ def _factor_from_json(doc, n: int) -> Factor:
     return Factor(Scheme(doc["q"], slots, doc["randomness"]), Fraction(num, den))
 
 
-def _dense_pair_from_json(doc) -> StatePair:
-    n = _party_count(doc)
+def _dense_pair_from_json(doc, n: int) -> StatePair:
     sizes = doc.get("alphabet_sizes")
     _require(isinstance(sizes, list) and len(sizes) == n
              and set(map(type, sizes)) <= {int} and all(s >= 1 for s in sizes),

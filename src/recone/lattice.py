@@ -44,9 +44,15 @@ MAX_ENUMERATION_PARTIES = 5
 _LETTERS = "ABCDEFGH"
 
 
-def validate_mask(mask: int, n: int) -> None:
-    if not 1 <= n <= MAX_PARTIES:
+def validate_party_count(n) -> None:
+    """Raise ValueError unless n is an int, not a bool, in 1..MAX_PARTIES."""
+    if type(n) is not int or not 1 <= n <= MAX_PARTIES:
         raise ValueError(f"party count must be in 1..{MAX_PARTIES}, got {n}")
+
+
+def validate_mask(mask: int, n: int) -> None:
+    if type(n) is not int or not 1 <= n <= MAX_PARTIES:  # inline: this runs once per member
+        validate_party_count(n)
     if not isinstance(mask, int) or isinstance(mask, bool):
         raise ValueError(f"subset mask must be an int, got {mask!r}")
     if mask <= 0 or mask >= 1 << n:
@@ -81,8 +87,7 @@ def subsets_in_order(n: int) -> tuple[int, ...]:
     Sorted by cardinality, then lexicographically by the party tuple, so
     for n=3 the order is A, B, C, AB, AC, BC, ABC.
     """
-    if not 1 <= n <= MAX_PARTIES:
-        raise ValueError(f"party count must be in 1..{MAX_PARTIES}, got {n}")
+    validate_party_count(n)
     return tuple(sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), parties(m))))
 
 
@@ -192,6 +197,7 @@ class UpSet(Record):
     __slots__ = _fields = ("n", "table")
 
     def __init__(self, n: int, members):
+        validate_party_count(n)
         table = _table_of(members, n)
         _check_closed((table,), n)
         object.__setattr__(self, "n", n)
@@ -252,7 +258,8 @@ def enumerate_upsets(n: int) -> list[UpSet]:
     stable sorts give the order, with the constant tables (no member, and
     every mask including the empty one) first and last, and drop those.
     """
-    if not 1 <= n <= MAX_ENUMERATION_PARTIES:
+    validate_party_count(n)
+    if n > MAX_ENUMERATION_PARTIES:
         raise ValueError(
             f"up-set enumeration is supported for 1 <= n <= {MAX_ENUMERATION_PARTIES}; "
             f"counts grow too fast beyond that (got n={n})")
@@ -390,6 +397,7 @@ def permutation_classes(upsets, n: int) -> list[OrbitClass]:
     (lexicographically, in canonical coordinate order), which for n=3
     reproduces the standard eight-ray table.
     """
+    validate_party_count(n)
     upsets = list(upsets)
     if any(u.n != n for u in upsets):
         raise ValueError("all up-sets must share the same party count")

@@ -12,7 +12,7 @@ over tensor products, so the achieved vector is the sum of the rays'
 vectors.  Every scheme here is linear, so a ray's vector follows from
 the rank of each group's forms (recone.schemes) and synthesis, like
 verify, builds no share table; the tables and their tensor product are
-built only on request, by dense_pair.
+built only on request, by dense_pair, the one fold of a product.
 
 The scheme's table size sets the cost of the dense path, so each ray is
 planned before anything is built.  Each candidate is a formula shape
@@ -23,18 +23,17 @@ Shamir gate over GF(q), q the smallest prime above |T|.  The DNF's
 ANDs over GF(2) take |S| - 1 random bits per minimal set S, so its size
 is 2**sum(|S| - 1); the gate's, q**R, is read from its layout.  The
 smaller table is chosen, ties going to XOR.  The chosen scheme is built
-once per up-set and kept with its plan.  dense_pair, like a
-ProductPair's rho and sigma, refuses before building any table when the
-product of the factors' sigma supports exceeds MAX_SIGMA_ATOMS.
+once per up-set and kept with its plan.  dense_pair, which a
+ProductPair's rho and sigma read, refuses before building any table when
+the product of the factors' sigma supports exceeds MAX_SIGMA_ATOMS.
 
-The weight is exact from the start: p = 1 / 2**lam for integer lam, so
-entries come out machine-exact, and otherwise p is the double nearest
-2**(-lam), taken as an exact Fraction.  That double carries 53
-significant bits down to 2**-1022, so achieved values match targets
-well within the cone's TOL for lam from 1e-9 up to 1022 bits.  Past 1022
-bits the double is subnormal and coarser, and synthesis reports any
-miss; MAX_RAY_BITS bounds lam for both kinds of weight.  Synthesis
-and verify judge a pair by one comparison, taken over level sets, with
+The weight is exact from the start: p is the double nearest 2**(-lam),
+taken as an exact Fraction, which is 2**(-lam) itself for integer lam.
+That double carries 53 significant bits down to 2**-1022, so achieved
+values match targets well within the cone's TOL for lam from 1e-9 up to
+1022 bits.  Past 1022 bits the double is subnormal and coarser, and
+synthesis reports any miss; MAX_RAY_BITS bounds lam.  Synthesis and
+verify judge a pair by one comparison, taken over level sets, with
 tolerance TOL for synthesis; per-subset rows are derived only to print.
 """
 
@@ -66,6 +65,7 @@ from .schemes import (
 from .states import (
     MAX_SIGMA_ATOMS,
     Factor,
+    JointDistribution,
     ProductPair,
     RealizationError,
     StatePair,
@@ -81,8 +81,6 @@ def _dyadic_weight(lam) -> Fraction:
     if not 0 < lam <= MAX_RAY_BITS:
         error = RealizationError if lam > MAX_RAY_BITS else ValueError
         raise error(f"ray coefficient must be a number of bits in (0, {MAX_RAY_BITS}], got {lam}")
-    if lam == int(lam):
-        return Fraction(1, 1 << int(lam))
     return Fraction(2.0 ** -float(lam))
 
 
@@ -226,15 +224,14 @@ class RealizationResult(Record):
 
 
 def dense_pair(pair: ProductPair) -> StatePair:
-    """The tensor product of pair's factors as one StatePair, each factor
-    built from its share tables and folded with tensor from the first;
-    the audit path.  Raises RealizationError before building any table
-    when the product's sigma support, the product of the factors',
-    exceeds MAX_SIGMA_ATOMS (ProductPair.check_budget)."""
+    """The package's one fold of a product: pair's factors, each built
+    from its share tables, tensored onto the one-atom pair.  Raises
+    RealizationError before building any table when the product's sigma
+    support exceeds MAX_SIGMA_ATOMS (ProductPair.check_budget)."""
     pair.check_budget()
-    if not pair.factors:
-        return StatePair(pair.rho, pair.sigma)  # the one-atom pair
-    return reduce(tensor, (scheme_state_pair(f.scheme, f.weight) for f in pair.factors))
+    point = JointDistribution._trusted(pair.n, (1,) * pair.n, (((0,) * pair.n, 1),), 1)
+    return reduce(tensor, (scheme_state_pair(f.scheme, f.weight) for f in pair.factors),
+                  StatePair(point, point))
 
 
 def synthesize(v: REVector) -> RealizationResult:

@@ -46,7 +46,7 @@ from functools import partial
 from itertools import chain
 from weakref import WeakValueDictionary
 
-from .lattice import MAX_PARTIES, UpSet, _closure
+from .lattice import UpSet, _closure, validate_party_count
 from .record import Record
 from .states import JointDistribution, StatePair, mix
 
@@ -142,10 +142,10 @@ class Scheme(Record):
     choices to one share tuple, and is refused as a duplicate, by the
     first pass of the constructor's one walk, which also builds the
     authorized() table (or takes it from an equal live scheme, after
-    every check).  distribution(b) lists the share tuples of all
-    (r1, ..., rR) in GF(q)^R, each with weight 1; it is enumerated on
-    every call, and distributions holds both.  A scheme keeps its fields
-    and its table in its instance dict and takes weakrefs, for _LIVE.
+    every check).  distribution(b), the one enumerator of a share table,
+    lists the share tuples of all (r1, ..., rR) in GF(q)^R, each with
+    weight 1, anew on every call; table(b) is its atoms.  A scheme keeps
+    its fields and its table in its dict and takes weakrefs, for _LIVE.
     """
 
     _fields = ("q", "forms", "randomness")
@@ -161,8 +161,7 @@ class Scheme(Record):
             raise ValueError(f"modulus {q} is not prime")
         if type(randomness) is not int or randomness < 0:
             raise ValueError(f"randomness must be a nonnegative integer, got {randomness!r}")
-        if not 1 <= len(slots) <= MAX_PARTIES:
-            raise ValueError(f"party count must be in 1..{MAX_PARTIES}, got {len(slots)}")
+        validate_party_count(len(slots))
         forms, flat = [], []  # one pass: each coefficient sequence is packed as it is checked
         for party in slots:
             start = len(flat)
@@ -252,14 +251,9 @@ class Scheme(Record):
                     stack.append((mask | 1 << j, grown, j + 1))
         return _closure(found, n)
 
-    @property
-    def distributions(self) -> tuple[JointDistribution, JointDistribution]:
-        """The share tables, indexed by the secret bit, built anew on each
-        read: q**R atoms each, which a kept scheme should not hold."""
-        return self.distribution(0), self.distribution(1)
-
     def distribution(self, b: int) -> JointDistribution:
-        """Secret b's share table, built anew on each call."""
+        """Secret b's share table, built anew on each call: q**R atoms,
+        which a kept scheme should not hold."""
         q, slots = self.q, self.coefficient_lists()
         sizes = tuple(q ** len(forms) for forms in slots)
         rows = q ** self.randomness
@@ -357,5 +351,5 @@ def dnf_scheme(u: UpSet) -> Scheme:
 def scheme_state_pair(s: Scheme, weight=Fraction(1, 2)) -> StatePair:
     """State pair (table for 0, weight-mix of the two tables): the dense
     form of a ray factor, built from the full tables."""
-    rho0, rho1 = s.distributions
-    return StatePair(rho0, mix(rho0, rho1, weight))
+    rho0 = s.distribution(0)
+    return StatePair(rho0, mix(rho0, s.distribution(1), weight))

@@ -11,8 +11,8 @@ end, after atoms with identical likelihood ratio have been pooled exactly.
 A ProductPair stands for a tensor product of ray factors.  A Factor is a
 linear secret-sharing scheme and an exact weight p, standing for the pair
 (table(0), p table(0) + (1 - p) table(1)); its vector comes from the
-scheme's rank, so neither a factor nor the product is built unless its
-rho or sigma is read, and then only within the MAX_SIGMA_ATOMS budget.
+scheme's rank; only recone.realize.dense_pair multiplies a product out,
+within the MAX_SIGMA_ATOMS budget, and a product's rho and sigma read it.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from functools import reduce
 from operator import add, contains, itemgetter
 
 from .cone import REVector
-from .lattice import subsets_in_order, validate_mask
+from .lattice import subsets_in_order, validate_mask, validate_party_count
 from .record import Record
 
 #: largest sigma support a product is multiplied out to.  At about 620
@@ -81,8 +80,9 @@ class JointDistribution(Record):
     def __init__(self, n: int, alphabet_sizes: tuple[int, ...],
                  atoms: tuple[tuple[tuple[int, ...], int], ...], denominator: int):
         sizes = tuple(alphabet_sizes)
-        if n < 1 or len(sizes) != n:
+        if len(sizes) != n or n < 1:  # a count that is not a number fails the first test
             raise ValueError(f"need one alphabet size per party, got {sizes} for n={n}")
+        validate_party_count(n)
         if any(s < 1 for s in sizes):
             raise ValueError("alphabet sizes must be positive")
         den = denominator
@@ -242,13 +242,13 @@ class ProductPair(Record):
     """The tensor product of ray factors over the same n parties, kept as
     its factors.  Relative entropies add over tensor products, so its
     vector is the sum of the factors' vectors; with no factors it is the
-    zero vector.  rho and sigma multiply the product out on every access,
-    building every factor's tables, unless check_budget refuses the size
-    first."""
+    zero vector.  rho and sigma each build all of dense_pair(self), both
+    sides: a caller who needs both reads dense_pair once."""
 
     __slots__ = _fields = ("n", "factors")
 
     def __init__(self, n: int, factors: tuple[Factor, ...]):
+        validate_party_count(n)
         factors = tuple(factors)
         for i, f in enumerate(factors, start=1):
             if not isinstance(f, Factor):
@@ -273,18 +273,16 @@ class ProductPair(Record):
             raise RealizationError(f"predicted sigma support of {self.sigma_atoms} atoms "
                                    f"exceeds the budget of {MAX_SIGMA_ATOMS} atoms")
 
-    def _multiply_out(self, sides) -> JointDistribution:
-        self.check_budget()
-        point = JointDistribution._trusted(self.n, (1,) * self.n, (((0,) * self.n, 1),), 1)
-        return reduce(_product, sides, point)
-
+    # read by the tests and the benchmark; realize imports states, so dense_pair is imported late
     @property
     def rho(self) -> JointDistribution:
-        return self._multiply_out(f.scheme.distribution(0) for f in self.factors)
+        from .realize import dense_pair
+        return dense_pair(self).rho
 
     @property
     def sigma(self) -> JointDistribution:
-        return self._multiply_out(mix(*f.scheme.distributions, f.weight) for f in self.factors)
+        from .realize import dense_pair
+        return dense_pair(self).sigma
 
 
 def re_vector(pair: StatePair | ProductPair | Factor) -> REVector:

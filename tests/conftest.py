@@ -4,6 +4,7 @@ test oracles, and the lattice and vector helpers only tests use."""
 
 import math
 import random
+from functools import reduce
 from itertools import product
 
 from recone.cone import (
@@ -27,7 +28,7 @@ from recone.lattice import (
     subset_index,
     subsets_in_order,
 )
-from recone.states import JointDistribution, StatePair, _log2_ratio
+from recone.states import JointDistribution, StatePair, _log2_ratio, _product, mix
 
 
 def is_upset(family, n):
@@ -79,6 +80,18 @@ def random_distribution(rng, n, sizes, full_support=False):
 def random_pair(rng, n, sizes, sigma_full_support=False):
     rho = random_distribution(rng, n, sizes)
     sigma = random_distribution(rng, n, sizes, full_support=sigma_full_support)
+    return StatePair(rho, sigma)
+
+
+def multiplied_out(pair):
+    """Oracle for dense_pair and a ProductPair's rho and sigma: each side
+    folded on its own with the party-wise product of its tables, from the
+    one-atom table; no budget is checked."""
+    n = pair.n
+    point = JointDistribution._trusted(n, (1,) * n, (((0,) * n, 1),), 1)
+    rho = reduce(_product, (f.scheme.distribution(0) for f in pair.factors), point)
+    sigma = reduce(_product, (mix(f.scheme.distribution(0), f.scheme.distribution(1), f.weight)
+                              for f in pair.factors), point)
     return StatePair(rho, sigma)
 
 

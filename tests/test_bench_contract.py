@@ -43,7 +43,7 @@ def test_table_counter_reads_the_atom_count(tracing):
     two_of_five = upward_closure({m for m in range(1, 32) if m.bit_count() == 2}, 5)
     scheme = dnf_scheme(two_of_five)
     # ten pair clauses, two XOR share tuples each
-    assert len(scheme.table(0)) == len(scheme.distributions[0].atoms) == 2 ** 10
+    assert len(scheme.table(0)) == len(scheme.distribution(0).atoms) == 2 ** 10
     counters = defaultdict(int)
     tracing._count_table(counters, (two_of_five,), scheme)
     assert counters["schemes.table_atoms.max"] == 1024

@@ -259,10 +259,10 @@ def test_dense_synthesis_of_an_over_budget_n8_member_builds_no_table(tmp_path, c
                                                                       monkeypatch):
     target = next(v for v in N8_MEMBERS if synthesize(v).pair.sigma_atoms > MAX_SIGMA_ATOMS)
 
-    def no_tables(self):
+    def no_tables(self, b):
         raise AssertionError("a share table was built")
 
-    monkeypatch.setattr(schemes.Scheme, "distributions", property(no_tables))
+    monkeypatch.setattr(schemes.Scheme, "distribution", no_tables)
     vec_path = write(tmp_path, "v.json", vector_to_json(target))
     out = tmp_path / "pair.json"
     assert main(["synthesize", vec_path, "-o", str(out), "--dense"]) == 1

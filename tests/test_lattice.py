@@ -14,7 +14,7 @@ import conftest
 from conftest import fixpoint_closure, is_closed, is_upset, upward_closure
 
 import recone.lattice
-from recone.cone import REVector, layer_cake_decompose
+from recone.cone import RayDecomposition, REVector, layer_cake_decompose
 from recone.lattice import (
     OrbitClass,
     UpSet,
@@ -28,6 +28,7 @@ from recone.lattice import (
     subsets_in_order,
     validate_mask,
 )
+from recone.states import JointDistribution, ProductPair
 
 A, B, C = 0b001, 0b010, 0b100
 AB, AC, BC, ABC = 0b011, 0b101, 0b110, 0b111
@@ -100,6 +101,30 @@ def test_invalid_masks_rejected(mask, n):
 def test_party_count_outside_one_to_eight_rejected(n):
     for call in (lambda: validate_mask(1, n), lambda: subsets_in_order(n)):
         with pytest.raises(ValueError, match=re.escape(f"party count must be in 1..8, got {n}")):
+            call()
+
+
+@pytest.mark.parametrize("n", [True, 0, 9, -1])
+def test_every_entry_point_refuses_a_bool_or_out_of_range_party_count(n):
+    # True passes isinstance(n, int) and 1 <= n, and finds the cached
+    # subsets_in_order(1); a record built on it would be written as
+    # "n": true, which the JSON readers refuse
+    size = n if n > 0 else 1
+    party_count = re.escape(f"party count must be in 1..8, got {n}")
+    calls = {
+        "REVector": lambda: REVector(n, (1.0,) * ((1 << size) - 1)),
+        "UpSet": lambda: UpSet(n, {1}),
+        "RayDecomposition": lambda: RayDecomposition(n, ()),
+        "ProductPair": lambda: ProductPair(n, ()),
+        "enumerate_upsets": lambda: enumerate_upsets(n),
+        "permutation_classes": lambda: permutation_classes([], n),
+        "JointDistribution": lambda: JointDistribution(n, (2,) * size, (((0,) * size, 1),), 1),
+    }
+    for name, call in calls.items():
+        # a count below 1 has no alphabet size per party, and says so
+        message = ("need one alphabet size per party" if name == "JointDistribution" and n < 1
+                   else party_count)
+        with pytest.raises(ValueError, match=message):
             call()
 
 

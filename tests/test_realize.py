@@ -22,8 +22,10 @@ from recone.cone import (
 from recone.jsonio import pair_from_json, pair_to_json
 from recone.lattice import enumerate_upsets, subsets_in_order
 from recone.realize import (
+    MAX_RAY_BITS,
     MAX_SIGMA_ATOMS,
     RealizationError,
+    _dyadic_weight,
     dense_pair,
     describe_deviation,
     plan_ray,
@@ -84,6 +86,12 @@ def test_integer_ray_beyond_53_bits_is_exact():
     assert result.achieved.values == (60.0,)
     assert result.max_abs_error == 0.0
     assert re_vector(realize_ray(RAY6, 60)).values == (60.0, 0.0, 0.0, 60.0, 60.0, 60.0, 60.0)
+
+
+def test_an_integer_weight_is_the_power_of_two_itself():
+    # down to the smallest subnormal, 2**-1074, the double nearest 2**-k is exact
+    for k in range(1, MAX_RAY_BITS + 1):
+        assert Fraction(2.0 ** -float(k)) == Fraction(1, 1 << k) == _dyadic_weight(k)
 
 
 @pytest.mark.parametrize("lam", [40.5, 52.7])
@@ -407,7 +415,8 @@ def test_dense_pair_keeps_no_table_on_the_kept_schemes():
         finally:
             tracemalloc.stop()
         for f, (_, u) in zip(pair.factors, layer_cake_decompose(target).terms):
-            assert realize_ray(u, 1).scheme is f.scheme and "distributions" not in vars(f.scheme)
+            assert realize_ray(u, 1).scheme is f.scheme
+            assert vars(f.scheme).keys() == {"q", "forms", "randomness", "_authorized"}
         assert peak - before > 4 << 20  # the tables and their product were built
         assert after - before < 1 << 20  # and are gone, but for freed objects Python keeps for reuse
 
@@ -451,7 +460,7 @@ def test_oversized_target_refused_before_building(monkeypatch):
     assert len(result.pair.factors) == len(result.plans) == 15
     monkeypatch.setattr(realize, "tensor", no_tables)
     monkeypatch.setattr(realize, "scheme_state_pair", no_tables)
-    monkeypatch.setattr(Scheme, "distributions", property(no_tables))
+    monkeypatch.setattr(Scheme, "distribution", no_tables)
     start = time.perf_counter()
     with pytest.raises(RealizationError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:
         dense_pair(result.pair)
@@ -466,7 +475,7 @@ def test_oversized_ray_refused_before_building(monkeypatch):
     n = 8
     u = upward_closure({m for m in range(1 << n) if m.bit_count() == 4} | {0b111}, n)
     assert plan_ray(u).table_atoms == 2 ** 197
-    monkeypatch.setattr(Scheme, "distributions", property(no_tables))
+    monkeypatch.setattr(Scheme, "distribution", no_tables)
     start = time.perf_counter()
     result = synthesize(REVector(u.n, u.indicator_values()))
     assert result.achieved.values == tuple(map(float, u.indicator_values()))
@@ -483,7 +492,7 @@ def test_multiplying_out_an_over_budget_product_is_refused(monkeypatch):
     # whose product has a 2**43-atom sigma
     pair = synthesize(list(closure_members(8, 8, 2))[1]).pair
     assert len(pair.factors) == 3 and pair.sigma_atoms == 2 ** 43
-    monkeypatch.setattr(Scheme, "distributions", property(no_tables))
+    monkeypatch.setattr(Scheme, "distribution", no_tables)
     start = time.perf_counter()
     for side in ("rho", "sigma"):
         with pytest.raises(RealizationError, match=f"budget of {MAX_SIGMA_ATOMS} atoms") as err:

@@ -81,7 +81,7 @@ def dense_authorized(s: Scheme) -> int:
     every other group sees identical marginals.  Exact arithmetic."""
     table = 0
     for mask in range(1, 1 << s.n):
-        m0, m1 = (marginal(d, mask) for d in s.distributions)
+        m0, m1 = (marginal(s.distribution(b), mask) for b in (0, 1))
         if {sym for sym, _ in m0.atoms}.isdisjoint(sym for sym, _ in m1.atoms):
             table |= 1 << mask
         else:
@@ -188,15 +188,16 @@ def test_linear_scheme_rejects_bad_layouts():
 
 def test_scheme_builds_no_table_until_read():
     scheme = dnf_scheme(TWO_PAIRS_STRUCTURE)
-    assert "distributions" not in vars(scheme)
+    kept = {"q", "forms", "randomness", "_authorized"}
+    assert vars(scheme).keys() == kept
     assert scheme.authorized() == TWO_PAIRS_STRUCTURE.table
-    assert "distributions" not in vars(scheme)
-    assert len(scheme.table(0)) == 4 and "distributions" not in vars(scheme)  # built, not kept
+    assert vars(scheme).keys() == kept
+    assert len(scheme.table(0)) == 4 and vars(scheme).keys() == kept  # built, not kept
 
 
 def test_a_table_read_builds_that_table_alone(monkeypatch):
     scheme, built = weighted_threshold_scheme(3, (1, 1, 1), 2, 5), []
-    both = scheme.distributions
+    both = scheme.distribution(0), scheme.distribution(1)
     trusted = JointDistribution._trusted.__func__
     monkeypatch.setattr(JointDistribution, "_trusted", classmethod(
         lambda cls, *args, **kwargs: built.append(args) or trusted(cls, *args, **kwargs)))
@@ -352,7 +353,7 @@ def test_xor_share_table():
 def test_weighted_scheme_matches_ray6_structure():
     scheme = weighted_threshold_scheme(3, (2, 1, 1), 2, 5)
     assert scheme.q == 5 and [len(forms) for forms in scheme.forms] == [2, 1, 1]
-    assert len(scheme.table(0)) == scheme.distributions[0].denominator == 5
+    assert len(scheme.table(0)) == scheme.distribution(0).denominator == 5
     assert all(w == 1 for _, w in scheme.table(0))
     assert scheme.authorized() == RAY6_STRUCTURE.table
 
@@ -366,7 +367,7 @@ def test_single_party_scheme():
     scheme = weighted_threshold_scheme(1, (1,), 1, 2)
     assert scheme.table(0) == (((0,), 1),)
     assert scheme.table(1) == (((1,), 1),)
-    assert [d.denominator for d in scheme.distributions] == [1, 1]
+    assert [scheme.distribution(b).denominator for b in (0, 1)] == [1, 1]
     assert scheme.authorized() == UpSet(1, frozenset({1})).table
 
 
@@ -493,7 +494,7 @@ def test_dnf_scheme_single_party():
     scheme = dnf_scheme(UpSet(1, frozenset({1})))
     assert scheme.table(0) == (((0,), 1),)
     assert scheme.table(1) == (((1,), 1),)
-    assert [d.denominator for d in scheme.distributions] == [1, 1]
+    assert [scheme.distribution(b).denominator for b in (0, 1)] == [1, 1]
 
 
 def test_dnf_scheme_ray6_clause_layout():
@@ -510,7 +511,7 @@ def test_dnf_scheme_party_outside_all_clauses():
     # register is degenerate
     structure = upward_closure({AB}, 3)
     scheme = dnf_scheme(structure)
-    assert scheme.forms[2] == () and scheme.distributions[0].alphabet_sizes[2] == 1
+    assert scheme.forms[2] == () and scheme.distribution(0).alphabet_sizes[2] == 1
     assert scheme.authorized() == structure.table
 
 
@@ -617,7 +618,7 @@ def test_threshold_clause_scheme_matches_printed_tables():
         (0, 2, 0, 2), (0, 2, 1, 1), (0, 2, 2, 0),
         (1, 1, 0, 2), (1, 1, 1, 1), (1, 1, 2, 0),
         (2, 0, 0, 2), (2, 0, 1, 1), (2, 0, 2, 0)]
-    assert scheme.distributions[0].denominator == 9
+    assert scheme.distribution(0).denominator == 9
     assert all(w == 1 for _, w in scheme.table(0))
     assert scheme.authorized() == TWO_PAIRS_STRUCTURE.table
 
@@ -638,7 +639,7 @@ def test_threshold_clause_pair_marginals():
 
 def test_scheme_distribution_flattening():
     scheme = weighted_threshold_scheme(3, (2, 1, 1), 2, 5)
-    dist = scheme.distributions[0]
+    dist = scheme.distribution(0)
     assert dist.alphabet_sizes == (25, 5, 5)
     # A's two GF(5) slots pack into one symbol, first slot most significant
     assert {sym for sym, _ in dist.atoms} == \

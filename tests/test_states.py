@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     add,
     fsum_columns,
+    multiplied_out,
     proper_submasks,
     random_distribution,
     random_pair,
@@ -115,9 +116,9 @@ def test_distribution_validation():
         JointDistribution(2, (2, 2), (((0, 0), 0),), 0)
     with pytest.raises(ValueError):  # 1/2 + 1/3 over the common denominator 6
         JointDistribution(1, (2,), (((0,), 3), ((1,), 2)), 6)
-    for n, sizes in ((0, ()), (2, (2,))):
+    for n, sizes in ((0, ()), (2, (2,)), ("2", (2, 2)), (None, ())):
         with pytest.raises(ValueError, match="need one alphabet size per party"):
-            JointDistribution(n, sizes, (((0,) * n, 1),), 1)
+            JointDistribution(n, sizes, (((0,) * len(sizes), 1),), 1)
     with pytest.raises(ValueError, match="alphabet sizes must be positive"):
         JointDistribution(2, (2, 0), (((0, 0), 1),), 1)
 
@@ -322,6 +323,24 @@ def test_product_pair_multiplies_out_on_request():
     one = JointDistribution(3, (1, 1, 1), (((0, 0, 0), 1),), 1)
     assert (ProductPair(3, ()).rho, ProductPair(3, ()).sigma) == (one, one)
     assert point_pair(3) == StatePair(one, one)
+
+
+def test_the_one_fold_matches_each_side_multiplied_out():
+    # random products at n <= 3, the empty products, and a 2-of-3 Shamir
+    # factor alone and between two others
+    rng = random.Random(31)
+    shamir = realize_ray(upward_closure({0b011, 0b101, 0b110}, 3), 1.5)
+    assert shamir.scheme.q == 5
+    pairs = [ProductPair(n, ()) for n in (1, 2, 3)]
+    pairs += [ProductPair(3, (shamir,)),
+              ProductPair(3, (random_factor(rng, 3), shamir, random_factor(rng, 3)))]
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        pairs.append(ProductPair(n, tuple(random_factor(rng, n) for _ in range(rng.randint(0, 3)))))
+    for pair in pairs:
+        expected = multiplied_out(pair)
+        assert dense_pair(pair) == expected
+        assert (pair.rho, pair.sigma) == (expected.rho, expected.sigma)
 
 
 def test_product_pair_rejects_party_mismatch():

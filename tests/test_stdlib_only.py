@@ -33,3 +33,37 @@ def test_the_cli_imports_no_dataclasses_typing_or_inspect():
                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout.split() == []
+
+
+# the package's modules from the bottom up; a module imports, at module
+# level, only from the layers below its own
+LAYERS = (("record",), ("lattice",), ("cone",), ("states",), ("schemes",), ("realize",),
+          ("demos", "jsonio"), ("cli",), ("__init__", "__main__"))
+RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
+
+
+def relative_imports(tree):
+    """(module, imported names, whether the import sits in a function) for
+    each relative import of a parsed module."""
+    late = {id(node) for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [alias.name for alias in node.names]
+            for module in [node.module] if node.module else names:
+                yield module, names, id(node) in late
+
+
+def test_modules_import_only_from_the_layers_below():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert {path.stem for path in modules} == set(RANK)
+    upward = set()
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for module, names, late in relative_imports(tree):
+            if RANK[module] >= RANK[path.stem]:
+                assert late, f"{path.name} imports {module} at module level"
+                upward.update((path.stem, module, name) for name in names)
+    # a ProductPair's rho and sigma read realize.dense_pair, the one fold
+    assert upward == {("states", "realize", "dense_pair")}
