@@ -24,9 +24,9 @@ A form is the packed int Scheme.forms keeps, its coefficient list
 [c0, ..., cR] in base q, c0 (the secret's) as digit 0: A holds r1 and B
 b + r1 here.  A coefficient list, [[[0, 1]], [[1, 1]]] here, is read too.
 The Scheme constructor and 0 < p < 1 check a factor without a table; the
-constructor takes the authorized groups of an equal live scheme (as while
-a pair just synthesized is read back), else finds them.  A dense pair
-object inside "factors" is refused.
+constructor takes the authorized groups of a layout walked recently (as
+when a pair just synthesized is read back), else finds them.  A dense
+pair object inside "factors" is refused.
 """
 
 from __future__ import annotations

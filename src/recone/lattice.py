@@ -24,7 +24,7 @@ packing.  Canonical forms are taken for a whole batch at once: every
 relabelling is one of n coset starts followed by a Heap walk of
 (n-1)! - 1 delta swaps of the packed int, so the cost per table falls
 with the batch.  UpSet and OrbitClass are frozen, slotted records
-(recone.record): they hold no instance dict and take no weakrefs.  On 2
+(recone.record): they hold no instance dict and no weak references.  On 2
 cores with Python 3.11, enumerate_upsets(5) takes 4.5 to 8 ms, the
 classes of all 7 579 up-sets of n = 5 take 13 to 22 ms, and one
 canonical form at n = 8 takes 3.5 to 7 ms.
@@ -107,16 +107,11 @@ def _table_of(family, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _without(n: int) -> tuple[int, ...]:
-    """Per party j (0-based), the truth table of the masks that lack j."""
-    return tuple(sum(1 << m for m in range(1 << n) if not m >> j & 1) for j in range(n))
-
-
-@lru_cache(maxsize=None)
 def _closure_steps(n: int) -> tuple[tuple[int, int], ...]:
-    """Per party j (0-based), the masks that lack j and the shift 2**j
-    that adds j to each of them, as (_without(n)[j], 2**j)."""
-    return tuple((without_j, 1 << j) for j, without_j in enumerate(_without(n)))
+    """Per party j (0-based), the truth table of the masks that lack j
+    and the shift 2**j that adds j to each of them."""
+    return tuple((sum(1 << m for m in range(1 << n) if not m >> j & 1), 1 << j)
+                 for j in range(n))
 
 
 def _closure(table: int, n: int) -> int:
@@ -279,8 +274,8 @@ def _swap(n: int, a: int, i: int) -> tuple[int, int]:
     Each mask m that holds a but not i moves to m + shift with
     shift = 2^i - 2^a; mask is the truth table of those m.
     """
-    without = _without(n)
-    return (1 << i) - (1 << a), without[i] & ~without[a]
+    steps = _closure_steps(n)
+    return (1 << i) - (1 << a), steps[i][0] & ~steps[a][0]
 
 
 @lru_cache(maxsize=None)

@@ -29,6 +29,8 @@ the product of the factors' sigma supports exceeds MAX_SIGMA_ATOMS.
 
 The weight is exact from the start: p is the double nearest 2**(-lam),
 taken as an exact Fraction, which is 2**(-lam) itself for integer lam.
+For lam up to about 8.0e-17 that double is 1.0, so p is the largest
+double below 1, and the achieved entry, 3.2e-16 bits, is within TOL.
 That double carries 53 significant bits down to 2**-1022, so achieved
 values match targets well within the cone's TOL for lam from 1e-9 up to
 1022 bits.  Past 1022 bits the double is subnormal and coarser, and
@@ -81,7 +83,8 @@ def _dyadic_weight(lam) -> Fraction:
     if not 0 < lam <= MAX_RAY_BITS:
         error = RealizationError if lam > MAX_RAY_BITS else ValueError
         raise error(f"ray coefficient must be a number of bits in (0, {MAX_RAY_BITS}], got {lam}")
-    return Fraction(2.0 ** -float(lam))
+    p = 2.0 ** -float(lam)
+    return Fraction(p if p < 1 else math.nextafter(1.0, 0.0))  # p is 1.0 below about 8.0e-17 bits
 
 
 RayPlan = namedtuple("RayPlan", "kind table_atoms candidates")
@@ -190,8 +193,8 @@ def _compare(v: REVector, achieved: REVector, tol: float) -> VerificationReport:
 def verify(v: REVector, pair: StatePair | ProductPair, tol: float = TOL) -> VerificationReport:
     """Recompute the pair's relative-entropy vector and compare to v: a
     ProductPair's from each factor's authorized table, found by rank when
-    its scheme was built or taken from an equal scheme alive in the
-    process, a StatePair's from its tables.
+    its scheme was built, or kept from a recent walk of the same layout,
+    a StatePair's from its tables.
 
     Reports the worst deviation, taken over level sets as synthesize
     takes it, and whether the achieved vector itself still passes the

@@ -19,13 +19,14 @@ uniform on a coset of the image of S's random columns, shifted by b
 times S's secret column.  The two cosets coincide unless the secret
 column e0 = (1, 0, ..., 0) lies in the row span of S's forms, and are
 disjoint when it does: then S recovers b, otherwise its view does not
-depend on b.  The constructor makes the one elimination: it extends one
+depend on b.  One elimination, _walk, finds the table: it extends one
 GF(q) basis party by party, first along the prefix chain of the parties,
 whose last basis gives the rank check, then along the other branches of
 a walk of the subsets, records each group where the walk first finds the
-secret, and closes those groups upward.  The table depends on (q, forms,
-R) alone, so a scheme equal to one still alive takes that one's table
-and does not walk: each distinct scheme is eliminated once per process.
+secret, and closes those groups upward.  The table depends on the layout
+(q, forms, R) alone, so _walk is memoised by layout, the 256 most recent
+kept as realize._plan keeps its plans: a scheme equal to one built
+recently takes its table, whether or not that one is still alive.
 Elimination reduces the highest column first and the secret's last.
 Over GF(2) a row is the packed int itself, reduced by XOR against a
 basis keyed by bit length, Gaussian elimination on machine words as in
@@ -42,9 +43,8 @@ realizes the up-set u exactly when authorized() equals u.table.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
-from weakref import WeakValueDictionary
 
 from .lattice import UpSet, _closure, validate_party_count
 from .record import Record
@@ -72,7 +72,6 @@ def smallest_prime_above(m: int) -> int:
     return p
 
 
-_LIVE = WeakValueDictionary()  # (q, forms, R) -> a live scheme that passed every check
 _NOT_LISTS = "slots must list each party's forms as packed ints or as lists of coefficients"
 _NOT_INJECTIVE = ("duplicate symbol tuple in the table for b = 0: "
                   "two random choices give the same shares")
@@ -129,6 +128,44 @@ def _extend_gfq(q: int, basis: dict[int, list[int]], rows) -> bool:
     return recovers
 
 
+@lru_cache(maxsize=256)
+def _walk(q: int, forms, randomness: int) -> int:
+    """The one elimination: the authorized table of the layout (q, forms,
+    R), or ValueError if the random columns' rank is below R; a refusal
+    is never cached.  A row is the packed form itself over GF(2), its
+    digit list over GF(q), so rows cost what the forms hold, not R.  One
+    basis takes the prefix chain {0}, {0, 1}, ..., [n], keeping each
+    prefix's basis; the last gives the rank.  A depth-first walk from
+    each prefix that does not recover the secret then adds one party at
+    a time, above the group's highest, to a copy of the group's basis
+    (the last party to the basis itself), and records, without
+    extending, each group that first recovers it.  Every recovering
+    group holds the first recovering prefix of its parties: the table
+    closes the records."""
+    n = len(forms)
+    if q == 2:
+        rows, extend = forms, _extend_gf2
+    else:
+        rows, extend = [[_digits(f, q) for f in party] for party in forms], partial(_extend_gfq, q)
+    stack, basis, found = [], {}, 0  # stack: (group, its basis, first party the walk may add)
+    for j in range(n):
+        if not found and j < n - 1:  # the prefix's branches add a party above j
+            stack.append(((1 << j) - 1, dict(basis), j + 1))
+        if extend(basis, rows[j]) and not found:
+            found = 1 << ((2 << j) - 1)
+    if len(basis) < randomness:  # no pivot but on a random column
+        raise ValueError(_NOT_INJECTIVE)
+    while stack:
+        mask, basis, first = stack.pop()
+        for j in range(first, n):
+            grown = dict(basis) if j < n - 1 else basis
+            if extend(grown, rows[j]):
+                found |= 1 << (mask | 1 << j)
+            elif j < n - 1:
+                stack.append((mask | 1 << j, grown, j + 1))
+    return _closure(found, n)
+
+
 class Scheme(Record):
     """Scheme given by its generator rows, linear forms over GF(q), q prime.
 
@@ -140,12 +177,12 @@ class Scheme(Record):
     coefficient_lists unpacks them on every call.
     A layout whose random columns have rank below R maps two random
     choices to one share tuple, and is refused as a duplicate, by the
-    first pass of the constructor's one walk, which also builds the
-    authorized() table (or takes it from an equal live scheme, after
-    every check).  distribution(b), the one enumerator of a share table,
+    first pass of the layout's one walk, which also builds the
+    authorized() table; the constructor takes it from _walk after every
+    other check.  distribution(b), the one enumerator of a share table,
     lists the share tuples of all (r1, ..., rR) in GF(q)^R, each with
     weight 1, anew on every call; table(b) is its atoms.  A scheme keeps
-    its fields and its table in its dict and takes weakrefs, for _LIVE.
+    its fields and its table in its dict.
     """
 
     _fields = ("q", "forms", "randomness")
@@ -190,12 +227,9 @@ class Scheme(Record):
             if not (min(flat) >= 0 and max(flat) < bound):
                 form = next(f for f in flat if not 0 <= f < bound)
                 raise ValueError(f"packed form {form} needs {randomness + 1} digits in base {q}")
-        vars(self).update(q=q, forms=tuple(forms), randomness=randomness)  # frozen: no __setattr__
-        key = (q, self.forms, randomness)
-        twin = _LIVE.get(key)  # an equal live scheme has the same table: take it, walk none
-        vars(self)["_authorized"] = self._walk() if twin is None else twin._authorized
-        if twin is None:  # a race between threads at worst walks twice: no lock
-            _LIVE[key] = self  # only once every check and the walk have passed
+        forms = tuple(forms)
+        vars(self).update(q=q, forms=forms, randomness=randomness,  # frozen: no __setattr__
+                          _authorized=_walk(q, forms, randomness))
 
     @property
     def n(self) -> int:
@@ -207,49 +241,10 @@ class Scheme(Record):
         q, width = self.q, self.randomness + 1
         return [[(_digits(f, q) + [0] * width)[:width] for f in forms] for forms in self.forms]
 
-    def _elimination(self):
-        """Per party its rows and the kernel extend(basis, rows) that
-        eliminates them: the packed forms themselves over GF(2), their
-        digit lists over GF(q), so rows cost what the forms hold, not R."""
-        q = self.q
-        if q == 2:
-            return self.forms, _extend_gf2
-        return [[_digits(f, q) for f in forms] for forms in self.forms], partial(_extend_gfq, q)
-
     def authorized(self) -> int:
         """Truth table of the groups that recover the secret: bit m is set
         iff e0 lies in the row span of group m's forms."""
         return self._authorized
-
-    def _walk(self) -> int:
-        """The one elimination: authorized()'s table, or ValueError if the
-        random columns' rank is below R.  One basis takes the prefix chain
-        {0}, {0, 1}, ..., [n], keeping each prefix's basis; the last gives
-        the rank.  A depth-first walk from each prefix that does not
-        recover the secret then adds one party at a time, above the
-        group's highest, to a copy of the group's basis (the last party to
-        the basis itself), and records, without extending, each group that
-        first recovers it.  Every recovering group holds the first
-        recovering prefix of its parties: the table closes the records."""
-        n = self.n
-        rows, extend = self._elimination()
-        stack, basis, found = [], {}, 0  # stack: (group, its basis, first party the walk may add)
-        for j in range(n):
-            if not found and j < n - 1:  # the prefix's branches add a party above j
-                stack.append(((1 << j) - 1, dict(basis), j + 1))
-            if extend(basis, rows[j]) and not found:
-                found = 1 << ((2 << j) - 1)
-        if len(basis) < self.randomness:  # no pivot but on a random column
-            raise ValueError(_NOT_INJECTIVE)
-        while stack:
-            mask, basis, first = stack.pop()
-            for j in range(first, n):
-                grown = dict(basis) if j < n - 1 else basis
-                if extend(grown, rows[j]):
-                    found |= 1 << (mask | 1 << j)
-                elif j < n - 1:
-                    stack.append((mask | 1 << j, grown, j + 1))
-        return _closure(found, n)
 
     def distribution(self, b: int) -> JointDistribution:
         """Secret b's share table, built anew on each call: q**R atoms,

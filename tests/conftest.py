@@ -4,7 +4,7 @@ test oracles, and the lattice and vector helpers only tests use."""
 
 import math
 import random
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 
 from recone.cone import (
@@ -23,11 +23,11 @@ from recone.lattice import (
     _closure_steps,
     _one_party_up,
     _table_of,
-    _without,
     enumerate_upsets,
     subset_index,
     subsets_in_order,
 )
+from recone.schemes import _digits, _extend_gf2, _extend_gfq
 from recone.states import JointDistribution, StatePair, _log2_ratio, _product, mix
 
 
@@ -126,8 +126,8 @@ def is_closed(table, n):
     """Oracle for the batch closure check: one truth table at a time, true
     iff it is a nonempty up-set of nonempty masks of [n]."""
     up = 0
-    for j, without_j in enumerate(_without(n)):
-        up |= (table & without_j) << (1 << j)
+    for j in range(n):
+        up |= (table & _closure_steps(n)[j][0]) << (1 << j)
     return table > 0 and not table & 1 and not table >> (1 << n) and not up & ~table
 
 
@@ -144,9 +144,12 @@ def submask_walk_authorized(s):
     """Oracle for Scheme.authorized: the same depth-first walk of the
     groups, but once a group recovers the secret, every group the walk
     would grow from it is marked by enumerating the submasks of the
-    parties above the one just added."""
-    n = s.n
-    rows, extend = s._elimination()
+    parties above the one just added.  Its rows and kernels are the
+    walk's: the packed forms over GF(2), their digit lists over GF(q)."""
+    n, q = s.n, s.q
+    rows, extend = s.forms, _extend_gf2
+    if q != 2:
+        rows, extend = [[_digits(f, q) for f in forms] for forms in rows], partial(_extend_gfq, q)
     table = 0
     stack = [(0, {}, 0)]  # (group, its basis, first party the walk may add)
     while stack:

@@ -1,5 +1,4 @@
 import copy
-import gc
 import hashlib
 import json
 import math
@@ -240,13 +239,15 @@ def test_reading_back_a_round_trip_makes_no_elimination(v, monkeypatch):
     result = synthesize(v)
     doc = json.loads(json.dumps(pair_to_json(result.pair)))
     built = len(calls)
-    pair = pair_from_json(doc)  # each factor's scheme is alive in result: its table is taken
+    pair = pair_from_json(doc)  # each factor's layout was just walked: the cache lends its table
     assert len(calls) == built and verify(v, pair).passed
     tables = [f.scheme.authorized() for f in pair.factors]
     del result, pair
+    kept = pair_from_json(doc)  # the cache keeps the tables, not the schemes: still no walk
+    assert len(calls) == built and [f.scheme.authorized() for f in kept.factors] == tables
     realize._plan.cache_clear()
-    gc.collect()
-    again = pair_from_json(doc)  # no equal scheme is alive: the read walks
+    schemes._walk.cache_clear()
+    again = pair_from_json(doc)  # both caches cold: the read walks, to the same tables
     assert len(calls) > built and [f.scheme.authorized() for f in again.factors] == tables
 
 

@@ -99,6 +99,19 @@ def test_fractional_ray_near_double_precision(lam):
     assert abs(synthesize(REVector(1, (lam,))).achieved.values[0] - lam) <= 1e-6
 
 
+@pytest.mark.parametrize("v", [
+    REVector(1, (Fraction(1, 10 ** 20),)),
+    REVector(2, (0, 0, Fraction(1, 10 ** 20))),
+    REVector(3, (1, 0, 0, 1, 1, 1, 1 + Fraction(1, 10 ** 20))),  # RAY6 and a 1e-20-bit top layer
+], ids=["n1", "n2", "n3-on-top"])
+def test_an_exact_ray_below_the_weight_resolution_synthesizes(v):
+    # 2**-lam rounds to 1.0 below about 8.0e-17 bits: the weight is the largest double below 1
+    result = synthesize(v)
+    assert 0 < result.max_abs_error <= 4e-16 and verify(v, result.pair).passed
+    weights = [f.weight for f in result.pair.factors]
+    assert weights.count(Fraction(math.nextafter(1.0, 0.0))) == 1 and max(weights) < 1
+
+
 @given(st.one_of(st.floats(min_value=1e-9, max_value=1022), st.integers(1, 1022)))
 def test_single_ray_lands_within_auto_tolerance(lam):
     # synthesize raises RealizationError if the miss exceeds TOL

@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import tracemalloc
 from dataclasses import dataclass
@@ -212,26 +211,23 @@ def test_a_table_read_builds_that_table_alone(monkeypatch):
      lambda u: weighted_threshold_scheme(3, (1, 1, 1), 2, 5)),
 ], ids=["gf2", "gf5"])
 def test_authorized_walks_once_per_scheme(kernel, u, build, monkeypatch):
-    realize._plan.cache_clear()  # a kept scheme equal to the one built here would lend its table
-    gc.collect()
+    realize._plan.cache_clear()  # a kept scheme equal to the one built here was walked already
+    schemes._walk.cache_clear()
     calls, extend = [], getattr(schemes, kernel)
     monkeypatch.setattr(schemes, kernel, lambda *args: calls.append(args) or extend(*args))
     scheme = build(u)
     walked = len(calls)
     assert walked  # construction walks
     assert scheme.authorized() == u.table and len(calls) == walked
-    equal = build(u)  # an equal scheme, another object, built while the first is alive
+    equal = build(u)  # an equal scheme, another object: the walk cache lends the table
     assert equal is not scheme and equal == scheme
     assert equal.authorized() == u.table and len(calls) == walked
-    del equal
-    gc.collect()
-    third = build(u)  # the dropped copy took the first's table and left it in place
+    del scheme, equal
+    third = build(u)  # no equal scheme is alive: the cache keeps the table, not a scheme
     assert third.authorized() == u.table and len(calls) == walked
-    del scheme, third
-    realize._plan.cache_clear()
-    gc.collect()
-    again = build(u)  # no equal scheme is alive: it walks again
-    assert again.authorized() == u.table and len(calls) == 2 * walked
+    schemes._walk.cache_clear()
+    again = build(u)  # a cold cache walks again, to the same table
+    assert again == third and again.authorized() == u.table and len(calls) == 2 * walked
 
 
 @pytest.mark.parametrize("q, slots, randomness, message", [
@@ -249,7 +245,7 @@ def test_a_refused_layout_never_enters_the_scheme_table(q, slots, randomness, me
     # the prefix chain alone: a rank below R is refused before any branch is walked
     assert len(calls) <= len(slots)
     walked = len(calls)
-    # the first error's traceback keeps the refused object alive; it must not lend its table
+    # the walk cache keeps no refusal: the second attempt walks as far again
     with pytest.raises(ValueError, match=message) as second:
         Scheme(q, slots, randomness)
     assert str(second.value) == str(first.value) and len(calls) == 2 * walked
