@@ -36,12 +36,7 @@ from .realize import (
     synthesize,
     verify,
 )
-from .schemes import (
-    Scheme,
-    dnf_scheme,
-    scheme_state_pair,
-    weighted_threshold_scheme,
-)
+from .schemes import Scheme, dnf_scheme, scheme_state_pair
 from .states import (
     JointDistribution,
     ProductPair,

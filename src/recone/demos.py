@@ -2,8 +2,8 @@
 monotone formula over the parties 0 = A, 1 = B, ... laid out over GF(q)
 by recone.schemes.formula_layout.
 
-example5: a 2-of-4 Shamir gate over GF(5) with leaves A, A, B, C, the
-weighted threshold scheme with share allocation (2, 1, 1); A alone or
+example5: a 2-of-4 Shamir gate over GF(5) with leaves A, A, B, C, so
+weighted threshold sharing with share allocation (2, 1, 1); A alone or
 any pair reconstructs, so the vector is 1 on A and every pair or more.
 example6: (A and B) or (C and D), two 2-of-2 Shamir gates over GF(3);
 exactly the groups containing AB or CD are authorized.

@@ -21,11 +21,12 @@ of U's minimal sets, and, when U is the k-of-T threshold up-set (its
 minimal sets are all C(|T|, k) k-subsets of their union T), one k-of-|T|
 Shamir gate over GF(q), q the smallest prime above |T|.  The DNF's
 ANDs over GF(2) take |S| - 1 random bits per minimal set S, so its size
-is 2**sum(|S| - 1); the gate's, q**R, is read from its layout.  The
-smaller table is chosen, ties going to XOR.  The chosen scheme is built
-once per up-set and kept with its plan.  dense_pair, which a
-ProductPair's rho and sigma read, refuses before building any table when
-the product of the factors' sigma supports exceeds MAX_SIGMA_ATOMS.
+is 2**sum(|S| - 1); the gate's, q**R, is read from its layout, and the
+gate is built as Scheme(*layout) from that one layout.  The smaller
+table is chosen, ties going to XOR.  The chosen scheme is built once per
+up-set and kept with its plan.  dense_pair, which a ProductPair's rho
+and sigma read, refuses before building any table when the product of
+the factors' sigma supports exceeds MAX_SIGMA_ATOMS.
 
 The weight is exact from the start: p is the double nearest 2**(-lam),
 taken as an exact Fraction, which is 2**(-lam) itself for integer lam.
@@ -57,23 +58,13 @@ from .cone import (
 )
 from .lattice import UpSet, mask_label, subsets_in_order
 from .record import Record
-from .schemes import (
-    dnf_scheme,
-    formula_layout,
-    scheme_state_pair,
-    smallest_prime_above,
-    weighted_threshold_scheme,
-)
-from .states import (
-    MAX_SIGMA_ATOMS,
-    Factor,
-    JointDistribution,
-    ProductPair,
-    RealizationError,
-    StatePair,
-    re_vector,
-    tensor,
-)
+from .schemes import Scheme, dnf_scheme, formula_layout, scheme_state_pair, smallest_prime_above
+from .states import Factor, JointDistribution, ProductPair, StatePair, re_vector, tensor
+
+#: largest sigma support a product is multiplied out to.  At about 620
+#: bytes of peak memory per sigma atom (780 with the pair JSON), some 0.65
+#: to 0.8 GB
+MAX_SIGMA_ATOMS = 1 << 20
 
 #: largest ray coefficient in bits: 2**-1074 is the smallest positive double
 MAX_RAY_BITS = 1074
@@ -87,6 +78,12 @@ def _dyadic_weight(lam) -> Fraction:
     return Fraction(p if p < 1 else math.nextafter(1.0, 0.0))  # p is 1.0 below about 8.0e-17 bits
 
 
+class RealizationError(ValueError):
+    """Refused: a product's predicted sigma support exceeds
+    MAX_SIGMA_ATOMS, a ray's coefficient exceeds the bits a weight can
+    carry, or a pair missed its target beyond the allowed tolerance."""
+
+
 RayPlan = namedtuple("RayPlan", "kind table_atoms candidates")
 RayPlan.__doc__ = """The scheme chosen for one ray, "xor" or "shamir", its table atoms,
 and the table sizes it beat: (kind, table atoms) per candidate."""
@@ -94,15 +91,16 @@ and the table sizes it beat: (kind, table atoms) per candidate."""
 
 def _candidates(u: UpSet):
     """(kind, exact table atoms, builder) for each scheme that realizes u,
-    XOR first; the builders look the constructions up at call time."""
+    XOR first.  The XOR builder looks dnf_scheme up when called; the
+    Shamir gate is laid out once, sized by its R and built from that
+    layout."""
     minimal = u.minimal_sets()
     yield "xor", 2 ** sum(m.bit_count() - 1 for m in minimal), lambda: dnf_scheme(u)
     k, group = minimal[0].bit_count(), reduce(or_, minimal)
     if all(m.bit_count() == k for m in minimal) and len(minimal) == math.comb(group.bit_count(), k):
-        allocation = [group >> i & 1 for i in range(u.n)]
         q = smallest_prime_above(group.bit_count())
-        r = formula_layout(u.n, (k, [i for i in range(u.n) if allocation[i]]), q)[2]
-        yield "shamir", q ** r, lambda: weighted_threshold_scheme(u.n, allocation, k, q)
+        layout = formula_layout(u.n, (k, [i for i in range(u.n) if group >> i & 1]), q)
+        yield "shamir", q ** layout[2], lambda: Scheme(*layout)
 
 
 @lru_cache(maxsize=256)
@@ -229,9 +227,12 @@ class RealizationResult(Record):
 def dense_pair(pair: ProductPair) -> StatePair:
     """The package's one fold of a product: pair's factors, each built
     from its share tables, tensored onto the one-atom pair.  Raises
-    RealizationError before building any table when the product's sigma
-    support exceeds MAX_SIGMA_ATOMS (ProductPair.check_budget)."""
-    pair.check_budget()
+    RealizationError, naming both sizes, before building any table when
+    the product's sigma support, read from the layouts, exceeds
+    MAX_SIGMA_ATOMS."""
+    if (atoms := pair.sigma_atoms) > MAX_SIGMA_ATOMS:
+        raise RealizationError(f"predicted sigma support of {atoms} atoms "
+                               f"exceeds the budget of {MAX_SIGMA_ATOMS} atoms")
     point = JointDistribution._trusted(pair.n, (1,) * pair.n, (((0,) * pair.n, 1),), 1)
     return reduce(tensor, (scheme_state_pair(f.scheme, f.weight) for f in pair.factors),
                   StatePair(point, point))

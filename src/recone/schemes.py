@@ -33,11 +33,12 @@ basis keyed by bit length, Gaussian elimination on machine words as in
 M4RI (Albrecht and Bard).  Base-q digits do not add digit by digit in an
 int, so over q > 2 a row is the list of its form's digits.
 
-Every scheme here is a shape of one layout, formula_layout: the secret
+Every scheme here is Scheme(*formula_layout(n, formula, q)): the secret
 shared down a monotone formula of threshold gates (Benaloh and Leichter
-1988).  Weighted Shamir sharing is one k-of-m gate, and the XOR scheme
-(Ito, Saito and Nishizeki 1987) is the flat DNF over GF(2).  A scheme
-realizes the up-set u exactly when authorized() equals u.table.
+1988).  Weighted Shamir sharing is one k-of-m gate with each party a
+leaf once per share, q a prime above m, and the XOR scheme (Ito, Saito
+and Nishizeki 1987) is the flat DNF over GF(2).  A scheme realizes the
+up-set u exactly when authorized() equals u.table.
 """
 
 from __future__ import annotations
@@ -50,18 +51,31 @@ from .lattice import UpSet, _closure, validate_party_count
 from .record import Record
 from .states import JointDistribution, StatePair, mix
 
-#: largest field size a scheme may use; trial division proves primality
+#: largest field size a scheme may use; is_prime is exact up to it
 MAX_MODULUS = 1 << 31
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    """Deterministic Miller-Rabin: division by 2, 3, 5 and 7 decides every
+    m below 121, and those four bases, exact below 3 215 031 751, the rest
+    up to MAX_MODULUS."""
+    for p in (2, 3, 5, 7):
+        if m % p == 0:
+            return m == p
+    if m < 121:
+        return m > 1
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2**s with d odd
+    d = (m - 1) >> s
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, m)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == m - 1:
+                break
+            x = x * x % m
+        else:
             return False
-        d += 1
     return True
 
 
@@ -313,22 +327,6 @@ def formula_layout(n: int, formula, q: int):
 
     share((1, (formula,)) if type(formula) is int else formula, 1)  # a leaf root: an OR of one
     return q, slots, used - 1
-
-
-def weighted_threshold_scheme(n: int, allocation, k: int, q: int) -> Scheme:
-    """Shamir scheme, one k-of-m gate over party i, allocation[i] times:
-    share x = 1..m holds b + r1*x + ... + r(k-1)*x**(k-1), so q**(k - 1)
-    atoms, and a group is authorized iff its share count reaches k."""
-    if len(allocation) != n:
-        raise ValueError(f"need one share count per party, got {len(allocation)} for n={n}")
-    if not all(type(x) is int for x in (q, *allocation)):
-        raise ValueError(f"q and share counts must be integers, got {q!r}, {tuple(allocation)}")
-    if any(a < 0 for a in allocation):
-        raise ValueError(f"need nonnegative share counts, got {tuple(allocation)}")
-    if q <= (m := sum(allocation)):
-        raise ValueError(f"need q > share count for distinct evaluation points, got q={q}, m={m}")
-    leaves = [party for party, a in enumerate(allocation) for _ in range(a)]
-    return Scheme(*formula_layout(n, (k, leaves), q))  # refuses k outside 1..m
 
 
 def dnf_formula(u: UpSet):

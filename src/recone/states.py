@@ -12,7 +12,7 @@ A ProductPair stands for a tensor product of ray factors.  A Factor is a
 linear secret-sharing scheme and an exact weight p, standing for the pair
 (table(0), p table(0) + (1 - p) table(1)); its vector comes from the
 scheme's rank; only recone.realize.dense_pair multiplies a product out,
-within the MAX_SIGMA_ATOMS budget, and a product's rho and sigma read it.
+within its MAX_SIGMA_ATOMS budget, and a product's rho and sigma read it.
 """
 
 from __future__ import annotations
@@ -25,18 +25,6 @@ from operator import add, contains, itemgetter
 from .cone import REVector
 from .lattice import subsets_in_order, validate_mask, validate_party_count
 from .record import Record
-
-#: largest sigma support a product is multiplied out to.  At about 620
-#: bytes of peak memory per sigma atom (780 with the pair JSON), some 0.65
-#: to 0.8 GB
-MAX_SIGMA_ATOMS = 1 << 20
-
-
-class RealizationError(ValueError):
-    """Refused: a product's predicted sigma support exceeds
-    MAX_SIGMA_ATOMS, a ray's coefficient exceeds the bits a weight can
-    carry, or a pair missed its target beyond the allowed tolerance."""
-
 
 def _log2_ratio(num: int, den: int) -> float:
     """log2(num / den) for a ratio in lowest terms; exact when both sides
@@ -265,13 +253,6 @@ class ProductPair(Record):
         when they are disjoint, as they are for every ray, and fewer
         otherwise."""
         return math.prod(2 * f.scheme.q ** f.scheme.randomness for f in self.factors)
-
-    def check_budget(self) -> None:
-        """Raise RealizationError, naming both sizes and building nothing,
-        when sigma_atoms exceeds MAX_SIGMA_ATOMS."""
-        if self.sigma_atoms > MAX_SIGMA_ATOMS:
-            raise RealizationError(f"predicted sigma support of {self.sigma_atoms} atoms "
-                                   f"exceeds the budget of {MAX_SIGMA_ATOMS} atoms")
 
     # read by the tests and the benchmark; realize imports states, so dense_pair is imported late
     @property

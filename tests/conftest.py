@@ -1,6 +1,7 @@
 """Shared generators for exact random distributions, state pairs and
-cone members, the direct lattice, cone and scheme algorithms kept as
-test oracles, and the lattice and vector helpers only tests use."""
+cone members, the direct lattice, cone, scheme and primality algorithms
+kept as test oracles, and the lattice, vector and scheme helpers only
+tests use."""
 
 import math
 import random
@@ -27,7 +28,7 @@ from recone.lattice import (
     subset_index,
     subsets_in_order,
 )
-from recone.schemes import _digits, _extend_gf2, _extend_gfq
+from recone.schemes import Scheme, _digits, _extend_gf2, _extend_gfq, formula_layout
 from recone.states import JointDistribution, StatePair, _log2_ratio, _product, mix
 
 
@@ -81,6 +82,18 @@ def random_pair(rng, n, sizes, sigma_full_support=False):
     rho = random_distribution(rng, n, sizes)
     sigma = random_distribution(rng, n, sizes, full_support=sigma_full_support)
     return StatePair(rho, sigma)
+
+
+def shamir_scheme(n, allocation, k, q):
+    """One k-of-m Shamir gate over GF(q), party i a leaf allocation[i]
+    times: Scheme(*formula_layout(...)), with no checks of its own."""
+    leaves = [party for party, a in enumerate(allocation) for _ in range(a)]
+    return Scheme(*formula_layout(n, (k, leaves), q))
+
+
+def trial_division_prime(m):
+    """Oracle for schemes.is_prime: no divisor from 2 up to sqrt(m)."""
+    return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
 
 
 def multiplied_out(pair):

@@ -10,7 +10,15 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import add, proper_submasks, random_distribution, random_members, random_pair, value
+from conftest import (
+    add,
+    proper_submasks,
+    random_distribution,
+    random_members,
+    random_pair,
+    shamir_scheme,
+    value,
+)
 from test_lattice import brute_force_upsets
 from test_schemes import dense_authorized
 from test_states import binary_entropy, shannon_entropy
@@ -19,7 +27,7 @@ from recone.cli import main as cli_main
 from recone.cone import check_membership
 from recone.lattice import enumerate_upsets, subsets_in_order
 from recone.realize import _candidates, realize_ray, synthesize, verify
-from recone.schemes import Scheme, scheme_state_pair, weighted_threshold_scheme
+from recone.schemes import Scheme, scheme_state_pair
 from recone.states import StatePair, marginal, mix, re_vector, tensor
 
 
@@ -30,7 +38,7 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_weighted_gf5_regression():
     t0 = time.perf_counter()
-    scheme = weighted_threshold_scheme(3, (2, 1, 1), 2, 5)
+    scheme = shamir_scheme(3, (2, 1, 1), 2, 5)
     vec = re_vector(scheme_state_pair(scheme))
     elapsed = time.perf_counter() - t0
     target = (1, 0, 0, 1, 1, 1, 1)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import closure_members
+from conftest import closure_members, shamir_scheme
 from test_jsonio import DENSE_DOC, LISTED_PAIR, MALFORMED_FACTORS, malformed_factor_doc
 
 from recone import schemes
@@ -541,7 +541,7 @@ def test_demo_example6_atom_listings(capsys):
 
 def test_demo_atom_strings_decode_one_digit_per_slot():
     # A holds two GF(5) slots, B one and C none, so C's register is degenerate
-    scheme = schemes.weighted_threshold_scheme(3, (2, 1, 0), 2, 5)
+    scheme = shamir_scheme(3, (2, 1, 0), 2, 5)
     assert _atom_string(scheme, 0b111, (7, 3, 0)) == "1230"
     assert _atom_string(scheme, 0b101, (24, 0)) == "440"
     # past ten symbols per slot the digits are set apart

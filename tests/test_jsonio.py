@@ -173,11 +173,13 @@ def test_zero_forms_claiming_a_large_randomness_build_no_rows_of_that_width():
 
 
 def bound_builds(doc) -> int:
-    """Refuse doc through pair_from_json and count the calls to pow, which
-    the range check makes only to build its bound q**(R + 1)."""
-    calls = []
+    """Refuse doc through pair_from_json and count the calls to pow that
+    the constructor makes itself, which only the range check makes, to
+    build its bound q**(R + 1); is_prime's modular pows are not counted."""
+    calls, init = [], schemes.Scheme.__init__.__code__
     profile = sys.getprofile()
-    sys.setprofile(lambda frame, event, arg: calls.append(arg) if event == "c_call" else None)
+    sys.setprofile(lambda frame, event, arg:
+                   calls.append(arg) if event == "c_call" and frame.f_code is init else None)
     try:
         with pytest.raises(ValueError, match="^factor 1: packed form "):
             pair_from_json(doc)

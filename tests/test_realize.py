@@ -392,7 +392,7 @@ def test_synthesize_plans_each_upset_once(monkeypatch):
 
 def test_a_ray_scheme_is_built_once_per_upset(monkeypatch):
     builds = []
-    for name in ("dnf_scheme", "weighted_threshold_scheme"):
+    for name in ("dnf_scheme", "Scheme"):
         build = getattr(realize, name)
         monkeypatch.setattr(realize, name,
                             lambda *args, name=name, build=build: builds.append(name) or build(*args))
@@ -400,7 +400,7 @@ def test_a_ray_scheme_is_built_once_per_upset(monkeypatch):
     for seeds in ({0b001, 0b110}, {0b011, 0b101, 0b110}):  # {A, BC} plans XOR, 2-of-3 Shamir
         first, second = (realize_ray(upward_closure(seeds, 3), lam) for lam in (1, 2.5))
         assert second.scheme is first.scheme and second.weight != first.weight
-    assert builds == ["dnf_scheme", "weighted_threshold_scheme"]
+    assert builds == ["dnf_scheme", "Scheme"]
 
 
 def test_a_warm_synthesis_matches_a_cold_one():

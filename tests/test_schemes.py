@@ -5,7 +5,13 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from conftest import closure_members, submask_walk_authorized, upward_closure
+from conftest import (
+    closure_members,
+    shamir_scheme,
+    submask_walk_authorized,
+    trial_division_prime,
+    upward_closure,
+)
 from hypothesis import assume, given, settings, strategies as st
 
 from recone import realize, schemes
@@ -19,7 +25,6 @@ from recone.schemes import (
     is_prime,
     scheme_state_pair,
     smallest_prime_above,
-    weighted_threshold_scheme,
 )
 from recone.states import Factor, JointDistribution, marginal, re_vector
 
@@ -106,6 +111,16 @@ def interpolate_at_zero(points, p: int) -> int:
 
 def test_prime_helpers():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert [m for m in range(1 << 16) if is_prime(m) != trial_division_prime(m)] == []
+    carmichael = (561, 1105, 1729)
+    # 1373653 is also a strong pseudoprime to base 3, and 25326001 to bases 3 and 5
+    strong_base_2 = (2047, 3277, 4033, 4681, 8321, 1373653, 25326001)
+    # 46327 and 46337 are the two largest primes below sqrt(2**31)
+    near_2_31 = (*range(2 ** 31 - 100, 2 ** 31), 46337 ** 2, 46327 * 46337)
+    for m in (*carmichael, *strong_base_2, *near_2_31):
+        assert is_prime(m) == trial_division_prime(m), m
+    assert not any(map(is_prime, carmichael + strong_base_2 + (46337 ** 2,)))
+    assert is_prime(2 ** 31 - 1) and is_prime(46337) and not is_prime(2 ** 31 - 3)
     assert smallest_prime_above(4) == 5
     assert smallest_prime_above(2) == 3
     assert smallest_prime_above(1) == 2
@@ -127,7 +142,7 @@ def test_field_arithmetic():
 
 def shamir_table(p, k, m, b):
     """Share tuples, one share per party, of the k-of-m Shamir scheme."""
-    return [sym for sym, _ in weighted_threshold_scheme(m, (1,) * m, k, p).table(b)]
+    return [sym for sym, _ in shamir_scheme(m, (1,) * m, k, p).table(b)]
 
 
 def test_shamir_table_gf5():
@@ -143,23 +158,15 @@ def test_shamir_table_constant_polynomial():
 
 def test_shamir_table_parameter_errors():
     with pytest.raises(ValueError):
-        weighted_threshold_scheme(3, (1, 1, 1), 2, 4)  # not prime
+        Scheme(*formula_layout(3, (2, (0, 1, 2)), 4))  # not prime
     with pytest.raises(ValueError):
-        weighted_threshold_scheme(3, (2, 2, 1), 2, 5)  # q <= share count
+        Scheme(*formula_layout(3, (2, (0, 0, 1, 1, 2)), 5))  # q <= share count
     with pytest.raises(ValueError):
-        weighted_threshold_scheme(4, (1, 1, 1, 1), 0, 5)
+        Scheme(*formula_layout(4, (0, (0, 1, 2, 3)), 5))
     with pytest.raises(ValueError):
-        weighted_threshold_scheme(2, (1, 1), 3, 5)  # k above the share count
-    with pytest.raises(ValueError):
-        weighted_threshold_scheme(2, (1, -1), 1, 5)
-    with pytest.raises(ValueError):
-        weighted_threshold_scheme(3, (1, 1), 1, 5)  # no count for party three
-    with pytest.raises(ValueError, match="must be integers"):
-        weighted_threshold_scheme(2, (1, 1), 2, "5")
-    with pytest.raises(ValueError, match="must be integers"):
-        weighted_threshold_scheme(2, (1.5, 1), 2, 5)
+        Scheme(*formula_layout(2, (3, (0, 1)), 5))  # k above the share count
     with pytest.raises(ValueError, match="1 <= k <= 2, got 1.5"):
-        weighted_threshold_scheme(2, (1, 1), 1.5, 5)
+        Scheme(*formula_layout(2, (1.5, (0, 1)), 5))
 
 
 def test_linear_scheme_rejects_bad_layouts():
@@ -195,7 +202,7 @@ def test_scheme_builds_no_table_until_read():
 
 
 def test_a_table_read_builds_that_table_alone(monkeypatch):
-    scheme, built = weighted_threshold_scheme(3, (1, 1, 1), 2, 5), []
+    scheme, built = shamir_scheme(3, (1, 1, 1), 2, 5), []
     both = scheme.distribution(0), scheme.distribution(1)
     trusted = JointDistribution._trusted.__func__
     monkeypatch.setattr(JointDistribution, "_trusted", classmethod(
@@ -208,7 +215,7 @@ def test_a_table_read_builds_that_table_alone(monkeypatch):
 @pytest.mark.parametrize("kernel, u, build", [
     ("_extend_gf2", TWO_PAIRS_STRUCTURE, dnf_scheme),
     ("_extend_gfq", upward_closure({AB, 0b101, BC}, 3),
-     lambda u: weighted_threshold_scheme(3, (1, 1, 1), 2, 5)),
+     lambda u: shamir_scheme(3, (1, 1, 1), 2, 5)),
 ], ids=["gf2", "gf5"])
 def test_authorized_walks_once_per_scheme(kernel, u, build, monkeypatch):
     realize._plan.cache_clear()  # a kept scheme equal to the one built here was walked already
@@ -347,7 +354,7 @@ def test_xor_share_table():
 
 
 def test_weighted_scheme_matches_ray6_structure():
-    scheme = weighted_threshold_scheme(3, (2, 1, 1), 2, 5)
+    scheme = shamir_scheme(3, (2, 1, 1), 2, 5)
     assert scheme.q == 5 and [len(forms) for forms in scheme.forms] == [2, 1, 1]
     assert len(scheme.table(0)) == scheme.distribution(0).denominator == 5
     assert all(w == 1 for _, w in scheme.table(0))
@@ -355,12 +362,12 @@ def test_weighted_scheme_matches_ray6_structure():
 
 
 def test_two_of_two_scheme_realizes_pair_only():
-    scheme = weighted_threshold_scheme(2, (1, 1), 2, 3)
+    scheme = shamir_scheme(2, (1, 1), 2, 3)
     assert scheme.authorized() == UpSet(2, frozenset({0b11})).table
 
 
 def test_single_party_scheme():
-    scheme = weighted_threshold_scheme(1, (1,), 1, 2)
+    scheme = shamir_scheme(1, (1,), 1, 2)
     assert scheme.table(0) == (((0,), 1),)
     assert scheme.table(1) == (((1,), 1),)
     assert [scheme.distribution(b).denominator for b in (0, 1)] == [1, 1]
@@ -368,14 +375,14 @@ def test_single_party_scheme():
 
 
 def test_authorized_table_names_the_groups_an_upset_gets_wrong():
-    scheme = weighted_threshold_scheme(2, (1, 1), 2, 3)
+    scheme = shamir_scheme(2, (1, 1), 2, 3)
     wrong = upward_closure({0b01}, 2)  # claims A alone suffices
     for recovers in (scheme.authorized(), dense_authorized(scheme)):
         # A is the one group the up-set gets wrong, and A cannot recover
         assert recovers ^ wrong.table == 1 << 0b01
         assert not recovers >> 0b01 & 1
     # the other way round: B alone recovers the secret of the 1-of-2 scheme
-    scheme = weighted_threshold_scheme(2, (1, 1), 1, 3)
+    scheme = shamir_scheme(2, (1, 1), 1, 3)
     for recovers in (scheme.authorized(), dense_authorized(scheme)):
         assert recovers ^ wrong.table == 1 << 0b10
         assert recovers >> 0b10 & 1
@@ -634,7 +641,7 @@ def test_threshold_clause_pair_marginals():
 
 
 def test_scheme_distribution_flattening():
-    scheme = weighted_threshold_scheme(3, (2, 1, 1), 2, 5)
+    scheme = shamir_scheme(3, (2, 1, 1), 2, 5)
     dist = scheme.distribution(0)
     assert dist.alphabet_sizes == (25, 5, 5)
     # A's two GF(5) slots pack into one symbol, first slot most significant
@@ -643,5 +650,5 @@ def test_scheme_distribution_flattening():
 
 
 def test_weighted_scheme_vector_is_ray6():
-    pair = scheme_state_pair(weighted_threshold_scheme(3, (2, 1, 1), 2, 5))
+    pair = scheme_state_pair(shamir_scheme(3, (2, 1, 1), 2, 5))
     assert re_vector(pair).values == (1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
