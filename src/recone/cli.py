@@ -91,10 +91,11 @@ def _cmd_synthesize(args) -> None:
     vector = vector_from_json(_load_json(args.file))
     result = synthesize(vector)
     pair = dense_pair(result.pair) if args.dense else result.pair
+    summary = json.dumps(realization_to_json(result), indent=2)  # first: if it fails, no file
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(pair_to_json(pair), handle, indent=2)
         handle.write("\n")
-    _emit(realization_to_json(result))
+    print(summary)
 
 
 def _cmd_relent(args) -> None:

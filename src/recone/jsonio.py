@@ -244,11 +244,13 @@ def verification_report_to_json(report: VerificationReport) -> dict:
 
 def realization_to_json(result: RealizationResult) -> dict:
     """The realization, with the scheme each ray was built from, its table
-    size and the candidate sizes it was chosen over, one per term."""
+    size and the candidate sizes it was chosen over, one per term, and
+    the log2 of the product's sigma support: a float at every size,
+    where the exact int can pass the digits json.dumps will write."""
     return {"target": vector_to_json(result.target),
             "decomposition": decomposition_to_json(result.decomposition),
             "schemes": [{"kind": plan.kind, "table_atoms": plan.table_atoms,
                          "candidates": dict(plan.candidates)} for plan in result.plans],
-            "sigma_atoms": result.pair.sigma_atoms,
+            "sigma_atoms_log2": math.log2(result.pair.sigma_atoms),
             "achieved": vector_to_json(result.achieved),
             "max_abs_error": result.max_abs_error}

@@ -14,26 +14,26 @@ monotone table on k + 1 parties is a pair lo <= hi of monotone tables
 on k parties, and relabelling the parties by a transposition is one
 delta swap of the table.
 
-Batches of tables share one layout: each table is a lane of whole bytes
-of one int.  Closure is checked a batch at a time: every UpSet built from
-tables passes one _check_closed of its whole batch (the range by min and
-max, then the empty-set bit and the n closure shifts as one operation
-each on the packed int), so the enumeration, the class representatives
-and the layer-cake terms are one check each, and a lone table skips the
-packing.  Canonical forms are taken for a whole batch at once: every
-relabelling is one of n coset starts followed by a Heap walk of
-(n-1)! - 1 delta swaps of the packed int, so the cost per table falls
-with the batch.  UpSet and OrbitClass are frozen, slotted records
-(recone.record): they hold no instance dict and no weak references.  On 2
-cores with Python 3.11, enumerate_upsets(5) takes 4.5 to 8 ms, the
-classes of all 7 579 up-sets of n = 5 take 13 to 22 ms, and one
-canonical form at n = 8 takes 3.5 to 7 ms.
+Batches of tables share one layout: each table is a lane of one int,
+exactly its 2^n bits from n = 3 on (one byte below).  Closure is checked
+a batch at a time: every UpSet built from tables passes one _check_closed
+of its whole batch (range by min and max, then _check_lanes: the
+empty-set bit and the n closure shifts, one operation each on the packed
+int), and a lone table skips the packing.  Canonical forms are taken for
+a whole batch at once: every relabelling is one of n coset starts
+followed by a Heap walk of (n-1)! - 1 delta swaps of the packed int, so
+the cost per table falls with the batch; permutation_classes checks,
+counts and sorts the forms as packed lanes.  UpSet and OrbitClass are
+frozen, slotted records (recone.record) with no instance dict and no
+weak references.  On 2 cores with Python 3.11, enumerate_upsets(5) takes
+4.5 to 8.5 ms, the classes of all 7 579 up-sets of n = 5 take 10 to 17
+ms, and one canonical form at n = 8 takes 3.5 to 7 ms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import getitem
 
 from .record import Record
@@ -125,21 +125,21 @@ def _closure(table: int, n: int) -> int:
     return table
 
 
-def _one_party_up(table: int, steps) -> int:
-    """Truth table of the masks that are a member plus one more party,
-    given per party the masks that lack it and its shift
-    (_closure_steps(n), or the same with each mask repeated in every lane
-    of a packed batch)."""
+def _one_party_up(table: int, n: int, ones: int = 1) -> int:
+    """Truth table of the masks that are a member plus one more party, in
+    each lane of a packed batch on [n], ones a 1 in each lane's lowest
+    bit: per party j, the masks that lack it (ones times the mask)
+    shifted by 2^j, which keeps each mask below 2^n, in its own lane."""
     up = 0
-    for without_j, shift in steps:
-        up |= (table & without_j) << shift
+    for without_j, shift in _closure_steps(n):
+        up |= (table & ones * without_j) << shift
     return up
 
 
 def _lane_bytes(n: int) -> int:
-    """Bytes per lane of a packed batch of truth tables on [n]: 2^n table
-    bits and a guard bit above them, in whole bytes."""
-    return (1 << n) // 8 + 1
+    """Bytes per lane of a packed batch of truth tables on [n]: exactly
+    the 2^n table bits from n = 3 on, one byte below that."""
+    return max(1, (1 << n) // 8)
 
 
 def _pack(tables, size: int) -> int:
@@ -159,30 +159,29 @@ def _check_closed(tables, n: int) -> None:
     """Raise ValueError unless every truth table is a nonempty up-set of
     nonempty masks of [n]; an empty batch passes.
 
-    The range check is min and max of the batch.  The tables then sit in
-    the lanes of one int, as in _canonical_tables, and the empty-set bit
-    of every lane and each of the n shifts of the closure test is one
-    operation on the whole int, its mask repeated in every lane (ones
-    times the mask); a mask lifted by a party stays below 2^n, in its own
-    lane.  A lone table is its own packing, so a one-table batch skips
-    the packing and its set-up.
+    The range check is min and max of the batch, then the tables sit in
+    the lanes of one int for one _check_lanes; a lone table is its own
+    packing, so a one-table batch skips the packing and its set-up.
     """
     lanes = len(tables)
     if lanes == 1:
-        packed = tables[0]
+        packed, ones = tables[0], 1
         if packed <= 0 or packed >> (1 << n):
             raise ValueError(_NOT_UPSET)
-        steps, ones = _closure_steps(n), 1
     elif lanes:
         if min(tables) <= 0 or max(tables) >> (1 << n):
             raise ValueError(_NOT_UPSET)
         size = _lane_bytes(n)
-        packed = _pack(tables, size)
-        ones = _ones(size, lanes)
-        steps = [(ones * without_j, shift) for without_j, shift in _closure_steps(n)]
+        packed, ones = _pack(tables, size), _ones(size, lanes)
     else:
         return
-    if packed & ones or _one_party_up(packed, steps) & ~packed:
+    _check_lanes(packed, ones, n)
+
+
+def _check_lanes(packed: int, ones: int, n: int) -> None:
+    """Raise ValueError unless every lane of packed, as in _one_party_up,
+    lacks the empty set and holds each member plus any one party."""
+    if packed & ones or _one_party_up(packed, n, ones) & ~packed:
         raise ValueError(_NOT_UPSET)
 
 
@@ -234,7 +233,7 @@ class UpSet(Record):
         By closure, a member has a smaller member below it iff it is
         another member plus one party.
         """
-        minimal = self.table & ~_one_party_up(self.table, _closure_steps(self.n))
+        minimal = self.table & ~_one_party_up(self.table, self.n)
         return tuple(m for m in subsets_in_order(self.n) if minimal >> m & 1)
 
     def indicator_values(self) -> tuple[int, ...]:
@@ -296,20 +295,23 @@ def _heap_walk(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def _canonical_tables(tables: list[int], n: int) -> list[int]:
-    """The least relabelling of each truth table on [n], all in one pass.
+def _canonical_lanes(tables: list[int], n: int) -> int:
+    """The least relabelling of each truth table on [n], all in one pass,
+    packed as the tables are.  Every table must be an up-set (the guards
+    need only that none holds the empty set).
 
-    Each table sits in a lane of whole bytes of one int: 2^n table bits
-    with a guard bit above them.  The packed tables are copied into n
-    blocks, block j relabelled by the transposition (j, n-1), so Heap's
-    walk over parties 0..n-2 reaches every relabelling from one of them.
-    Each step of the walk is one delta swap of the whole int, its mask
-    repeated in every lane, and the guard bits give a lane-wise
-    compare-select that keeps the least table seen (SWAR, as in Warren,
-    Hacker's Delight, ch. 7).  The n blocks are then folded the same way.
+    The packed tables are copied into n blocks, block j relabelled by the
+    transposition (j, n-1), so Heap's walk over parties 0..n-2 reaches
+    every relabelling from one of them.  Each step of the walk is one
+    delta swap of the whole int, its mask repeated in every lane, and a
+    guard bit above each table gives a lane-wise compare-select that
+    keeps the least table seen (SWAR, as in Warren, Hacker's Delight,
+    ch. 7).  From n = 3 on, a lane's guard is bit 0 of the lane above,
+    the empty set, which no swap moves; the top lane's is one bit above
+    the int.  The n blocks are then folded the same way.
     """
     if not tables:
-        return []
+        return 0
     width = 1 << n
     size = _lane_bytes(n)
     lanes = len(tables)
@@ -336,11 +338,17 @@ def _canonical_tables(tables: list[int], n: int) -> list[int]:
         delta = (cur >> shift ^ cur) & masks[shift]
         cur ^= delta ^ delta << shift
         best = least(best, cur, guard)
-    guard &= low
+    guard &= low << 1  # block 0's guards, its top lane's at bit 0 of block 1
     out = best & low
     for j in range(1, n):
         out = least(out, best >> j * block & low, guard)
-    buf = out.to_bytes(block // 8, "little")
+    return out
+
+
+def _canonical_tables(tables: list[int], n: int) -> list[int]:
+    """_canonical_lanes(tables, n) as one int per table."""
+    size = _lane_bytes(n)
+    buf = _canonical_lanes(tables, n).to_bytes(len(tables) * size, "little")
     return [int.from_bytes(buf[k:k + size], "little") for k in range(0, len(buf), size)]
 
 
@@ -353,8 +361,9 @@ def canonical_representative(u: UpSet) -> UpSet:
 def _order_key_bytes(n: int) -> tuple[tuple[int, ...], ...]:
     """Per byte of a truth table on [n], the sort key bits of its 256 values.
 
-    The i-th mask in canonical order gives key bit 2^n - 2 - i, so keys
-    compare like indicator_values().
+    The i-th mask in canonical order gives key bit 2^n - 2 - i, so the
+    sum of a lane's byte lookups, whose bits are disjoint, compares like
+    indicator_values().
     """
     top = (1 << n) - 2
     index = subset_index(n)
@@ -366,12 +375,6 @@ def _order_key_bytes(n: int) -> tuple[tuple[int, ...], ...]:
             values += [v | bit for v in values]
         lookups.append(tuple(values))
     return tuple(lookups)
-
-
-def _order_key(lookups, table: int) -> int:
-    """Sort key of a truth table on [n], given lookups = _order_key_bytes(n):
-    orders like indicator_values(); the bytes' key bits are disjoint."""
-    return sum(map(getitem, lookups, table.to_bytes(len(lookups), "little")))
 
 
 class OrbitClass(Record):
@@ -390,18 +393,29 @@ def permutation_classes(upsets, n: int) -> list[OrbitClass]:
 
     Classes are ordered by the representative's indicator vector
     (lexicographically, in canonical coordinate order), which for n=3
-    reproduces the standard eight-ray table.
+    reproduces the standard eight-ray table.  The canonical forms stay
+    packed for one _check_lanes, and their lanes are counted and sorted
+    as bytes, so only a class makes an int, an UpSet and an OrbitClass.
     """
     validate_party_count(n)
     upsets = list(upsets)
     if any(u.n != n for u in upsets):
         raise ValueError("all up-sets must share the same party count")
-    sizes = Counter(_canonical_tables([u.table for u in upsets], n))
-    reps = UpSet._from_tables(n, sorted(sizes, key=partial(_order_key, _order_key_bytes(n))))
-    new, set_rep, set_size = (object.__new__, OrbitClass.representative.__set__,
-                              OrbitClass.size.__set__)  # frozen: as in UpSet._from_tables
-    classes = [new(OrbitClass) for _ in reps]
-    for c, rep in zip(classes, reps):
+    size, lanes = _lane_bytes(n), len(upsets)
+    forms = _canonical_lanes([u.table for u in upsets], n)
+    _check_lanes(forms, _ones(size, lanes), n)
+    buf = forms.to_bytes(lanes * size, "little")
+    sizes = Counter(buf[k:k + size] for k in range(0, len(buf), size))
+    lookups = _order_key_bytes(n)
+    new, set_n, set_table, set_rep, set_size = (
+        object.__new__, UpSet.n.__set__, UpSet.table.__set__,
+        OrbitClass.representative.__set__, OrbitClass.size.__set__)  # frozen: as in UpSet._from_tables
+    classes = []
+    for lane in sorted(sizes, key=lambda lane: sum(map(getitem, lookups, lane))):
+        rep, c = new(UpSet), new(OrbitClass)
+        set_n(rep, n)
+        set_table(rep, int.from_bytes(lane, "little"))
         set_rep(c, rep)
-        set_size(c, sizes[rep.table])
+        set_size(c, sizes[lane])
+        classes.append(c)
     return classes

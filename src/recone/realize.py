@@ -227,11 +227,12 @@ class RealizationResult(Record):
 def dense_pair(pair: ProductPair) -> StatePair:
     """The package's one fold of a product: pair's factors, each built
     from its share tables, tensored onto the one-atom pair.  Raises
-    RealizationError, naming both sizes, before building any table when
-    the product's sigma support, read from the layouts, exceeds
+    RealizationError, naming both sizes (the predicted one as a power of
+    two, which no size overflows), before building any table when the
+    product's sigma support, read from the layouts, exceeds
     MAX_SIGMA_ATOMS."""
     if (atoms := pair.sigma_atoms) > MAX_SIGMA_ATOMS:
-        raise RealizationError(f"predicted sigma support of {atoms} atoms "
+        raise RealizationError(f"predicted sigma support of 2**{math.log2(atoms):.1f} atoms "
                                f"exceeds the budget of {MAX_SIGMA_ATOMS} atoms")
     point = JointDistribution._trusted(pair.n, (1,) * pair.n, (((0,) * pair.n, 1),), 1)
     return reduce(tensor, (scheme_state_pair(f.scheme, f.weight) for f in pair.factors),

@@ -135,6 +135,17 @@ def closure_members(seed, n, count):
                                 for mask in order))
 
 
+def weighted_member(seed, shape):
+    """The n = 8 cone member v(S) = shape(sum of w_i over the parties i
+    of S), w_i ~ U(0.1, 1) from random.Random(seed), for a nondecreasing
+    shape: with the identity from seed 8 the additive member, with
+    math.sqrt from seed 1 the concave one, each 255 distinct levels."""
+    rng = random.Random(seed)
+    w = [rng.uniform(0.1, 1) for _ in range(8)]
+    return REVector(8, tuple(shape(sum(w[i] for i in range(8) if mask >> i & 1))
+                             for mask in subsets_in_order(8)))
+
+
 def is_closed(table, n):
     """Oracle for the batch closure check: one truth table at a time, true
     iff it is a nonempty up-set of nonempty masks of [n]."""
@@ -147,8 +158,7 @@ def is_closed(table, n):
 def fixpoint_closure(table, n):
     """Oracle for lattice._closure: add every member plus one party until
     nothing changes."""
-    steps = _closure_steps(n)
-    while (closed := table | _one_party_up(table, steps)) != table:
+    while (closed := table | _one_party_up(table, n)) != table:
         table = closed
     return table
 

@@ -12,18 +12,21 @@ from fractions import Fraction
 
 from conftest import (
     add,
+    closure_members,
     proper_submasks,
     random_distribution,
     random_members,
     random_pair,
     shamir_scheme,
     value,
+    weighted_member,
 )
 from test_lattice import brute_force_upsets
 from test_schemes import dense_authorized
 from test_states import binary_entropy, shannon_entropy
 
 from recone.cli import main as cli_main
+from recone.jsonio import vector_to_json
 from recone.cone import check_membership
 from recone.lattice import enumerate_upsets, subsets_in_order
 from recone.realize import _candidates, realize_ray, synthesize, verify
@@ -188,6 +191,40 @@ def test_criterion_7_additivity_and_dilution():
            f"additivity worst gap {add_worst:.2e} (tol 1e-10) on 100 tensor pairs; "
            f"dilution drop alpha in [{alpha_range[0]:.2e}, {alpha_range[1]:.2e}] stayed "
            f"inside [0, H2(lam)] for lam in {{0.01, 0.1, 0.3}} on 50 pairs each: {dilution_ok}")
+
+
+def test_criterion_9_round_trip_n8_through_the_cli(tmp_path, capsys):
+    # synthesize -> pair file -> verify -> relent, in process, on the 20
+    # seeded n = 8 members and the additive and concave members (255 rays
+    # each; the concave sigma has about 5 800 decimal digits)
+    members = [*closure_members(8, 8, 20), weighted_member(8, lambda s: s),
+               weighted_member(1, math.sqrt)]
+    failures = []
+    t0 = time.perf_counter()
+    for i, member in enumerate(members):
+        vec_path, pair_path = tmp_path / f"v{i}.json", str(tmp_path / f"pair{i}.json")
+        vec_path.write_text(json.dumps(vector_to_json(member)))
+        docs = []
+        for argv in (["synthesize", str(vec_path), "-o", pair_path],
+                     ["verify", str(vec_path), pair_path],
+                     ["relent", pair_path]):
+            code = cli_main(argv)
+            out = capsys.readouterr().out
+            try:
+                docs.append(json.loads(out))
+            except ValueError:
+                docs.append(None)
+            if code != 0 or docs[-1] is None:
+                failures.append((i, argv[0], code))
+        if None not in docs and not (docs[1]["passed"] and docs[2] == docs[0]["achieved"]):
+            failures.append((i, "verdict", docs[1]["max_abs_error"]))
+    elapsed = time.perf_counter() - t0
+    ok = not failures and elapsed < 7  # 1.5 to 1.7 s measured cold on 2 cores
+    with capsys.disabled():
+        report(9, ok,
+               f"{len(members)} members at n=8 through synthesize, verify and relent, "
+               f"each exit 0 with one JSON document: failures {failures}, "
+               f"runtime {elapsed:.1f} s (< 7 s)")
 
 
 def test_criterion_8_scope_note():

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -16,13 +17,20 @@ from hypothesis import given, settings, strategies as st
 from conftest import closure_members, shamir_scheme
 from test_jsonio import DENSE_DOC, LISTED_PAIR, MALFORMED_FACTORS, malformed_factor_doc
 
-from recone import schemes
+from recone import cli, schemes
 from recone.cli import main
 from recone.cone import REVector, Violation
 from recone.demos import _atom_string
 from recone.jsonio import pair_to_json, vector_to_json
 from recone.lattice import subsets_in_order
-from recone.realize import MAX_SIGMA_ATOMS, VerificationReport, dense_pair, synthesize
+from recone.realize import (
+    MAX_SIGMA_ATOMS,
+    RealizationResult,
+    VerificationReport,
+    dense_pair,
+    synthesize,
+)
+from recone.states import Factor, ProductPair
 
 RAY6_DOC = vector_to_json(REVector(3, (1, 0, 0, 1, 1, 1, 1)))
 BAD_DOC = vector_to_json(REVector(2, (1, 0, 0.5)))
@@ -195,7 +203,7 @@ def test_synthesize_says_which_scheme_realized_each_ray(tmp_path, capsys):
     assert summary["schemes"] == [
         {"kind": "xor", "table_atoms": 4, "candidates": {"xor": 4, "shamir": 25}},
         {"kind": "shamir", "table_atoms": 5, "candidates": {"xor": 8, "shamir": 5}}]
-    assert summary["sigma_atoms"] == 80
+    assert summary["sigma_atoms_log2"] == math.log2(80)
 
 
 def test_synthesize_over_budget_exits_one(tmp_path, capsys):
@@ -204,7 +212,7 @@ def test_synthesize_over_budget_exits_one(tmp_path, capsys):
     out = tmp_path / "pair.json"
     assert main(["synthesize", path, "-o", str(out), "--dense"]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
-    assert "predicted sigma support of 2814749767106560000 atoms" in error
+    assert "predicted sigma support of 2**61.3 atoms" in error  # 2814749767106560000
     assert "budget" in error
     assert not out.exists()
 
@@ -229,7 +237,7 @@ def test_strictly_monotone_target_through_the_cli(n, tmp_path, capsys):
         assert main(["synthesize", vec_path, "-o", out_path, "--dense"]) == 1
         error = json.loads(capsys.readouterr().err)["error"]
         predicted = synthesize(REVector(4, subsets_in_order(4))).pair.sigma_atoms
-        assert f"predicted sigma support of {predicted} atoms" in error
+        assert f"predicted sigma support of 2**{math.log2(predicted):.1f} atoms" in error
         assert f"budget of {MAX_SIGMA_ATOMS} atoms" in error
 
 
@@ -267,13 +275,49 @@ def test_dense_synthesis_of_an_over_budget_n8_member_builds_no_table(tmp_path, c
     out = tmp_path / "pair.json"
     assert main(["synthesize", vec_path, "-o", str(out), "--dense"]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
-    assert f"predicted sigma support of {synthesize(target).pair.sigma_atoms} atoms" in error
+    predicted = synthesize(target).pair.sigma_atoms
+    assert f"predicted sigma support of 2**{math.log2(predicted):.1f} atoms" in error
     assert f"budget of {MAX_SIGMA_ATOMS} atoms" in error
     assert not out.exists()
     # the factored form is written, read back and verified without a table
     assert main(["synthesize", vec_path, "-o", str(out)]) == 0
     assert main(["verify", vec_path, str(out)]) == 0
     assert main(["relent", str(out)]) == 0
+
+
+def test_a_sigma_past_the_json_digit_limit_is_named_by_its_log2(tmp_path, capsys, monkeypatch):
+    # seventy factors of one 8-of-8 gate over GF(2**31 - 1), 2 * q**7 sigma
+    # atoms each: the product's sigma, about 2**15 260, has more decimal
+    # digits than json.dumps writes (4 300) however a planner sizes a ray
+    q = 2 ** 31 - 1
+    big = ProductPair(8, (Factor(shamir_scheme(8, [1] * 8, 8, q), Fraction(1, 2)),) * 70)
+    assert big.sigma_atoms > 10 ** 4300
+    result = synthesize(N8_MEMBERS[0])
+    monkeypatch.setattr(cli, "synthesize", lambda v: RealizationResult(
+        result.target, result.decomposition, result.plans, big, result.achieved,
+        result.max_abs_error))
+    vec_path = write(tmp_path, "v.json", vector_to_json(N8_MEMBERS[0]))
+    out = tmp_path / "pair.json"
+    assert main(["synthesize", vec_path, "-o", str(out), "--dense"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == (f"predicted sigma support of 2**{math.log2(big.sigma_atoms):.1f} atoms "
+                     f"exceeds the budget of {MAX_SIGMA_ATOMS} atoms")
+    assert "2**15260." in error and not out.exists()
+    assert main(["synthesize", vec_path, "-o", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["sigma_atoms_log2"] == math.log2(big.sigma_atoms)
+    assert json.loads(out.read_text()) == pair_to_json(big)
+    # the summary is built before the pair file is opened: a summary that
+    # cannot be written leaves no file
+    out.unlink()
+
+    def refused(result):
+        raise ValueError("summary refused")
+
+    monkeypatch.setattr(cli, "realization_to_json", refused)
+    assert main(["synthesize", vec_path, "-o", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "summary refused"}
+    assert not out.exists()
 
 
 def test_synthesize_dense_writes_one_pair(tmp_path, capsys):
@@ -284,7 +328,7 @@ def test_synthesize_dense_writes_one_pair(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     written = json.loads(out_path.read_text())
     assert written == pair_to_json(dense_pair(synthesize(target).pair))
-    assert len(written["sigma"]) == summary["sigma_atoms"] == 80
+    assert len(written["sigma"]) == 80 and summary["sigma_atoms_log2"] == math.log2(80)
     assert main(["verify", vec_path, str(out_path)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
     assert main(["relent", str(out_path)]) == 0

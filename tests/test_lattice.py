@@ -245,24 +245,26 @@ def test_lattice_builds_upsets_without_validating_masks(monkeypatch):
         calls.append(mask)
         validate_mask(mask, n)
 
-    check = recone.lattice._check_closed
+    check = recone.lattice._check_lanes
     batches = []
 
-    def counted_check(tables, n):
-        batches.append(len(tables))
-        check(tables, n)
+    def counted_check(packed, ones, n):
+        batches.append(ones.bit_count())
+        check(packed, ones, n)
 
     monkeypatch.setattr(recone.lattice, "validate_mask", counted)
-    monkeypatch.setattr(recone.lattice, "_check_closed", counted_check)
+    monkeypatch.setattr(recone.lattice, "_check_lanes", counted_check)
     # up-sets built from truth tables the lattice knows to be monotone,
-    # each batch under one closure check
+    # each batch under one closure check of all its lanes: the
+    # enumeration, the canonical forms of its 7 579 up-sets (one lane
+    # each, before they are counted into 208 classes) and the 3 terms
     upsets = enumerate_upsets(5)
     assert len(permutation_classes(upsets, 5)) == 208
     indicators = [u.indicator_values() for u in (upsets[0], upsets[500], upsets[-1])]
     member = REVector(5, tuple(2 * a + 0.5 * b + c for a, b, c in zip(*indicators)))
     assert len(layer_cake_decompose(member).terms) == 3
     assert calls == []
-    assert batches == [7579, 208, 3]
+    assert batches == [7579, 7579, 3]
     # the ways in from masks check each one
     UpSet(3, {AB, ABC})
     is_upset({AB, ABC}, 3)
@@ -480,13 +482,33 @@ def test_permutation_classes_orbit_sizes():
     *((n, enumerate_upsets(n)) for n in (1, 2, 3, 4)),
     (5, random.Random(5).sample(enumerate_upsets(5), 60)),
     (6, [random_upset(random.Random(6), 6) for _ in range(12)]),
+    (7, [random_upset(random.Random(7), 7) for _ in range(4)]),
 ])
 def test_batch_canonical_forms_match_oracle(n, batch):
-    # the batch kernel gives every member's own least relabelling, lane by lane
+    # the batch kernel gives every member's own least relabelling, lane by
+    # lane; from n = 3 on, a lane's guard is the empty-set bit of the lane
+    # above, so only a batch of several lanes tests it
     oracle = [brute_force_representative(u) for u in batch]
     reps = recone.lattice._canonical_tables([u.table for u in batch], n)
     assert reps == [rep.table for rep in oracle]
     assert {c.representative: c.size for c in permutation_classes(batch, n)} == Counter(oracle)
+
+
+def test_batch_canonical_forms_at_n8_do_not_change_under_relabelling():
+    # four n = 8 up-sets, each in three relabellings and as itself,
+    # shuffled into one batch of sixteen 256-bit lanes: every lane comes
+    # out as its up-set's lone form, and the classes count four of each
+    rng = random.Random(88)
+    upsets = [random_upset(rng, 8) for _ in range(4)]
+    batch = [(u, relabel(u, tuple(rng.sample(range(1, 9), 8)))) for u in upsets for _ in range(3)]
+    batch += [(u, u) for u in upsets]
+    rng.shuffle(batch)
+    forms = recone.lattice._canonical_tables([v.table for _, v in batch], 8)
+    assert forms == [canonical_representative(u).table for u, _ in batch]
+    reps = {canonical_representative(u) for u in upsets}
+    assert len(reps) == 4
+    classes = permutation_classes([v for _, v in batch], 8)
+    assert {c.representative: c.size for c in classes} == dict.fromkeys(reps, 4)
 
 
 def test_permutation_classes_takes_any_iterable():
